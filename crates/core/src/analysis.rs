@@ -193,10 +193,10 @@ impl<'a> Analysis<'a> {
     ///
     /// The window is expanded into the explicit set of constant delta
     /// vectors whose ordinal lies in the range: every disjunct is then a
-    /// pure translation (`t' = t + Δ`), which keeps downstream projections
-    /// on the cheap unit-coefficient path. (A single ordinal inequality
-    /// with mixed-radix weights is equivalent but forces the projector
-    /// into range splits.)
+    /// pure translation (`t' = t + Δ`), which `apply_range` composes by
+    /// substitution, with no projection at all. (A single ordinal
+    /// inequality with mixed-radix weights is equivalent but forces the
+    /// projector into range splits.)
     fn windowed_map_text(
         &self,
         offsets: &[Vec<i64>],

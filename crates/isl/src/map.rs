@@ -223,23 +223,36 @@ impl Map {
         let nx = self.n_in();
         let ny = self.n_out();
         let nz = other.n_out();
-        let mut out_dims: Vec<String> = other.space.output.dims.clone();
-        for i in 0..ny {
-            out_dims.push(format!("_m{i}"));
-        }
-        let space = Arc::new(Space::map(
+        let result_space = Arc::new(Space::map(
             self.space.input.clone(),
-            Tuple {
-                name: other.space.output.name.clone(),
-                dims: out_dims,
-            },
+            other.space.output.clone(),
         ));
-        // var maps into the combined layout [X | Z | Ymid].
+        // Pairs whose left disjunct is not a function graph are composed in
+        // the combined layout [X | Z | Ymid], projecting Ymid away.
+        let mut comb_space: Option<Arc<Space>> = None;
         let var_map_a: Vec<usize> = (0..nx).chain(nx + nz..nx + nz + ny).collect();
         let var_map_b: Vec<usize> = (nx + nz..nx + nz + ny).chain(nx..nx + nz).collect();
         let mut basics = Vec::new();
         for a in &self.basics {
+            let graph = AffineGraph::of(a);
             for b in &other.basics {
+                if let Some(g) = &graph {
+                    #[cfg(test)]
+                    tests::SUBSTITUTED.with(|n| n.set(n.get() + 1));
+                    basics.extend(g.compose(b, &result_space)?);
+                    continue;
+                }
+                let space = comb_space.get_or_insert_with(|| {
+                    let mut out_dims = other.space.output.dims.clone();
+                    out_dims.extend((0..ny).map(|i| format!("_m{i}")));
+                    Arc::new(Space::map(
+                        self.space.input.clone(),
+                        Tuple {
+                            name: other.space.output.name.clone(),
+                            dims: out_dims,
+                        },
+                    ))
+                });
                 let mut comb = BasicMap::universe(space.clone());
                 comb.import_constraints(a, &var_map_a)?;
                 comb.import_constraints(b, &var_map_b)?;
@@ -247,10 +260,6 @@ impl Map {
                 basics.extend(eliminate_vars(comb, targets)?);
             }
         }
-        let result_space = Arc::new(Space::map(
-            self.space.input.clone(),
-            other.space.output.clone(),
-        ));
         let mut m = Map {
             space: result_space.clone(),
             basics,
@@ -698,6 +707,141 @@ impl Map {
     }
 }
 
+/// A disjunct that is the graph of an integer affine function of its
+/// inputs: it has no divs, each output `y_j` is pinned by exactly one
+/// equality `s·y_j + f_j(x) == 0` with `s = ±1` and no other output, and
+/// every other constraint mentions inputs only. Composing it with a
+/// relation is a substitution `y_j := -s·f_j(x)` — isl's preimage by an
+/// affine function — so no variable has to be projected away.
+struct AffineGraph<'a> {
+    a: &'a BasicMap,
+    /// Per output: the equality pinning it and the sign `s` of its
+    /// coefficient there.
+    defs: Vec<(&'a Row, i64)>,
+}
+
+impl<'a> AffineGraph<'a> {
+    fn of(a: &'a BasicMap) -> Option<AffineGraph<'a>> {
+        if a.n_div() > 0 {
+            return None;
+        }
+        let outs = a.n_in()..a.div0();
+        let mentions_output = |r: &Row| r[outs.clone()].iter().any(|&c| c != 0);
+        if a.ineqs.iter().any(mentions_output) {
+            return None;
+        }
+        let mut defs = vec![None; a.n_out()];
+        for eq in &a.eqs {
+            let mut pinned = None;
+            for (j, &c) in eq[outs.clone()].iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                if pinned.is_some() || !matches!(c, 1 | -1) {
+                    return None;
+                }
+                pinned = Some((j, c));
+            }
+            if let Some((j, s)) = pinned {
+                if defs[j].replace((eq, s)).is_some() {
+                    return None;
+                }
+            }
+        }
+        let defs = defs.into_iter().collect::<Option<Vec<_>>>()?;
+        Some(AffineGraph { a, defs })
+    }
+
+    /// The composition `b ∘ a` over `space` (`a`'s input, `b`'s output):
+    /// `b`'s div numerators and rows with every `y_j` substituted, written
+    /// straight at the result width, plus `a`'s input-only constraints.
+    /// `None` when the result is syntactically empty.
+    fn compose(&self, b: &BasicMap, space: &Arc<Space>) -> Result<Option<BasicMap>> {
+        let mut out = BasicMap::universe(space.clone());
+        let mut acc = vec![0i128; self.a.n_in() + 1];
+        let mut div_map = vec![usize::MAX; b.n_div()];
+        for d in b.div_topo_order()? {
+            let num = self.substitute(b, &b.divs[d].num, &div_map, out.n_cols(), &mut acc)?;
+            div_map[d] = out.add_div(num, b.divs[d].den)?;
+        }
+        let width = out.n_cols();
+        out.eqs.reserve(b.eqs.len() + self.a.eqs.len());
+        for r in &b.eqs {
+            let row = self.substitute(b, r, &div_map, width, &mut acc)?;
+            out.add_eq(row);
+        }
+        out.ineqs.reserve(b.ineqs.len() + self.a.ineqs.len());
+        for r in &b.ineqs {
+            let row = self.substitute(b, r, &div_map, width, &mut acc)?;
+            out.add_ineq(row);
+        }
+        let (nx, a_k, k) = (self.a.n_in(), self.a.konst(), out.konst());
+        let widen = |r: &Row| {
+            let mut w = Row::zeros(k + 1);
+            w[..nx].copy_from_slice(&r[..nx]);
+            w[k] = r[a_k];
+            w
+        };
+        for eq in &self.a.eqs {
+            if eq[nx..a_k].iter().all(|&c| c == 0) {
+                out.add_eq(widen(eq));
+            }
+        }
+        for r in &self.a.ineqs {
+            out.add_ineq(widen(r));
+        }
+        if !out.simplify() {
+            return Ok(None);
+        }
+        out.drop_unused_divs();
+        Ok(Some(out))
+    }
+
+    /// Row `r` of `b` (over `[y | z | b's divs | 1]`) with `y := f(x)`, as
+    /// a row of `width` columns over `[x | z | divs | 1]`; `div_map` places
+    /// `b`'s div columns. The `x` coefficients and the constant accumulate
+    /// in `acc` as `i128`; one outside `i64` is reported as
+    /// [`Error::Overflow`], never wrapped.
+    fn substitute(
+        &self,
+        b: &BasicMap,
+        r: &Row,
+        div_map: &[usize],
+        width: usize,
+        acc: &mut [i128],
+    ) -> Result<Row> {
+        let (nx, ny, nz) = (self.a.n_in(), b.n_in(), b.n_out());
+        let a_k = self.a.konst();
+        acc.fill(0);
+        acc[nx] = r[b.konst()].into();
+        // c·y_j = -s_j·c·(eq_j's input part · x + eq_j's constant).
+        for (&c, &(eq, s)) in r[..ny].iter().zip(&self.defs) {
+            if c == 0 {
+                continue;
+            }
+            for (v, &e) in acc.iter_mut().zip(eq[..nx].iter().chain([&eq[a_k]])) {
+                if e != 0 {
+                    let term = -i128::from(s) * i128::from(c) * i128::from(e);
+                    *v = v.checked_add(term).ok_or(Error::Overflow)?;
+                }
+            }
+        }
+        let narrow = |v: i128| i64::try_from(v).map_err(|_| Error::Overflow);
+        let mut out = Row::zeros(width);
+        for i in 0..nx {
+            out[i] = narrow(acc[i])?;
+        }
+        out[width - 1] = narrow(acc[nx])?;
+        out[nx..nx + nz].copy_from_slice(&r[ny..ny + nz]);
+        for (&c, &col) in r[ny + nz..b.konst()].iter().zip(div_map) {
+            if c != 0 {
+                out[col] = out[col].checked_add(c).ok_or(Error::Overflow)?;
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// Exact difference of two basic maps as a disjoint union of basic maps.
 pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>> {
     debug_assert_eq!(p.div0(), c.div0());
@@ -736,6 +880,184 @@ pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Disjunct pairs `apply_range` composed by substitution on this
+        /// thread.
+        pub(super) static SUBSTITUTED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `{ ST[p.., t..] -> ST[p + o, t + Δ]; … }` over every (offset, delta)
+    /// pair, in the text form `Analysis::spatial_map` and `temporal_map`
+    /// parse, with the translation vectors `(o, Δ)`.
+    fn translations(offsets: &[&[i64]], deltas: &[&[i64]]) -> (String, Vec<Vec<i64>>) {
+        let shift = |base: &str, i: usize, v: i64| match v {
+            0 => format!("{base}{i}"),
+            v if v > 0 => format!("{base}{i} + {v}"),
+            v => format!("{base}{i} - {}", -v),
+        };
+        let (ns, nt) = (offsets[0].len(), deltas[0].len());
+        let dims: Vec<String> = (0..ns)
+            .map(|i| format!("p{i}"))
+            .chain((0..nt).map(|i| format!("t{i}")))
+            .collect();
+        let mut disjuncts = Vec::new();
+        let mut vectors = Vec::new();
+        for off in offsets {
+            for delta in deltas {
+                let outs: Vec<String> = (off.iter().enumerate().map(|(i, &o)| shift("p", i, o)))
+                    .chain(delta.iter().enumerate().map(|(i, &d)| shift("t", i, d)))
+                    .collect();
+                disjuncts.push(format!(
+                    "ST[{}] -> ST[{}]",
+                    dims.join(", "),
+                    outs.join(", ")
+                ));
+                vectors.push([*off, *delta].concat());
+            }
+        }
+        (format!("{{ {} }}", disjuncts.join("; ")), vectors)
+    }
+
+    /// `M⁻¹ ∘ A` for the reversed spacetime maps of every interconnect
+    /// and reuse window must take the substitution path for every
+    /// disjunct pair, and give `{ (y + d, z) : (y, z) ∈ A, d ∈ M's
+    /// deltas }` exactly.
+    #[test]
+    fn reversed_spacetime_maps_compose_by_substitution() {
+        let mesh: Vec<[i64; 2]> = (-1..=1)
+            .flat_map(|a| (-1..=1).map(move |b| [a, b]))
+            .filter(|o| *o != [0, 0])
+            .collect();
+        let mesh: Vec<&[i64]> = mesh.iter().map(|o| &o[..]).collect();
+        let gemm_a = "{ ST[p0, p1, t0] -> A[p0, t0 - p0 - p1] : 0 <= p0 < 2 and 0 <= p1 < 2 \
+                      and 0 <= t0 - p0 - p1 < 4 }";
+        let tiled_b = "{ ST[p0, p1, t0, t1] -> B[b, p1] : b = 4 t0 + (t1 mod 4) and 0 <= b < 8 \
+                       and 0 <= p0 < 3 and 0 <= p1 < 3 and 0 <= t0 < 2 and 0 <= t1 < 6 \
+                       and p0 <= t1 }";
+        let conv_x = "{ ST[p0, t0] -> X[x, w] : x = floor(t0 / 3) + p0 and w = t0 mod 3 \
+                       and 0 <= x < 7 and 0 <= w < 3 and 0 <= p0 < 4 and 0 <= t0 < 9 }";
+        let cases = [
+            (
+                "Systolic2D, one time dim",
+                translations(&[&[0, 1], &[1, 0]], &[&[1]]),
+                gemm_a,
+            ),
+            ("Mesh, one time dim", translations(&mesh, &[&[1]]), gemm_a),
+            (
+                "Mesh, two time dims (mixed-radix rollover)",
+                translations(&mesh, &[&[0, 1], &[1, -5]]),
+                tiled_b,
+            ),
+            ("1-D systolic", translations(&[&[1]], &[&[1]]), conv_x),
+            (
+                "multicast (zero-cycle delta)",
+                translations(&[&[1], &[2], &[3]], &[&[0]]),
+                conv_x,
+            ),
+            (
+                "temporal, reuse window 3 over two time dims",
+                translations(
+                    &[&[0, 0]],
+                    &[&[0, 1], &[0, 2], &[1, -5], &[1, -4], &[1, -3]],
+                ),
+                tiled_b,
+            ),
+        ];
+        for (name, (text, deltas), adf) in cases {
+            let m = Map::parse(&text).unwrap();
+            let adf = Map::parse(adf).unwrap();
+            let rev = m.reverse();
+            SUBSTITUTED.with(|n| n.set(0));
+            let composed = rev.apply_range_uncached(&adf).unwrap();
+            assert_eq!(
+                SUBSTITUTED.with(Cell::get),
+                rev.basics().len() * adf.basics().len(),
+                "{name}: a disjunct pair left the substitution path"
+            );
+            let mut expect = std::collections::BTreeSet::new();
+            let points = adf.points(10_000).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for p in points {
+                for d in &deltas {
+                    let mut q = p.clone();
+                    for (c, dj) in q.iter_mut().zip(d) {
+                        *c += dj;
+                    }
+                    expect.insert(q);
+                }
+            }
+            let got = composed.points(100_000).unwrap();
+            assert_eq!(got, expect.into_iter().collect::<Vec<_>>(), "{name}");
+        }
+    }
+
+    /// A translation constant near `i64::MAX` overflows the substituted
+    /// rows: the composition reports it instead of wrapping.
+    #[test]
+    fn substitution_overflow_is_an_error() {
+        let m = Map::parse("{ ST[p0, t0] -> ST[p0 + 9223372036854775806, t0 + 1] }").unwrap();
+        let adf = Map::parse("{ ST[p0, t0] -> A[p0] : -5 <= p0 <= 5 and 0 <= t0 < 4 }").unwrap();
+        let rev = m.reverse();
+        SUBSTITUTED.with(|n| n.set(0));
+        assert_eq!(rev.apply_range_uncached(&adf), Err(Error::Overflow));
+        assert_eq!(SUBSTITUTED.with(Cell::get), 1);
+        assert_eq!(rev.apply_range(&adf), Err(Error::Overflow));
+    }
+
+    /// Left disjuncts that are not affine-function graphs stay on the
+    /// projection path.
+    #[test]
+    fn near_miss_graphs_are_not_recognized() {
+        for text in [
+            "{ A[i] -> B[j] : 2 j = i }",
+            "{ A[i] -> B[j] : j <= i }",
+            "{ A[i] -> B[i mod 4] }",
+            "{ A[i] -> B[j, k] : j + k = i and j = i }",
+        ] {
+            let m = Map::parse(text).unwrap();
+            assert!(AffineGraph::of(&m.basics()[0]).is_none(), "{text}");
+        }
+        let m = Map::parse("{ A[i, j] -> B[j - i, 3] : 0 <= i < 4 and i = 2 j }").unwrap();
+        assert!(AffineGraph::of(&m.basics()[0]).is_some());
+    }
+
+    /// A ±2 output coefficient keeps a composition on the projection
+    /// ladder, which must finish exactly. The first shape made the ladder
+    /// alternate div expansion with non-unit elimination until it gave
+    /// up; the second reused an identical divisibility div and left a row
+    /// one column too wide.
+    #[test]
+    fn non_unit_graphs_project_exactly() {
+        let ping_pong = (
+            "{ P[x0] -> B[y0] : 2*y0 = x0 + -3 and -6 <= x0 and x0 <= 3 }",
+            "{ B[x0] -> C[x1, x2, x3, w] : -2 <= x0 and x0 <= 5 and 1 <= x1 and x1 <= 3 \
+             and -2 <= x2 and x2 <= 1 and -3 <= x3 and x3 <= 0 \
+             and -5 <= -2*x0 + -3*x1 + 2*x2 + 3*x3 and -2*x0 + -3*x1 + 2*x2 + 3*x3 <= -5 \
+             and w = (2*x0 + 3*x1) mod 2 and 0 <= w < 2 }",
+        );
+        let mut expect = 0;
+        for y in -2i64..=0 {
+            for a in 1..=3 {
+                for b in -2..=1 {
+                    for c in -3..=0 {
+                        expect += u128::from(-2 * y - 3 * a + 2 * b + 3 * c == -5);
+                    }
+                }
+            }
+        }
+        let reused_div = (
+            "{ P[x] -> B[y] : -2 y = x + 2 }",
+            "{ B[y] -> C[a, w] : 4 <= y <= 6 and 1 <= a <= 2 and w = (-2 y) mod 2 }",
+        );
+        for ((left, right), card) in [(ping_pong, expect), (reused_div, 6)] {
+            let (l, r) = (Map::parse(left).unwrap(), Map::parse(right).unwrap());
+            SUBSTITUTED.with(|n| n.set(0));
+            let composed = l.apply_range_uncached(&r).unwrap();
+            assert_eq!(SUBSTITUTED.with(Cell::get), 0, "{left}");
+            assert_eq!(composed.card().unwrap(), card, "{left} . {right}");
+        }
+    }
 
     #[test]
     fn union_and_card() {

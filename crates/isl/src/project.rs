@@ -90,26 +90,33 @@ enum Step {
 fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
     // --- Step 1/2: equality-based elimination. --------------------------
     // Find the (target, equality) pair with the smallest |coefficient|,
-    // preferring unit coefficients.
-    let mut best: Option<(usize, usize, i64)> = None; // (target idx, eq idx, |coef|)
+    // preferring unit coefficients and, among equal coefficients, an
+    // equality that needs no div expansion first (see the cycle guard
+    // below): alternating expansion with non-unit elimination can
+    // ping-pong between the same two systems forever.
+    let div0 = bm.div0();
+    let cyclic_div =
+        |eq: &Row, col| (0..bm.n_div()).find(|&d| eq[div0 + d] != 0 && bm.div_depends_on(d, col));
+    // (target idx, eq idx, |coef|, div to expand first)
+    let mut best: Option<(usize, usize, i64, Option<usize>)> = None;
     for (ti, &col) in targets.iter().enumerate() {
         for (ei, eq) in bm.eqs.iter().enumerate() {
             let a = eq[col].abs();
-            if a != 0 && best.is_none_or(|(_, _, b)| a < b) {
-                best = Some((ti, ei, a));
+            if a == 0 || best.is_some_and(|(_, _, b, bd)| a > b || (a == b && bd.is_none())) {
+                continue;
+            }
+            let d = cyclic_div(eq, col);
+            if best.is_none_or(|(_, _, b, bd)| (a, d.is_some()) < (b, bd.is_some())) {
+                best = Some((ti, ei, a, d));
             }
         }
     }
-    if let Some((ti, ei, a)) = best {
+    if let Some((ti, ei, a, cyclic)) = best {
         let col = targets[ti];
         // Cycle guard: substituting via an equality that references a div
         // which (transitively) depends on `col` would create a cyclic div
         // definition. Expand such divs into ordinary variables first.
-        let div0 = bm.div0();
-        let cyclic: Vec<usize> = (0..bm.n_div())
-            .filter(|&d| bm.eqs[ei][div0 + d] != 0 && bm.div_depends_on(d, col))
-            .collect();
-        if let Some(&d) = cyclic.first() {
+        if let Some(d) = cyclic {
             let new_col = div_to_var(bm, d);
             shift_targets(targets, new_col);
             targets.push(new_col);
@@ -145,10 +152,14 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
         if g % a == 0 {
             return Ok(Step::Continue);
         }
+        let n_div = bm.n_div();
         let q = bm.add_div(e.clone(), a)?;
-        // Adding the div widened rows by one column (before the constant).
-        let k_old = e.len() - 1;
-        e.insert(k_old, 0);
+        // A new div widened the rows by one column (before the constant);
+        // a reused identical div did not.
+        if bm.n_div() > n_div {
+            let k_old = e.len() - 1;
+            e.insert(k_old, 0);
+        }
         e[q] = -a;
         bm.add_eq(e);
         return Ok(Step::Continue);

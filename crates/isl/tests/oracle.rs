@@ -513,6 +513,309 @@ fn corpus_pair_chain() {
 }
 
 // ---------------------------------------------------------------------------
+// Composition corpus
+//
+// `apply_range` composes a left disjunct that is the graph of an affine
+// function of its inputs by substitution, and everything else by
+// projection. The left maps here are such graphs — translations,
+// permutations and unit-output skews, solved in a triangular order so the
+// oracle can invert them by plain arithmetic — with optional input-only
+// bounds and equalities. One case in three is a near miss that must stay
+// on the projection path: a ±2 output coefficient, an inequality on an
+// output, or a div (in an output definition or an input constraint). The
+// right maps are window, slab and coupled-slab sets split into input and
+// output dims, some with a `mod` output and a `floor` constraint. The
+// oracle scans the right map's window with `contains_point`, inverts the
+// left map per point, and compares the result with `card` and `points` of
+// the composition, cold and warm.
+// ---------------------------------------------------------------------------
+
+/// A generated left map `P[x] -> B[y]`, solvable for `x` given `y`: input
+/// `x_j` (for `j < k`) defines output `perm[j]` through
+/// `scale_j·y_perm[j] = x_j + Σ skew_j[i]·x_i + shift_j [+ floor(x_e / 2)]`,
+/// where every `x_i` on the right was solved earlier (the extra input
+/// `x_k`, when present, comes first and is enumerated over its bounds).
+struct LeftCase {
+    text: String,
+    k: usize,
+    extra: Option<(i64, i64)>,
+    perm: Vec<usize>,
+    scale: Vec<i64>,
+    /// `(input, coefficient)` terms per definition.
+    skew: Vec<Vec<(usize, i64)>>,
+    shift: Vec<i64>,
+    /// The input whose `floor(x / 2)` joins definition `j` (near miss).
+    floor_term: Vec<Option<usize>>,
+    /// Input-only constraints plus the output inequality near miss.
+    checks: Vec<Check>,
+}
+
+/// A constraint of a generated left map, as a predicate over `(x, y)`.
+type Check = Box<dyn Fn(&[i64], &[i64]) -> bool>;
+
+fn gen_left(rng: &mut Rng, k: usize) -> LeftCase {
+    let n = if rng.below(3) == 0 { k + 1 } else { k };
+    let extra = (n > k).then(|| {
+        let lo = rng.range(-2, 1);
+        (lo, lo + rng.range(0, 2))
+    });
+    // 0: function graph; 1: ±2 output coefficient; 2: output inequality;
+    // 3: floor in an output definition; 4: mod constraint on the inputs.
+    let miss = if rng.below(3) == 0 {
+        rng.range(1, 4)
+    } else {
+        0
+    };
+    let mut perm: Vec<usize> = (0..k).collect();
+    for j in (1..k).rev() {
+        perm.swap(j, rng.below(j as u64 + 1) as usize);
+    }
+    let earlier = |j: usize| -> Vec<usize> { (0..j).chain((n > k).then_some(k)).collect() };
+    let miss_at = rng.below(k as u64) as usize;
+    let mut case = LeftCase {
+        text: String::new(),
+        k,
+        extra,
+        perm,
+        scale: Vec::new(),
+        skew: Vec::new(),
+        shift: Vec::new(),
+        floor_term: Vec::new(),
+        checks: Vec::new(),
+    };
+    let mut cons = Vec::new();
+    for j in 0..k {
+        let sign = if rng.below(2) == 0 { 1 } else { -1 };
+        let scale = if miss == 1 && j == miss_at {
+            2 * sign
+        } else {
+            sign
+        };
+        // Each earlier input joins the definition with probability 1/2;
+        // definitions without one are translations (permuted by `perm`).
+        let mut skew = Vec::new();
+        for i in earlier(j) {
+            if rng.below(2) == 0 {
+                skew.push((i, rng.coef(2)));
+            }
+        }
+        let shift = rng.range(-3, 3);
+        let floor_term = (miss == 3 && j == miss_at)
+            .then(|| earlier(j).first().copied())
+            .flatten();
+        let terms: String = skew.iter().map(|(i, c)| format!(" + {c}*x{i}")).collect();
+        let mut rhs = format!("x{j}{terms} + {shift}");
+        if let Some(e) = floor_term {
+            rhs.push_str(&format!(" + floor(x{e} / 2)"));
+        }
+        cons.push(format!("{scale}*y{} = {rhs}", case.perm[j]));
+        case.scale.push(scale);
+        case.skew.push(skew);
+        case.shift.push(shift);
+        case.floor_term.push(floor_term);
+    }
+    if let Some((lo, hi)) = extra {
+        cons.push(format!("{lo} <= x{k} and x{k} <= {hi}"));
+    }
+    if miss == 2 {
+        let (p, i, c) = (
+            rng.below(k as u64) as usize,
+            rng.below(n as u64) as usize,
+            rng.range(-2, 4),
+        );
+        cons.push(format!("y{p} <= x{i} + {c}"));
+        case.checks.push(Box::new(move |x, y| y[p] <= x[i] + c));
+    }
+    if miss == 4 {
+        let (i, m) = (rng.below(n as u64) as usize, rng.range(2, 3));
+        let r = rng.range(0, m - 1);
+        cons.push(format!("(x{i}) mod {m} <= {r}"));
+        case.checks
+            .push(Box::new(move |x, _| x[i].rem_euclid(m) <= r));
+    }
+    if rng.below(2) == 0 {
+        let (i, lo) = (rng.below(n as u64) as usize, rng.range(-8, 0));
+        let hi = lo + rng.range(4, 12);
+        cons.push(format!("{lo} <= x{i} and x{i} <= {hi}"));
+        case.checks
+            .push(Box::new(move |x, _| lo <= x[i] && x[i] <= hi));
+    }
+    if n >= 2 && rng.below(4) == 0 {
+        let (a, b, c) = (rng.coef(2), rng.coef(2), rng.range(-4, 4));
+        cons.push(format!("{a}*x0 + {b}*x1 = {c}"));
+        case.checks
+            .push(Box::new(move |x, _| a * x[0] + b * x[1] == c));
+    }
+    let xs: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+    let ys: Vec<String> = (0..k).map(|i| format!("y{i}")).collect();
+    case.text = format!(
+        "{{ P[{}] -> B[{}] : {} }}",
+        xs.join(", "),
+        ys.join(", "),
+        cons.join(" and ")
+    );
+    case
+}
+
+impl LeftCase {
+    /// Every `x` with `(x, y)` in the left map, by triangular solving.
+    fn preimages(&self, y: &[i64]) -> Vec<Vec<i64>> {
+        let k = self.k;
+        let extras: Vec<Option<i64>> = match self.extra {
+            Some((lo, hi)) => (lo..=hi).map(Some).collect(),
+            None => vec![None],
+        };
+        let mut out = Vec::new();
+        'extra: for e in extras {
+            let mut x = vec![0i64; k];
+            x.extend(e);
+            for j in 0..k {
+                let mut v = self.scale[j] * y[self.perm[j]] - self.shift[j];
+                for &(i, c) in &self.skew[j] {
+                    v -= c * x[i];
+                }
+                if let Some(i) = self.floor_term[j] {
+                    v -= x[i].div_euclid(2);
+                }
+                x[j] = v;
+            }
+            for check in &self.checks {
+                if !check(&x, y) {
+                    continue 'extra;
+                }
+            }
+            out.push(x);
+        }
+        out
+    }
+}
+
+/// A window, slab or coupled-slab set over `k + kz` dims, split into a map
+/// `B[first k] -> C[rest]`, optionally with an extra `mod` output `w` and
+/// a `floor` constraint. Returns the text and the number of `w` values.
+fn gen_right(rng: &mut Rng, k: usize, kz: usize, wlo: i64, whi: i64) -> (String, i64) {
+    let d = k + kz;
+    let set = match rng.below(3) {
+        0 => gen_window_case(rng, d, wlo, whi),
+        1 => gen_slab_case(rng, d, wlo, whi),
+        _ => gen_coupled_case(rng, d, wlo, whi),
+    };
+    let cons = set.split_once(" : ").unwrap().1.trim_end_matches(" }");
+    let ins: Vec<String> = (0..k).map(|i| format!("x{i}")).collect();
+    let mut outs: Vec<String> = (k..d).map(|i| format!("x{i}")).collect();
+    let mut extra = String::new();
+    let mut w_values = 1;
+    if rng.below(2) == 0 {
+        let m = rng.range(2, 3);
+        let dims: Vec<usize> = (0..d).collect();
+        extra.push_str(&format!(
+            " and w = ({}) mod {m} and 0 <= w < {m}",
+            gen_dir(rng, &dims)
+        ));
+        outs.push("w".into());
+        w_values = m;
+    }
+    if rng.below(3) == 0 {
+        let (i, m) = (rng.below(d as u64) as usize, rng.range(2, 3));
+        extra.push_str(&format!(
+            " and floor((x{i} + {}) / {m}) <= {}",
+            rng.range(0, 2),
+            rng.range(-1, 2)
+        ));
+    }
+    let text = format!(
+        "{{ B[{}] -> C[{}] : {cons}{extra} }}",
+        ins.join(", "),
+        outs.join(", ")
+    );
+    (text, w_values)
+}
+
+/// Every point of `m` (in ++ out) inside `[lo, hi]^d × [0, w_values)`,
+/// where the last factor is the optional `w` output.
+fn scan_map(m: &Map, d: usize, w_values: i64, lo: i64, hi: i64) -> Vec<Vec<i64>> {
+    let with_w = m.n_in() + m.n_out() > d;
+    let mut found = Vec::new();
+    let mut point = vec![lo; d];
+    loop {
+        for w in 0..w_values {
+            let mut p = point.clone();
+            if with_w {
+                p.push(w);
+            }
+            if m.contains_point(&p).unwrap() {
+                found.push(p);
+            }
+        }
+        let mut i = 0;
+        loop {
+            if i == d {
+                return found;
+            }
+            point[i] += 1;
+            if point[i] <= hi {
+                break;
+            }
+            point[i] = lo;
+            i += 1;
+        }
+    }
+}
+
+#[test]
+fn corpus_compose() {
+    let class = "compose";
+    let seed = corpus_seed();
+    let mut h = DefaultHasher::new();
+    class.hash(&mut h);
+    let mut rng = Rng(seed ^ h.finish());
+    for case in 0..corpus_cases() {
+        let k = rng.range(1, 3) as usize;
+        let kz = rng.range(1, 4 - k as i64) as usize;
+        let (wlo, whi) = window_for(k + kz);
+        let left = gen_left(&mut rng, k);
+        // Redraw an empty right map up to twice: empties stay a corner
+        // case instead of a third of the corpus.
+        let mut attempt = 0;
+        let (right, scanned) = loop {
+            let (right, w_values) = gen_right(&mut rng, k, kz, wlo, whi);
+            let r = Map::parse(&right).unwrap_or_else(|e| panic!("[{class}] parse {right}: {e}"));
+            let scanned = scan_map(&r, k + kz, w_values, wlo, whi);
+            attempt += 1;
+            if !scanned.is_empty() || attempt == 3 {
+                break (right, scanned);
+            }
+        };
+        let tag = format!(
+            "[{class} seed={seed:#x} case={case}] {} . {right}",
+            left.text
+        );
+        let mut expect = std::collections::BTreeSet::new();
+        for p in scanned {
+            for x in left.preimages(&p[..k]) {
+                expect.insert([&x[..], &p[k..]].concat());
+            }
+        }
+        let expect: Vec<Vec<i64>> = expect.into_iter().collect();
+        let (cold, warm) = with_and_without_cache(|| {
+            let l = Map::parse(&left.text).unwrap();
+            let c = l
+                .apply_range(&Map::parse(&right).unwrap())
+                .unwrap_or_else(|e| panic!("{tag}: apply_range: {e}"));
+            let card = c.card().unwrap_or_else(|e| panic!("{tag}: card: {e}"));
+            let points = c
+                .points(1 << 20)
+                .unwrap_or_else(|e| panic!("{tag}: points: {e}"));
+            (card, points)
+        });
+        for (run, (card, points)) in [("cold", cold), ("warm", warm)] {
+            assert_eq!(card, expect.len() as u128, "{tag}: {run} card");
+            assert_eq!(points, expect, "{tag}: {run} points");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // i64-extreme constants: the counters must either produce the exact value
 // or report a structured error (Overflow / TooComplex / Unbounded) — never
 // panic, wrap, or disagree between cold and warm runs.

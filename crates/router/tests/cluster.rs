@@ -53,13 +53,16 @@ arch \"4x4\" { array = [4, 4] interconnect = systolic2d bandwidth = 8 }
 /// A deliberately heavy kernel for the deadline test: big enough that a
 /// cold single-threaded DSE sweep takes far longer than the test's 25 ms
 /// deadline, so the clipped request provably never paid full latency.
+/// MTTKRP's four loops give 72 candidates at `pe = 4` (a three-loop GEMM
+/// gives 18, which a release build sweeps in under the deadline).
 const DSE_SLOW_PROBLEM: &str = "\
-for (i = 0; i < 12; i++)
-  for (j = 0; j < 12; j++)
-    for (k = 0; k < 12; k++)
-      S: Y[i][j] += A[i][k] * B[k][j];
+for (i = 0; i < 16; i++)
+  for (j = 0; j < 16; j++)
+    for (k = 0; k < 8; k++)
+      for (l = 0; l < 8; l++)
+        S: Y[i][j] += A[i][k][l] * B[k][j] * C[l][j];
 
-{ S[i,j,k] -> (PE[i,j] | T[i + j + k]) }
+{ S[i,j,k,l] -> (PE[i % 4, j % 4] | T[floor(i / 4), floor(j / 4), k, i % 4 + j % 4 + l]) }
 
 arch \"4x4\" { array = [4, 4] interconnect = systolic2d bandwidth = 8 }
 ";
