@@ -13,20 +13,15 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use tenet_isl::{cache, CountStats, CounterHandle, Map, Set};
 
-/// Brute-force point count over the bounding box `[lo, hi]^d`, using only
-/// `contains_point`.
-fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
-    let d = s.n_dim();
-    let mut count = 0u128;
+/// Calls `f` on every point of the box `[lo, hi]^d`.
+fn for_each_point(d: usize, lo: i64, hi: i64, mut f: impl FnMut(&[i64])) {
     let mut point = vec![lo; d];
     loop {
-        if s.contains_point(&point).unwrap() {
-            count += 1;
-        }
+        f(&point);
         let mut i = 0;
         loop {
             if i == d {
-                return count;
+                return;
             }
             point[i] += 1;
             if point[i] <= hi {
@@ -36,6 +31,16 @@ fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
             i += 1;
         }
     }
+}
+
+/// Brute-force point count over the bounding box `[lo, hi]^d`, using only
+/// `contains_point`.
+fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
+    let mut count = 0u128;
+    for_each_point(s.n_dim(), lo, hi, |p| {
+        count += u128::from(s.contains_point(p).unwrap());
+    });
+    count
 }
 
 /// Serializes tests that toggle the global cache-enabled flag.
@@ -736,10 +741,9 @@ fn gen_right(rng: &mut Rng, k: usize, kz: usize, wlo: i64, whi: i64) -> (String,
 fn scan_map(m: &Map, d: usize, w_values: i64, lo: i64, hi: i64) -> Vec<Vec<i64>> {
     let with_w = m.n_in() + m.n_out() > d;
     let mut found = Vec::new();
-    let mut point = vec![lo; d];
-    loop {
+    for_each_point(d, lo, hi, |point| {
         for w in 0..w_values {
-            let mut p = point.clone();
+            let mut p = point.to_vec();
             if with_w {
                 p.push(w);
             }
@@ -747,19 +751,8 @@ fn scan_map(m: &Map, d: usize, w_values: i64, lo: i64, hi: i64) -> Vec<Vec<i64>>
                 found.push(p);
             }
         }
-        let mut i = 0;
-        loop {
-            if i == d {
-                return found;
-            }
-            point[i] += 1;
-            if point[i] <= hi {
-                break;
-            }
-            point[i] = lo;
-            i += 1;
-        }
-    }
+    });
+    found
 }
 
 #[test]
