@@ -1023,10 +1023,11 @@ mod tests {
     }
 
     /// A ±2 output coefficient keeps a composition on the projection
-    /// ladder, which must finish exactly. The first shape made the ladder
-    /// alternate div expansion with non-unit elimination until it gave
-    /// up; the second reused an identical divisibility div and left a row
-    /// one column too wide.
+    /// ladder, which must finish exactly. The first shape needs the ladder
+    /// to prefer an equality that needs no div expansion (expanding first
+    /// alternates with non-unit elimination forever); in the second, the
+    /// divisibility div equals an existing one, and reusing it must not
+    /// widen the divisibility row.
     #[test]
     fn non_unit_graphs_project_exactly() {
         let ping_pong = (
