@@ -265,9 +265,9 @@ pub fn add_info_span(name: &str, start: Instant, dur: Duration, detail: impl Int
     push_span(name, Some(start), dur, detail.into(), false);
 }
 
-/// Edge timings measured before a worker's trace scope exists — the
-/// connection-queue wait and the request-parse time — handed into the
-/// handler so they can be recorded as the timeline's leading phases.
+/// Edge timings measured before a tier's trace scope exists — the
+/// connection-queue wait and the request-parse time — recorded as the
+/// timeline's leading phases by [`EdgeTimings::prepend_to`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EdgeTimings {
     /// Microseconds the connection waited in the accept queue before a
@@ -275,6 +275,35 @@ pub struct EdgeTimings {
     pub queue_us: u64,
     /// Microseconds spent reading and parsing the request head + body.
     pub parse_us: u64,
+}
+
+impl EdgeTimings {
+    /// Places a finished scope's spans after the edge phases, which
+    /// happened before the scope began: shifts every span right by the
+    /// edge time and prepends the non-zero `queue` and `parse` phases.
+    /// Returns the edge time, which belongs in the record's total.
+    pub fn prepend_to(&self, spans: &mut Vec<Span>) -> u64 {
+        let off = self.queue_us + self.parse_us;
+        if off > 0 {
+            for s in spans.iter_mut() {
+                s.start_us += off;
+            }
+            let phase = |name: &str, start_us, dur_us| Span {
+                name: name.to_string(),
+                start_us,
+                dur_us,
+                detail: String::new(),
+                phase: true,
+            };
+            if self.parse_us > 0 {
+                spans.insert(0, phase("parse", self.queue_us, self.parse_us));
+            }
+            if self.queue_us > 0 {
+                spans.insert(0, phase("queue", 0, self.queue_us));
+            }
+        }
+        off
+    }
 }
 
 fn push_span(name: &str, start: Option<Instant>, dur: Duration, detail: String, phase: bool) {

@@ -17,7 +17,8 @@
 use crate::transport::{ForwardError, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tenet_server::{error_json, Call};
 
 /// splitmix64 finalizer: the same cheap, well-mixed hash the consistent
 /// ring uses for vnode placement, reused here to turn `(seed, call
@@ -187,8 +188,8 @@ impl FaultTransport {
             )));
         }
         if self.roll(i, 3, self.plan.err_per_mille) {
-            let body = br#"{"error":{"kind":"injected","message":"injected 5xx burst"}}"#;
-            return Injected::Respond(503, Arc::new(body.to_vec()));
+            let body = error_json("injected", "injected 5xx burst").to_string();
+            return Injected::Respond(503, Arc::new(body.into_bytes()));
         }
         Injected::Pass
     }
@@ -204,100 +205,18 @@ impl FaultTransport {
 impl Transport for FaultTransport {
     fn call(
         &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
+        call: &Call,
         read_timeout: Duration,
         write_timeout: Duration,
     ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if Self::data_path(path) {
+        if Self::data_path(call.path) {
             match self.gate() {
                 Injected::Pass => {}
                 Injected::Respond(status, bytes) => return Ok((status, bytes)),
                 Injected::Fail(e) => return Err(e),
             }
         }
-        self.inner
-            .call(method, path, body, read_timeout, write_timeout)
-    }
-
-    fn call_keyed(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if Self::data_path(path) {
-            match self.gate() {
-                Injected::Pass => {}
-                Injected::Respond(status, bytes) => return Ok((status, bytes)),
-                Injected::Fail(e) => return Err(e),
-            }
-        }
-        self.inner
-            .call_keyed(method, path, body, canon, read_timeout, write_timeout)
-    }
-
-    fn call_with_deadline(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if Self::data_path(path) {
-            match self.gate() {
-                Injected::Pass => {}
-                Injected::Respond(status, bytes) => return Ok((status, bytes)),
-                Injected::Fail(e) => return Err(e),
-            }
-        }
-        self.inner.call_with_deadline(
-            method,
-            path,
-            body,
-            canon,
-            read_timeout,
-            write_timeout,
-            deadline,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn call_traced(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if Self::data_path(path) {
-            match self.gate() {
-                Injected::Pass => {}
-                Injected::Respond(status, bytes) => return Ok((status, bytes)),
-                Injected::Fail(e) => return Err(e),
-            }
-        }
-        self.inner.call_traced(
-            method,
-            path,
-            body,
-            canon,
-            read_timeout,
-            write_timeout,
-            deadline,
-            trace_id,
-        )
+        self.inner.call(call, read_timeout, write_timeout)
     }
 
     fn send_control(
@@ -383,8 +302,12 @@ mod tests {
             let t = wrapped(plan.clone());
             (0..64)
                 .map(|_| {
-                    t.call("POST", "/v1/analyze", b"{}", Duration::ZERO, Duration::ZERO)
-                        .is_err()
+                    t.call(
+                        &Call::new("POST", "/v1/analyze", b"{}"),
+                        Duration::ZERO,
+                        Duration::ZERO,
+                    )
+                    .is_err()
                 })
                 .collect()
         };
@@ -408,7 +331,11 @@ mod tests {
         let t = wrapped(plan);
         // Calls 0,1 down; 2,3 up; 4,5 down...
         assert!(t
-            .call("POST", "/v1/analyze", b"{}", Duration::ZERO, Duration::ZERO)
+            .call(
+                &Call::new("POST", "/v1/analyze", b"{}"),
+                Duration::ZERO,
+                Duration::ZERO
+            )
             .is_err());
         assert!(!t.probe(Duration::ZERO), "call 1 still in the down window");
         assert!(t.probe(Duration::ZERO), "call 2 is back up");
@@ -416,14 +343,16 @@ mod tests {
         // next data call (index 3, an up window) still succeeds after
         // stats and healthz pass-throughs.
         let (status, _) = t
-            .call("GET", "/v1/stats", b"", Duration::ZERO, Duration::ZERO)
+            .call(
+                &Call::new("GET", "/v1/stats", b""),
+                Duration::ZERO,
+                Duration::ZERO,
+            )
             .unwrap();
         assert_eq!(status, 200);
         assert!(t
             .call(
-                "POST",
-                "/v1/analyze",
-                b"not json",
+                &Call::new("POST", "/v1/analyze", b"not json"),
                 Duration::ZERO,
                 Duration::ZERO
             )
@@ -439,7 +368,11 @@ mod tests {
         };
         let t = wrapped(plan);
         let (status, body) = t
-            .call("POST", "/v1/dse", b"{}", Duration::ZERO, Duration::ZERO)
+            .call(
+                &Call::new("POST", "/v1/dse", b"{}"),
+                Duration::ZERO,
+                Duration::ZERO,
+            )
             .unwrap();
         assert_eq!(status, 503);
         assert!(String::from_utf8_lossy(&body).contains("injected"));

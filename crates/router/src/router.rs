@@ -16,7 +16,7 @@ use tenet_core::json::Json;
 use tenet_core::obs::{self, EdgeTimings, PromBuf, Span, TraceRecord, TraceStore};
 use tenet_server::http::{self, RequestBuffer};
 use tenet_server::pool::{SubmitError, WorkerPool};
-use tenet_server::{canonical_key, canonical_request, WorkerCore};
+use tenet_server::{canonical_key, canonical_request, error_json, Call, WorkerCore};
 
 /// Deferred work (hedged primaries, replication write-throughs) run by
 /// the router's helper pool.
@@ -410,6 +410,41 @@ impl RouterState {
         false
     }
 
+    /// One health-probe pass over every shard: a failed probe evicts
+    /// (rehash), a successful probe of an evicted shard re-admits it (the
+    /// keys that rehashed away migrate back, restoring the original
+    /// affinity). Draining shards are skipped — a worker that
+    /// acknowledged a drain is leaving on purpose, and probing it wastes
+    /// sockets. The prober thread runs one pass per
+    /// [`RouterConfig::health_interval`]; with the prober off, a caller
+    /// may drive passes itself.
+    pub fn health_pass(&self) {
+        let probe_timeout = self
+            .config
+            .health_interval
+            .clamp(Duration::from_millis(100), Duration::from_secs(1));
+        for shard in &self.shards {
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            if shard.is_draining() {
+                continue;
+            }
+            let on_ring = self
+                .ring
+                .read()
+                .expect("ring poisoned")
+                .contains(shard.index);
+            match (shard.transport.probe(probe_timeout), on_ring) {
+                (true, false) => self.revive(shard.index),
+                (false, true) => {
+                    self.mark_dead(shard.index);
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// Live workers on the ring right now.
     pub fn alive_workers(&self) -> usize {
         self.ring.read().expect("ring poisoned").len()
@@ -450,6 +485,7 @@ impl RouterHandle {
 /// A router spawned onto its own thread by [`Router::spawn`].
 pub struct SpawnedRouter {
     handle: RouterHandle,
+    state: Arc<RouterState>,
     thread: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
@@ -462,6 +498,11 @@ impl SpawnedRouter {
     /// The router's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.handle.addr()
+    }
+
+    /// The shared router state, as [`Router::state`] gives it.
+    pub fn state(&self) -> Arc<RouterState> {
+        Arc::clone(&self.state)
     }
 
     /// Requests a drain and waits for the router thread to stop.
@@ -574,10 +615,15 @@ impl Router {
     ) -> std::io::Result<SpawnedRouter> {
         let router = Router::bind_with_workers(config, specs)?;
         let handle = router.handle();
+        let state = router.state();
         let thread = std::thread::Builder::new()
             .name(format!("tenet-router-{}", handle.addr().port()))
             .spawn(move || router.run())?;
-        Ok(SpawnedRouter { handle, thread })
+        Ok(SpawnedRouter {
+            handle,
+            state,
+            thread,
+        })
     }
 
     /// Runs until a graceful shutdown is requested, then drains: the
@@ -664,37 +710,15 @@ fn resolve_http(spec: &str, config: &RouterConfig) -> std::io::Result<HttpTransp
     Ok(HttpTransport::new(addr, config.upstream_connections))
 }
 
-/// Periodic worker liveness: a failed probe evicts (rehash), a
-/// successful probe of an evicted worker re-admits (the keys that
-/// rehashed away migrate back, restoring the original affinity).
-/// Draining shards are skipped — a worker that acknowledged a drain is
-/// leaving on purpose, and probing it wastes sockets. Each cycle's sleep
-/// carries ±20% deterministic jitter so a fleet of routers probing the
-/// same workers does not synchronize into probe bursts.
+/// The prober thread: one [`RouterState::health_pass`] per
+/// [`RouterConfig::health_interval`]. Each cycle's sleep carries ±20%
+/// deterministic jitter so a fleet of routers probing the same workers
+/// does not synchronize into probe bursts.
 fn health_loop(state: &Arc<RouterState>) {
     let interval = state.config.health_interval;
-    let probe_timeout = interval.clamp(Duration::from_millis(100), Duration::from_secs(1));
     let mut rng = 0x7e57_ab1e_5eed_c0de_u64;
     while !state.shutdown.load(Ordering::Acquire) {
-        for shard in &state.shards {
-            if state.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if shard.is_draining() {
-                continue;
-            }
-            let on_ring = {
-                let ring = state.ring.read().expect("ring poisoned");
-                ring.contains(shard.index)
-            };
-            match (shard.transport.probe(probe_timeout), on_ring) {
-                (true, false) => state.revive(shard.index),
-                (false, true) => {
-                    state.mark_dead(shard.index);
-                }
-                _ => {}
-            }
-        }
+        state.health_pass();
         // Sleep in small slices so a drain is observed promptly.
         rng = mix(rng);
         let jittered = interval * (80 + (rng % 41) as u32) / 100;
@@ -716,30 +740,8 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A leading edge-phase span (queue wait, parse time) for the router's
-/// trace timeline.
-fn edge_span(name: &str, start_us: u64, dur_us: u64) -> Span {
-    Span {
-        name: name.into(),
-        start_us,
-        dur_us,
-        detail: String::new(),
-        phase: true,
-    }
-}
-
 fn error_body(kind: &str, message: impl Into<String>) -> Arc<Vec<u8>> {
-    Arc::new(
-        Json::obj([(
-            "error",
-            Json::obj([
-                ("kind", Json::from(kind)),
-                ("message", Json::from(message.into())),
-            ]),
-        )])
-        .to_string()
-        .into_bytes(),
-    )
+    Arc::new(error_json(kind, message).to_string().into_bytes())
 }
 
 /// Answers `503` on the accept thread when the pool refused a connection.
@@ -753,19 +755,6 @@ fn shed(mut stream: TcpStream, state: &Arc<RouterState>) {
         false,
         &[("Retry-After", "1".to_string())],
     ));
-}
-
-/// Resolves a request's trace id at the router edge, mirroring the
-/// worker's policy: a client-sent id is accepted (a garbled one degrades
-/// to a fresh id), and header-less requests are not traced at all —
-/// span recording is opt-in per request, so the untraced hot path pays
-/// nothing (always-on recording measurably cost ~9% router throughput).
-fn resolve_trace_id(req: &http::Request) -> Option<u64> {
-    req.trace_id.as_deref().map(|text| {
-        obs::TraceId::parse(text)
-            .unwrap_or_else(obs::TraceId::generate)
-            .0
-    })
 }
 
 /// Serves one client connection: parse → handle/proxy → respond,
@@ -797,17 +786,13 @@ fn serve_connection(mut stream: TcpStream, queued_at: Instant, state: &Arc<Route
                     let draining = state.shutdown.load(Ordering::Acquire);
                     let keep_alive = req.keep_alive && !draining;
                     state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    // The deadline is anchored at parse time: routing,
-                    // queueing, and compute debit it from here on.
-                    let deadline = req
-                        .deadline_ms
-                        .map(|ms| Instant::now() + Duration::from_millis(ms));
+                    let deadline = req.anchor_deadline();
                     let edge = EdgeTimings {
                         queue_us: std::mem::take(&mut queue_us),
                         parse_us: parse_acc.as_micros() as u64,
                     };
                     parse_acc = Duration::ZERO;
-                    let trace_id = resolve_trace_id(&req);
+                    let trace_id = req.resolve_trace_id();
                     // Observability endpoints are never traced: scraping
                     // metrics or fetching a trace must not spam the ring.
                     let obs_path = req.method == "GET"
@@ -837,21 +822,7 @@ fn serve_connection(mut stream: TcpStream, queued_at: Instant, state: &Arc<Route
                                     phase: true,
                                 });
                             }
-                            let off = edge.queue_us + edge.parse_us;
-                            if off > 0 {
-                                for s in &mut spans {
-                                    s.start_us += off;
-                                }
-                                if edge.parse_us > 0 {
-                                    spans.insert(
-                                        0,
-                                        edge_span("parse", edge.queue_us, edge.parse_us),
-                                    );
-                                }
-                                if edge.queue_us > 0 {
-                                    spans.insert(0, edge_span("queue", 0, edge.queue_us));
-                                }
-                            }
+                            let off = edge.prepend_to(&mut spans);
                             Some(state.traces.record(TraceRecord {
                                 id,
                                 tier: "router",
@@ -1061,6 +1032,12 @@ fn proxy(
 ) -> (u16, Arc<Vec<u8>>, Option<u64>) {
     let canon = canonical_request(&req.method, &req.path, &req.body);
     let key = canonical_key(&canon);
+    let call = Call {
+        canon: Some(&canon),
+        deadline,
+        trace_id,
+        ..Call::new(&req.method, &req.path, &req.body)
+    };
     let replication = state.config.replication.max(1);
     let max_retries = state.config.max_retries;
     let mut retries = 0usize;
@@ -1097,9 +1074,9 @@ fn proxy(
             && state.shards[primary].transport.hedgeable();
         let t_attempt = Instant::now();
         let outcome = if hedging {
-            hedged_call(state, &owners, req, &canon, deadline, trace_id)
+            hedged_call(state, &owners, &call)
         } else {
-            sync_call(state, primary, req, &canon, deadline, trace_id)
+            sync_call(state, primary, &call)
         };
         if obs::is_active() {
             obs::add_span(
@@ -1128,9 +1105,7 @@ fn proxy(
                 }
                 state.shards[winner].routed.fetch_add(1, Ordering::Relaxed);
                 if status == 200 {
-                    maybe_replicate(
-                        state, &canon, key, &owners, winner, status, &bytes, trace_id,
-                    );
+                    maybe_replicate(state, &call, key, &owners, winner, status, &bytes);
                 }
                 let retry_after = matches!(status, 502 | 503).then_some(1);
                 return (status, bytes, retry_after);
@@ -1220,29 +1195,17 @@ fn backoff_sleep(rng: &mut u64, backoff_us: &mut u64, deadline: Option<Instant>)
 
 /// One synchronous forward to `worker` on the caller's thread — the
 /// in-process fast path, and the fallback when the helper pool is
-/// saturated. Hands the already-computed canonical form along so a
+/// saturated. The call carries the already-computed canonical form so a
 /// local transport skips re-canonicalizing.
-fn sync_call(
-    state: &Arc<RouterState>,
-    worker: usize,
-    req: &http::Request,
-    canon: &str,
-    deadline: Option<Instant>,
-    trace_id: Option<u64>,
-) -> Dispatch {
-    match state.shards[worker].transport.call_traced(
-        &req.method,
-        &req.path,
-        &req.body,
-        canon,
+fn sync_call(state: &Arc<RouterState>, worker: usize, call: &Call) -> Dispatch {
+    match state.shards[worker].transport.call(
+        call,
         state.config.upstream_read_timeout,
         state.config.write_timeout,
-        deadline,
-        trace_id,
     ) {
         Ok((status, bytes)) => Dispatch::Reply(worker, status, bytes),
         Err(ForwardError::Busy) => Dispatch::Busy,
-        Err(ForwardError::Transport(_)) if expired(deadline) => Dispatch::DeadlineExpired,
+        Err(ForwardError::Transport(_)) if expired(call.deadline) => Dispatch::DeadlineExpired,
         Err(ForwardError::Transport(_)) => Dispatch::Dead(vec![worker]),
     }
 }
@@ -1253,31 +1216,26 @@ fn sync_call(
 fn submit_call(
     state: &Arc<RouterState>,
     worker: usize,
-    req: &http::Request,
-    canon: &str,
-    deadline: Option<Instant>,
-    trace_id: Option<u64>,
+    call: &Call,
     tx: &mpsc::Sender<(usize, Result<(u16, Arc<Vec<u8>>), ForwardError>)>,
 ) -> bool {
     let shard = Arc::clone(&state.shards[worker]);
     let tx = tx.clone();
-    let method = req.method.clone();
-    let path = req.path.clone();
-    let body = req.body.clone();
-    let canon = canon.to_string();
+    let method = call.method.to_string();
+    let path = call.path.to_string();
+    let body = call.body.to_vec();
+    let canon = call.canon.map(str::to_string);
+    let (deadline, trace_id) = (call.deadline, call.trace_id);
     let read_timeout = state.config.upstream_read_timeout;
     let write_timeout = state.config.write_timeout;
     state.submit_aux(Box::new(move || {
-        let res = shard.transport.call_traced(
-            &method,
-            &path,
-            &body,
-            &canon,
-            read_timeout,
-            write_timeout,
+        let call = Call {
+            canon: canon.as_deref(),
             deadline,
             trace_id,
-        );
+            ..Call::new(&method, &path, &body)
+        };
+        let res = shard.transport.call(&call, read_timeout, write_timeout);
         // The receiver may be long gone (the hedge race was already
         // decided, or the deadline expired); a loser's response is
         // silently discarded here.
@@ -1291,20 +1249,14 @@ fn submit_call(
 /// is discarded (its channel send hits a dropped receiver), and only the
 /// winner is counted as `routed`. Safe because analyses are pure: either
 /// replica's bytes are *the* answer.
-fn hedged_call(
-    state: &Arc<RouterState>,
-    owners: &[usize],
-    req: &http::Request,
-    canon: &str,
-    deadline: Option<Instant>,
-    trace_id: Option<u64>,
-) -> Dispatch {
+fn hedged_call(state: &Arc<RouterState>, owners: &[usize], call: &Call) -> Dispatch {
+    let deadline = call.deadline;
     let (tx, rx) = mpsc::channel();
-    if !submit_call(state, owners[0], req, canon, deadline, trace_id, &tx) {
+    if !submit_call(state, owners[0], call, &tx) {
         // Helper pool saturated or absent: degrade to the plain
         // synchronous path — hedging is an optimization, not a
         // correctness requirement.
-        return sync_call(state, owners[0], req, canon, deadline, trace_id);
+        return sync_call(state, owners[0], call);
     }
     let mut pending = 1usize;
     // The hedge timer never outlives the deadline: with less budget left
@@ -1332,7 +1284,7 @@ fn hedged_call(
                     format!("primary={} replica={}", owners[0], owners[1]),
                 );
             }
-            if submit_call(state, owners[1], req, canon, deadline, trace_id, &tx) {
+            if submit_call(state, owners[1], call, &tx) {
                 pending += 1;
             }
             None
@@ -1410,17 +1362,7 @@ fn warm_ship(state: &Arc<RouterState>) {
         if !source.is_alive() {
             continue;
         }
-        let Ok((200, bytes)) =
-            source
-                .transport
-                .call("GET", "/v1/snapshot?section=dedup", b"", timeout, timeout)
-        else {
-            continue;
-        };
-        let Some(doc) = std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|t| Json::parse(t).ok())
-        else {
+        let Ok(doc) = get_json(state, source, "/v1/snapshot?section=dedup") else {
             continue;
         };
         let Some(rows) = doc.get("dedup").and_then(Json::as_arr) else {
@@ -1470,13 +1412,8 @@ fn warm_ship(state: &Arc<RouterState>) {
                 return;
             }
             ships += 1;
-            match state.shards[owner].transport.call(
-                "POST",
-                "/v1/warm",
-                warm_body.as_bytes(),
-                timeout,
-                timeout,
-            ) {
+            let warm = Call::new("POST", "/v1/warm", warm_body.as_bytes());
+            match state.shards[owner].transport.call(&warm, timeout, timeout) {
                 Ok((200, _)) => {
                     state.stats.warm_shipped.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1496,21 +1433,19 @@ fn warm_ship(state: &Arc<RouterState>) {
 /// dedup caches (`POST /v1/warm`). The ring's successor property makes
 /// this exact: if the primary dies, the rehashed owner *is* the warmed
 /// replica, so the victim's keys stay warm instead of recomputing cold.
-#[allow(clippy::too_many_arguments)]
 fn maybe_replicate(
     state: &Arc<RouterState>,
-    canon: &str,
+    call: &Call,
     key: u64,
     owners: &[usize],
     winner: usize,
     status: u16,
     bytes: &Arc<Vec<u8>>,
-    trace_id: Option<u64>,
 ) {
     if state.config.replication < 2 || owners.len() < 2 {
         return;
     }
-    let Ok(body_text) = std::str::from_utf8(bytes) else {
+    let (Some(canon), Ok(body_text)) = (call.canon, std::str::from_utf8(bytes)) else {
         return;
     };
     // A degraded (deadline-truncated) answer is a timing accident, not a
@@ -1535,6 +1470,7 @@ fn maybe_replicate(
     ])
     .to_string();
     let targets: Vec<usize> = owners.iter().copied().filter(|&w| w != winner).collect();
+    let trace_id = call.trace_id;
     let st = Arc::clone(state);
     let submitted = state.submit_aux(Box::new(move || {
         for worker in targets {
@@ -1544,16 +1480,12 @@ fn maybe_replicate(
             }
             // The warm write carries the originating request's trace id,
             // so the replication hop shows up on the same timeline.
-            if let Ok((200, _)) = shard.transport.call_traced(
-                "POST",
-                "/v1/warm",
-                warm_body.as_bytes(),
-                "",
-                st.config.write_timeout,
-                st.config.write_timeout,
-                None,
+            let warm = Call {
                 trace_id,
-            ) {
+                ..Call::new("POST", "/v1/warm", warm_body.as_bytes())
+            };
+            let timeout = st.config.write_timeout;
+            if let Ok((200, _)) = shard.transport.call(&warm, timeout, timeout) {
                 st.stats.warm_writes.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1565,38 +1497,47 @@ fn maybe_replicate(
     }
 }
 
+/// GETs `path` from one shard and parses its 200 answer as JSON — the
+/// fetch behind every operator fan-out (stats, metrics, traces, warm
+/// shipping). It uses the short write timeout, not the long sweep
+/// timeout: these documents answer instantly, and a hung shard must not
+/// stall a whole fan-out for a minute. A non-200 answer or an
+/// unparseable body is reported as a transport failure: the shard
+/// answered, but not as a live worker would.
+fn get_json(state: &RouterState, shard: &Shard, path: &str) -> Result<Json, ForwardError> {
+    let timeout = state.config.write_timeout;
+    let (status, bytes) = shard
+        .transport
+        .call(&Call::new("GET", path, b""), timeout, timeout)?;
+    if status == 200 {
+        if let Some(doc) = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|t| Json::parse(t).ok())
+        {
+            return Ok(doc);
+        }
+    }
+    Err(ForwardError::Transport(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("GET {path} answered {status} without a JSON document"),
+    )))
+}
+
 /// `GET /v1/stats` fan-out: each live worker's stats document, the
 /// additive merge across them, and the router's own counters. A worker
 /// whose stats fetch fails at the transport layer is evicted (the fetch
 /// *is* a probe); a worker whose pool slots are merely busy stays on the
-/// ring and just misses this snapshot. The fetch uses the short write
-/// timeout, not the long sweep timeout — stats answer instantly, and a
-/// hung shard must not stall the whole fan-out for a minute.
+/// ring and just misses this snapshot.
 fn stats_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
     let mut shards = Vec::with_capacity(state.shards.len());
     let mut docs = Vec::new();
     for shard in &state.shards {
         let was_alive = shard.is_alive();
         let (doc, alive) = if was_alive {
-            match shard.transport.call(
-                "GET",
-                "/v1/stats",
-                b"",
-                state.config.write_timeout,
-                state.config.write_timeout,
-            ) {
-                Ok((200, bytes)) => {
-                    let parsed = std::str::from_utf8(&bytes)
-                        .ok()
-                        .and_then(|t| Json::parse(t).ok());
-                    if parsed.is_none() {
-                        state.mark_dead(shard.index);
-                    }
-                    let alive = parsed.is_some();
-                    (parsed, alive)
-                }
+            match get_json(state, shard, "/v1/stats") {
+                Ok(doc) => (Some(doc), true),
                 Err(ForwardError::Busy) => (None, true),
-                Ok(_) | Err(ForwardError::Transport(_)) => {
+                Err(ForwardError::Transport(_)) => {
                     state.mark_dead(shard.index);
                     (None, false)
                 }
@@ -1607,19 +1548,7 @@ fn stats_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
             // last-known counters fill the row, but nothing revives it
             // here — that is the prober's call — and its document stays
             // out of the merge, which covers live shards only.
-            let doc = match shard.transport.call(
-                "GET",
-                "/v1/stats",
-                b"",
-                state.config.write_timeout,
-                state.config.write_timeout,
-            ) {
-                Ok((200, bytes)) => std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|t| Json::parse(t).ok()),
-                _ => None,
-            };
-            (doc, false)
+            (get_json(state, shard, "/v1/stats").ok(), false)
         };
         shards.push(Json::obj([
             ("worker", Json::from(shard.index)),
@@ -1721,26 +1650,10 @@ fn metrics_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
         if !shard.is_alive() {
             continue;
         }
-        match shard.transport.call(
-            "GET",
-            "/v1/stats",
-            b"",
-            state.config.write_timeout,
-            state.config.write_timeout,
-        ) {
-            Ok((200, bytes)) => {
-                match std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|t| Json::parse(t).ok())
-                {
-                    Some(doc) => docs.push(doc),
-                    None => {
-                        state.mark_dead(shard.index);
-                    }
-                }
-            }
+        match get_json(state, shard, "/v1/stats") {
+            Ok(doc) => docs.push(doc),
             Err(ForwardError::Busy) => {} // saturated, not dead: skip this scrape
-            Ok(_) | Err(ForwardError::Transport(_)) => {
+            Err(ForwardError::Transport(_)) => {
                 state.mark_dead(shard.index);
             }
         }
@@ -1858,20 +1771,9 @@ fn trace_doc(state: &Arc<RouterState>, path: &str) -> (u16, Arc<Vec<u8>>) {
         if !shard.is_alive() {
             continue;
         }
-        if let Ok((200, bytes)) = shard.transport.call(
-            "GET",
-            &worker_path,
-            b"",
-            state.config.write_timeout,
-            state.config.write_timeout,
-        ) {
-            if let Some(doc) = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|t| Json::parse(t).ok())
-            {
-                if let Some(rows) = doc.get("records").and_then(Json::as_arr) {
-                    records.extend(rows.iter().cloned());
-                }
+        if let Ok(doc) = get_json(state, shard, &worker_path) {
+            if let Some(rows) = doc.get("records").and_then(Json::as_arr) {
+                records.extend(rows.iter().cloned());
             }
         }
     }

@@ -1,8 +1,15 @@
 //! The forward path abstraction: how the router talks to one worker.
 //!
 //! Everything the proxy path, the health prober, the stats fan-out, and
-//! the shutdown cascade need from a worker fits one small trait —
-//! canonical request bytes in, response bytes out — so the router is
+//! the shutdown cascade need from a worker fits one small trait. A new
+//! transport implements one data-path method,
+//! [`call`](Transport::call), which takes a [`Call`] (method, path, body,
+//! and the optional canonical form, deadline, and trace id) plus read and
+//! write timeouts and returns the worker's status and body. Beside it sit
+//! [`send_control`](Transport::send_control),
+//! [`probe`](Transport::probe), [`endpoint`](Transport::endpoint), and
+//! [`kind`](Transport::kind); [`hedgeable`](Transport::hedgeable) and
+//! [`on_dead`](Transport::on_dead) have defaults. The router is then
 //! indifferent to *where* the worker runs:
 //!
 //! * [`HttpTransport`](crate::upstream::HttpTransport) — pooled
@@ -15,8 +22,8 @@
 //! backpressure versus death — is carried by [`ForwardError`] for both.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use tenet_server::WorkerCore;
+use std::time::Duration;
+use tenet_server::{Call, WorkerCore};
 
 /// Why a [`Transport::call`] failed — the distinction drives the
 /// router's reaction.
@@ -47,86 +54,22 @@ impl std::fmt::Display for ForwardError {
 /// from many router threads at once.
 pub trait Transport: Send + Sync {
     /// Forwards one request and returns the worker's `(status, body)`.
+    ///
     /// The timeouts bound the exchange where a wire is involved; an
     /// in-process dispatch runs on the caller's thread and ignores them.
+    /// A transport propagates the call's deadline and trace id to the
+    /// worker (as `X-Tenet-Deadline-Ms` / `X-Tenet-Trace-Id` over a wire,
+    /// directly in-process) and clamps its own read timeout to the
+    /// remaining budget, so a short-deadline request never waits out the
+    /// full upstream timeout. The canonical form is an in-process
+    /// shortcut: a wire transport ignores it, because the worker
+    /// re-derives it on its side of the socket.
     fn call(
         &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
+        call: &Call,
         read_timeout: Duration,
         write_timeout: Duration,
     ) -> Result<(u16, Arc<Vec<u8>>), ForwardError>;
-
-    /// [`call`](Transport::call), but with the canonical form the router
-    /// already computed for routing (`canonical_request(method, path,
-    /// body)`). Wire transports ignore it — the worker re-derives it on
-    /// its side of the socket. An in-process transport hands it straight
-    /// to the worker core, so the JSON-normalization cost is paid once
-    /// per request instead of twice.
-    fn call_keyed(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        _canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        self.call(method, path, body, read_timeout, write_timeout)
-    }
-
-    /// [`call_keyed`](Transport::call_keyed), plus the request's
-    /// remaining deadline. Implementations propagate it to the worker
-    /// (as `X-Tenet-Deadline-Ms` over a wire, directly in-process) and
-    /// clamp their own read timeouts to the remaining budget, so a
-    /// short-deadline request never waits out the full upstream timeout.
-    /// The default ignores the deadline — correct for transports (mocks,
-    /// wrappers) that answer faster than any plausible budget.
-    #[allow(clippy::too_many_arguments)]
-    fn call_with_deadline(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        let _ = deadline;
-        self.call_keyed(method, path, body, canon, read_timeout, write_timeout)
-    }
-
-    /// [`call_with_deadline`](Transport::call_with_deadline), plus the
-    /// request's trace id. Implementations propagate it to the worker
-    /// (as `X-Tenet-Trace-Id` over a wire, directly in-process) so the
-    /// worker records its own tier of the request's timeline under the
-    /// same id. The default drops the id — fine for transports (mocks,
-    /// wrappers) that have no worker-side trace ring behind them.
-    #[allow(clippy::too_many_arguments)]
-    fn call_traced(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        let _ = trace_id;
-        self.call_with_deadline(
-            method,
-            path,
-            body,
-            canon,
-            read_timeout,
-            write_timeout,
-            deadline,
-        )
-    }
 
     /// One control message (`/v1/shutdown` cascades) that must get
     /// through even when the data path is saturated or the worker was
@@ -187,71 +130,9 @@ impl LocalTransport {
 impl Transport for LocalTransport {
     fn call(
         &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
+        call: &Call,
         _read_timeout: Duration,
         _write_timeout: Duration,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if self.core.is_draining() {
-            return Err(ForwardError::Transport(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "local worker drained",
-            )));
-        }
-        Ok(self.core.handle(method, path, body))
-    }
-
-    fn call_keyed(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        _read_timeout: Duration,
-        _write_timeout: Duration,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if self.core.is_draining() {
-            return Err(ForwardError::Transport(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "local worker drained",
-            )));
-        }
-        Ok(self.core.handle_canonical(method, path, body, Some(canon)))
-    }
-
-    fn call_with_deadline(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        _read_timeout: Duration,
-        _write_timeout: Duration,
-        deadline: Option<Instant>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        if self.core.is_draining() {
-            return Err(ForwardError::Transport(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "local worker drained",
-            )));
-        }
-        Ok(self
-            .core
-            .handle_with_deadline(method, path, body, Some(canon), deadline))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn call_traced(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: &str,
-        _read_timeout: Duration,
-        _write_timeout: Duration,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
     ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
         if self.core.is_draining() {
             return Err(ForwardError::Transport(std::io::Error::new(
@@ -262,15 +143,7 @@ impl Transport for LocalTransport {
         // The worker stores its own tier's record in its trace ring; the
         // router assembles the cross-tier view from there, so the record
         // returned here is deliberately dropped.
-        let (status, bytes, _record) = self.core.handle_traced(
-            method,
-            path,
-            body,
-            Some(canon),
-            deadline,
-            trace_id,
-            tenet_core::obs::EdgeTimings::default(),
-        );
+        let (status, bytes, _record) = self.core.handle(call);
         Ok((status, bytes))
     }
 
@@ -283,7 +156,7 @@ impl Transport for LocalTransport {
         // Deliberately not drain-gated: a shutdown cascade must reach a
         // worker that is already draining (idempotently) — mirroring the
         // HTTP transport's fresh-connection control path.
-        let (status, body) = self.core.handle(method, path, b"");
+        let (status, body, _) = self.core.handle(&Call::new(method, path, b""));
         Ok((status, body.as_ref().clone()))
     }
 
@@ -320,7 +193,11 @@ mod tests {
     fn local_dispatch_answers_without_a_socket() {
         let t = local();
         let (status, body) = t
-            .call("GET", "/v1/healthz", b"", Duration::ZERO, Duration::ZERO)
+            .call(
+                &Call::new("GET", "/v1/healthz", b""),
+                Duration::ZERO,
+                Duration::ZERO,
+            )
             .unwrap();
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("ok"));
@@ -334,7 +211,11 @@ mod tests {
         let t = local();
         t.core().drain();
         assert!(matches!(
-            t.call("GET", "/v1/healthz", b"", Duration::ZERO, Duration::ZERO),
+            t.call(
+                &Call::new("GET", "/v1/healthz", b""),
+                Duration::ZERO,
+                Duration::ZERO
+            ),
             Err(ForwardError::Transport(_))
         ));
         assert!(!t.probe(Duration::ZERO));

@@ -17,6 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tenet_server::http::ResponseReader;
+use tenet_server::Call;
 
 /// One pooled connection: the write half plus its buffered reader over a
 /// clone of the same socket.
@@ -137,28 +138,23 @@ impl HttpTransport {
         Ok(Conn { stream, reader })
     }
 
-    fn send_on(
-        conn: &mut Conn,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        Self::send_on_with(conn, method, path, body, None, None)
-    }
-
-    /// [`send_on`](Self::send_on), optionally forwarding the remaining
-    /// deadline budget as `X-Tenet-Deadline-Ms` (so the worker can
-    /// degrade instead of computing past it) and the request's trace id
-    /// as `X-Tenet-Trace-Id` (so the worker's tier of the timeline lands
-    /// under the same id).
+    /// Writes one request on `conn` and reads the response. The call's
+    /// trace id rides along as `X-Tenet-Trace-Id` (so the worker's tier
+    /// of the timeline lands under the same id), and `deadline_ms`, the
+    /// remaining budget, as `X-Tenet-Deadline-Ms` (so the worker can
+    /// degrade instead of computing past it).
     fn send_on_with(
         conn: &mut Conn,
-        method: &str,
-        path: &str,
-        body: &[u8],
+        call: &Call,
         deadline_ms: Option<u64>,
-        trace_id: Option<u64>,
     ) -> std::io::Result<(u16, Vec<u8>)> {
+        let Call {
+            method,
+            path,
+            body,
+            trace_id,
+            ..
+        } = *call;
         let deadline_header = match deadline_ms {
             Some(ms) => format!("X-Tenet-Deadline-Ms: {ms}\r\n"),
             None => String::new(),
@@ -188,28 +184,29 @@ impl HttpTransport {
         timeout: Duration,
     ) -> std::io::Result<(u16, Vec<u8>)> {
         let mut conn = self.connect(timeout, timeout)?;
-        Self::send_on(&mut conn, method, path, b"")
+        Self::send_on_with(&mut conn, &Call::new(method, path, b""), None)
     }
+}
 
-    /// The shared forwarding path behind [`Transport::call`] and
-    /// [`Transport::call_with_deadline`]: pooled keep-alive reuse with a
-    /// single fresh retry on a stale socket. With a deadline, the socket
-    /// read timeout is clamped to ~1.5× the remaining budget (a degraded
-    /// worker answer is still worth waiting slightly past expiry for —
-    /// it beats a torn connection) and the remaining budget rides along
-    /// as `X-Tenet-Deadline-Ms`.
-    #[allow(clippy::too_many_arguments)]
-    fn call_impl(
+impl Transport for HttpTransport {
+    /// Proxies one request, reusing a pooled keep-alive connection when
+    /// one exists. A failure on a *pooled* connection is retried once on
+    /// a fresh connect (the worker may simply have closed an idle
+    /// socket); a failure on a fresh connection is the worker's answer —
+    /// the caller should evict and re-route on
+    /// [`ForwardError::Transport`], and shed load (never evict) on
+    /// [`ForwardError::Busy`]. With a deadline, the socket read timeout
+    /// is clamped to ~1.5× the remaining budget (a degraded worker answer
+    /// is still worth waiting slightly past expiry for — it beats a torn
+    /// connection) and the remaining budget rides along as
+    /// `X-Tenet-Deadline-Ms`.
+    fn call(
         &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
+        call: &Call,
         read_timeout: Duration,
         write_timeout: Duration,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
     ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        let (read_timeout, deadline_ms) = match deadline {
+        let (read_timeout, deadline_ms) = match call.deadline {
             Some(dl) => {
                 let remaining = dl.saturating_duration_since(Instant::now());
                 let clamped = (remaining + remaining / 2 + Duration::from_millis(20))
@@ -227,98 +224,31 @@ impl HttpTransport {
         // silently governed by an earlier long-deadline proxy call.
         let _ = conn.stream.set_read_timeout(Some(read_timeout));
         let _ = conn.stream.set_write_timeout(Some(write_timeout));
-        let (conn, (status, bytes)) =
-            match Self::send_on_with(&mut conn, method, path, body, deadline_ms, trace_id) {
-                Ok(reply) => (conn, reply),
-                Err(first_err) if was_pooled => {
-                    // Stale keep-alive; one fresh attempt before giving up.
-                    // The slot stays ours: the dead socket closes and the
-                    // fresh one takes its place in the accounting.
-                    drop(conn);
-                    let _ = first_err;
-                    let retried = self.connect(read_timeout, write_timeout).and_then(|mut c| {
-                        Self::send_on_with(&mut c, method, path, body, deadline_ms, trace_id)
-                            .map(|reply| (c, reply))
-                    });
-                    match retried {
-                        Ok(pair) => pair,
-                        Err(e) => {
-                            self.release_slot();
-                            return Err(ForwardError::Transport(e));
-                        }
+        let (conn, (status, bytes)) = match Self::send_on_with(&mut conn, call, deadline_ms) {
+            Ok(reply) => (conn, reply),
+            Err(_) if was_pooled => {
+                // Stale keep-alive; one fresh attempt before giving up.
+                // The slot stays ours: the dead socket closes and the
+                // fresh one takes its place in the accounting.
+                drop(conn);
+                let retried = self.connect(read_timeout, write_timeout).and_then(|mut c| {
+                    Self::send_on_with(&mut c, call, deadline_ms).map(|reply| (c, reply))
+                });
+                match retried {
+                    Ok(pair) => pair,
+                    Err(e) => {
+                        self.release_slot();
+                        return Err(ForwardError::Transport(e));
                     }
                 }
-                Err(e) => {
-                    self.release_slot();
-                    return Err(ForwardError::Transport(e));
-                }
-            };
+            }
+            Err(e) => {
+                self.release_slot();
+                return Err(ForwardError::Transport(e));
+            }
+        };
         self.park(conn);
         Ok((status, Arc::new(bytes)))
-    }
-}
-
-impl Transport for HttpTransport {
-    /// Proxies one request, reusing a pooled keep-alive connection when
-    /// one exists. A failure on a *pooled* connection is retried once on
-    /// a fresh connect (the worker may simply have closed an idle
-    /// socket); a failure on a fresh connection is the worker's answer —
-    /// the caller should evict and re-route on
-    /// [`ForwardError::Transport`], and shed load (never evict) on
-    /// [`ForwardError::Busy`].
-    fn call(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        read_timeout: Duration,
-        write_timeout: Duration,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        self.call_impl(method, path, body, read_timeout, write_timeout, None, None)
-    }
-
-    fn call_with_deadline(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        _canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        self.call_impl(
-            method,
-            path,
-            body,
-            read_timeout,
-            write_timeout,
-            deadline,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn call_traced(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        _canon: &str,
-        read_timeout: Duration,
-        write_timeout: Duration,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
-    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
-        self.call_impl(
-            method,
-            path,
-            body,
-            read_timeout,
-            write_timeout,
-            deadline,
-            trace_id,
-        )
     }
 
     /// Control messages (`/v1/shutdown` cascades) go on a fresh unpooled

@@ -15,6 +15,18 @@ use tenet_core::{export, presets, Analysis, AnalysisOptions, ArchSpec, Dataflow}
 use tenet_dse::{enumerate_all, explore_parallel, pareto};
 use tenet_frontend::{parse_arch, parse_problem, Problem};
 
+/// The one error body every tier answers with:
+/// `{"error": {"kind": kind, "message": message}}`.
+pub fn error_json(kind: &str, message: impl Into<String>) -> Json {
+    Json::obj([(
+        "error",
+        Json::obj([
+            ("kind", Json::from(kind)),
+            ("message", Json::from(message.into())),
+        ]),
+    )])
+}
+
 /// A handler outcome: status code plus JSON entity.
 #[derive(Debug)]
 pub struct Reply {
@@ -52,13 +64,7 @@ impl Reply {
     fn error(status: u16, kind: &str, message: impl Into<String>) -> Reply {
         Reply {
             status,
-            body: Json::obj([(
-                "error",
-                Json::obj([
-                    ("kind", Json::from(kind)),
-                    ("message", Json::from(message.into())),
-                ]),
-            )]),
+            body: error_json(kind, message),
             degraded: false,
         }
     }

@@ -39,9 +39,10 @@
 //! * [`handlers`] — routing and the endpoint implementations; errors
 //!   mirror the CLI's exit-code taxonomy (4xx usage/parse, 5xx analysis).
 //! * [`worker`] — [`WorkerCore`], the whole request path (counting,
-//!   dedup, routing, attribution) decoupled from the listener, so the
-//!   sharding router can dispatch into a worker in-process without a
-//!   socket or an HTTP reframe.
+//!   dedup, routing, attribution) decoupled from the listener, entered
+//!   through [`WorkerCore::handle`] with one [`Call`], so the sharding
+//!   router can dispatch into a worker in-process without a socket or an
+//!   HTTP reframe.
 //!
 //! ```no_run
 //! let config = tenet_server::ServerConfig {
@@ -68,8 +69,9 @@ pub mod stats;
 pub mod worker;
 
 pub use dedup::{canonical_key, canonical_request};
+pub use handlers::error_json;
 pub use server::{Server, ServerHandle, SpawnedServer};
-pub use worker::WorkerCore;
+pub use worker::{Call, WorkerCore};
 
 use std::time::Duration;
 

@@ -6,14 +6,13 @@
 
 use crate::http::{self, RequestBuffer};
 use crate::pool::{SubmitError, WorkerPool};
-use crate::worker::WorkerCore;
-use crate::ServerConfig;
+use crate::worker::{Call, WorkerCore};
+use crate::{error_json, ServerConfig};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tenet_core::json::Json;
 use tenet_core::obs::{self, EdgeTimings};
 
 /// A cheap, clonable remote control for a running [`Server`].
@@ -230,14 +229,7 @@ impl Server {
 /// Answers `503` on the accept thread when the pool refused a connection.
 fn shed(mut stream: TcpStream, core: &Arc<WorkerCore>) {
     let _ = stream.set_write_timeout(Some(core.config.write_timeout));
-    let body = Json::obj([(
-        "error",
-        Json::obj([
-            ("kind", Json::from("busy")),
-            ("message", Json::from("worker backlog full; retry later")),
-        ]),
-    )])
-    .to_string();
+    let body = error_json("busy", "worker backlog full; retry later").to_string();
     let _ = stream.write_all(&http::encode_response_with(
         503,
         "application/json",
@@ -245,18 +237,6 @@ fn shed(mut stream: TcpStream, core: &Arc<WorkerCore>) {
         false,
         &[("Retry-After", "1".to_string())],
     ));
-}
-
-/// Resolves a request's trace id at the edge: a client-sent id is
-/// accepted (a garbled one degrades to a fresh id rather than an
-/// error), and header-less requests are not traced — span recording is
-/// opt-in per request so the untraced hot path pays nothing.
-fn resolve_trace_id(req: &http::Request) -> Option<u64> {
-    req.trace_id.as_deref().map(|text| {
-        obs::TraceId::parse(text)
-            .unwrap_or_else(obs::TraceId::generate)
-            .0
-    })
 }
 
 /// Serves one connection: parse → handle (via the core) → respond,
@@ -284,26 +264,17 @@ fn serve_connection(mut stream: TcpStream, queued_at: Instant, core: &Arc<Worker
                 Ok(Some(req)) => {
                     let draining = core.is_draining();
                     let keep_alive = req.keep_alive && !draining;
-                    // The deadline is anchored the moment the request is
-                    // fully parsed: queue/compute time debits it, network
-                    // transfer before this point does not.
-                    let deadline = req
-                        .deadline_ms
-                        .map(|ms| std::time::Instant::now() + Duration::from_millis(ms));
-                    let edge = EdgeTimings {
-                        queue_us: std::mem::take(&mut queue_us),
-                        parse_us: parse_acc.as_micros() as u64,
+                    let call = Call {
+                        deadline: req.anchor_deadline(),
+                        trace_id: req.resolve_trace_id(),
+                        edge: EdgeTimings {
+                            queue_us: std::mem::take(&mut queue_us),
+                            parse_us: parse_acc.as_micros() as u64,
+                        },
+                        ..Call::new(&req.method, &req.path, &req.body)
                     };
                     parse_acc = Duration::ZERO;
-                    let (status, body, trace) = core.handle_traced(
-                        &req.method,
-                        &req.path,
-                        &req.body,
-                        None,
-                        deadline,
-                        resolve_trace_id(&req),
-                        edge,
-                    );
+                    let (status, body, trace) = core.handle(&call);
                     let content_type = if req.path == "/metrics" {
                         "text/plain; version=0.0.4"
                     } else {
@@ -337,14 +308,7 @@ fn serve_connection(mut stream: TcpStream, queued_at: Instant, core: &Arc<Worker
                 Ok(None) => break,
                 Err(e) => {
                     // Framing is broken; report and hang up.
-                    let body = Json::obj([(
-                        "error",
-                        Json::obj([
-                            ("kind", Json::from("parse")),
-                            ("message", Json::from(e.message())),
-                        ]),
-                    )])
-                    .to_string();
+                    let body = error_json("parse", e.message()).to_string();
                     let _ = stream.write_all(&http::encode_response(
                         e.status(),
                         "application/json",

@@ -291,6 +291,8 @@ impl ServerStats {
                                     ("box", Json::from(fast.box_counts)),
                                     ("slab", Json::from(fast.slab_counts)),
                                     ("multi_slab", Json::from(fast.multi_slab_counts)),
+                                    ("pair_chain", Json::from(fast.pair_chain_counts)),
+                                    ("coupled_slab", Json::from(fast.coupled_slab_counts)),
                                 ]),
                             ),
                         ]),
@@ -499,6 +501,8 @@ pub fn prometheus_from_worker_doc(doc: &Json) -> String {
                 ("box", fp("box")),
                 ("slab", fp("slab")),
                 ("multi_slab", fp("multi_slab")),
+                ("pair_chain", fp("pair_chain")),
+                ("coupled_slab", fp("coupled_slab")),
             ],
         );
     }
@@ -508,6 +512,17 @@ pub fn prometheus_from_worker_doc(doc: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every `CountStats` dispatch kind, as `/v1/stats` and `/metrics`
+    /// name it.
+    const FAST_PATH_KINDS: [&str; 6] = [
+        "window",
+        "box",
+        "slab",
+        "multi_slab",
+        "pair_chain",
+        "coupled_slab",
+    ];
 
     #[test]
     fn quantiles_come_from_the_right_bucket() {
@@ -571,10 +586,14 @@ mod tests {
         );
         // The per-process section rode along (this doc has one)...
         assert!(text.contains("tenet_process_isl_hits_total"), "{text}");
-        assert!(
-            text.contains("tenet_process_isl_fast_paths_total{kind=\"window\"}"),
-            "{text}"
-        );
+        for kind in FAST_PATH_KINDS {
+            assert!(
+                text.contains(&format!(
+                    "tenet_process_isl_fast_paths_total{{kind=\"{kind}\"}}"
+                )),
+                "{kind}: {text}"
+            );
+        }
         // ...but a merged document without it emits no process families.
         let mut stripped = doc.to_string();
         stripped = stripped.replace("\"process\"", "\"process_elsewhere\"");
@@ -595,5 +614,13 @@ mod tests {
         assert_eq!(reqs.get("status_4xx").and_then(Json::as_u64), Some(1));
         assert!(v.get("latency").and_then(|l| l.get("histogram")).is_some());
         assert!(v.get("isl_cache").and_then(|c| c.get("server")).is_some());
+        let fast = v
+            .get("isl_cache")
+            .and_then(|c| c.get("process"))
+            .and_then(|p| p.get("fast_paths"))
+            .expect("process fast-path counts");
+        for kind in FAST_PATH_KINDS {
+            assert!(fast.get(kind).and_then(Json::as_u64).is_some(), "{kind}");
+        }
     }
 }

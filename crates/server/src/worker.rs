@@ -2,22 +2,67 @@
 //!
 //! [`WorkerCore`] owns everything one analysis worker needs to answer a
 //! request — configuration, counters, the dedup layer, the drain flag —
-//! but holds no socket: canonical request bytes in, response bytes out.
-//! The TCP [`Server`](crate::Server) wraps one core behind an accept
-//! loop and the HTTP codec; the sharding router's `LocalTransport`
-//! dispatches into a core directly, skipping the loopback hop entirely.
-//! Both paths share this code, so a request is counted, deduplicated,
-//! and attributed identically whichever way it arrives.
+//! but holds no socket. Its one entry point, [`WorkerCore::handle`],
+//! takes a [`Call`] (method, path, body, and the optional canonical
+//! form, deadline, trace id, and edge timings) and returns the response
+//! bytes. The TCP [`Server`](crate::Server) wraps one core behind an
+//! accept loop and the HTTP codec; the sharding router's
+//! `LocalTransport` hands its `Call` to a core directly, skipping the
+//! loopback hop entirely. Both paths share this code, so a request is
+//! counted, deduplicated, and attributed identically whichever way it
+//! arrives.
 
 use crate::dedup::{CachedResponse, Claim, Dedup};
+use crate::handlers::{self, error_json};
 use crate::stats::ServerStats;
-use crate::{handlers, ServerConfig};
+use crate::ServerConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tenet_core::json::Json;
-use tenet_core::obs::{self, EdgeTimings, Span, TraceRecord, TraceStore};
+use tenet_core::obs::{self, EdgeTimings, TraceRecord, TraceStore};
 use tenet_core::CounterHandle;
+
+/// One request as it enters a tier: what the client asked for, plus the
+/// context earlier hops attached to it. The same borrowed value goes
+/// into [`WorkerCore::handle`] and into every router transport, so a new
+/// request attribute is one new field here rather than one new method
+/// per layer.
+#[derive(Debug, Clone, Copy)]
+pub struct Call<'a> {
+    /// Request method, uppercase (`GET`, `POST`, ...).
+    pub method: &'a str,
+    /// Request target (path + optional query).
+    pub path: &'a str,
+    /// Request body bytes.
+    pub body: &'a [u8],
+    /// `canonical_request(method, path, body)` when the caller already
+    /// computed it; the worker derives it itself otherwise.
+    pub canon: Option<&'a str>,
+    /// When the request's budget runs out.
+    pub deadline: Option<Instant>,
+    /// The request's trace id; `None` leaves the request untraced.
+    pub trace_id: Option<u64>,
+    /// Queue and parse time measured before the handler ran (zero for a
+    /// call that did not come off a socket).
+    pub edge: EdgeTimings,
+}
+
+impl<'a> Call<'a> {
+    /// A plain request: no canonical form, deadline, trace id, or edge
+    /// timings. Set the other fields with struct-update syntax.
+    pub fn new(method: &'a str, path: &'a str, body: &'a [u8]) -> Call<'a> {
+        Call {
+            method,
+            path,
+            body,
+            canon: None,
+            deadline: None,
+            trace_id: None,
+            edge: EdgeTimings::default(),
+        }
+    }
+}
 
 /// One worker's request-handling state: configuration, counters, dedup,
 /// and the drain flag. Shared by the accept loop, the connection
@@ -83,80 +128,39 @@ impl WorkerCore {
         self.shutdown.store(true, Ordering::Release);
     }
 
-    /// Handles one parsed request end to end: counting, dedup, routing,
-    /// latency attribution. This is the worker's whole request path
-    /// minus HTTP framing — the body bytes in, the response status and
-    /// entity bytes out (`Arc` so cached answers are a pointer copy).
+    /// Handles one request end to end: counting, dedup, routing, latency
+    /// attribution. This is the worker's whole request path minus HTTP
+    /// framing — the body bytes in, the response status and entity bytes
+    /// out (`Arc` so cached answers are a pointer copy).
+    ///
+    /// The optional parts of the [`Call`] change only the work, never the
+    /// cached bytes:
+    /// * `canon` reuses a canonical form the caller already computed (the
+    ///   sharding router canonicalizes every request to pick an owner);
+    ///   it must be exactly `canonical_request(method, path, body)`.
+    /// * `deadline` is observed by the handlers between units of work,
+    ///   which answer `504` or an explicitly `"truncated"` partial
+    ///   instead of computing past it. Degraded answers never enter the
+    ///   dedup cache: the deadline is not part of the canonical key, so a
+    ///   cached truncation would poison deadline-free repeats.
+    /// * `trace_id` (with the trace store enabled) records a span
+    ///   timeline — the listener's `edge` timings, canonicalization,
+    ///   dedup, computation split into engine time vs cold ISL time, and
+    ///   serialization — stores it in [`WorkerCore::traces`], and returns
+    ///   the finished record so the caller can echo `Server-Timing`.
     pub fn handle(
         self: &Arc<WorkerCore>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> (u16, Arc<Vec<u8>>) {
-        self.handle_canonical(method, path, body, None)
-    }
-
-    /// [`handle`](WorkerCore::handle), but reusing a canonical form the
-    /// caller already computed (the sharding router canonicalizes every
-    /// request to pick an owner; recomputing it here would double the
-    /// JSON-normalization cost on the in-process dispatch path). `canon`
-    /// must be exactly `canonical_request(method, path, body)`.
-    pub fn handle_canonical(
-        self: &Arc<WorkerCore>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: Option<&str>,
-    ) -> (u16, Arc<Vec<u8>>) {
-        self.handle_with_deadline(method, path, body, canon, None)
-    }
-
-    /// [`handle_canonical`](WorkerCore::handle_canonical), plus the
-    /// request's deadline. The handlers observe it between units of work
-    /// and answer `504` or an explicitly `"truncated"` partial result
-    /// instead of computing past it; degraded answers never enter the
-    /// dedup cache (the deadline is not part of the canonical key, so a
-    /// cached truncation would poison deadline-free repeats).
-    pub fn handle_with_deadline(
-        self: &Arc<WorkerCore>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: Option<&str>,
-        deadline: Option<Instant>,
-    ) -> (u16, Arc<Vec<u8>>) {
-        let (status, bytes, _trace) = self.handle_traced(
+        call: &Call,
+    ) -> (u16, Arc<Vec<u8>>, Option<Arc<TraceRecord>>) {
+        let Call {
             method,
             path,
             body,
             canon,
             deadline,
-            None,
-            EdgeTimings::default(),
-        );
-        (status, bytes)
-    }
-
-    /// [`handle_with_deadline`](WorkerCore::handle_with_deadline), plus
-    /// request tracing. With `trace_id` set (and the trace store
-    /// enabled), the worker records a span timeline — queue/parse edge
-    /// timings handed in by the listener, canonicalization, dedup,
-    /// computation split into engine time vs cold ISL time, and
-    /// serialization — stores it in [`WorkerCore::traces`], and returns
-    /// the finished record so the caller can echo `Server-Timing`.
-    /// Cached response *bytes* are untouched by tracing: timelines ride
-    /// in headers and the trace store only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_traced(
-        self: &Arc<WorkerCore>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        canon: Option<&str>,
-        deadline: Option<Instant>,
-        trace_id: Option<u64>,
-        edge: EdgeTimings,
-    ) -> (u16, Arc<Vec<u8>>, Option<Arc<TraceRecord>>) {
+            trace_id,
+            edge,
+        } = *call;
         // Attach the core's ISL counter handle for the duration of the
         // request so `/v1/stats` attributes relational work to this
         // worker exactly, on whichever thread the caller runs us.
@@ -237,21 +241,7 @@ impl WorkerCore {
             (Some(scope), Some(id)) => {
                 let handled_us = t0.elapsed().as_micros() as u64;
                 let mut spans = scope.finish();
-                // The edge phases (accept-queue wait, request parsing)
-                // happened before this scope began: prepend them and
-                // shift everything else right so offsets stay honest.
-                let off = edge.queue_us + edge.parse_us;
-                if off > 0 {
-                    for s in &mut spans {
-                        s.start_us += off;
-                    }
-                    if edge.parse_us > 0 {
-                        spans.insert(0, edge_span("parse", edge.queue_us, edge.parse_us));
-                    }
-                    if edge.queue_us > 0 {
-                        spans.insert(0, edge_span("queue", 0, edge.queue_us));
-                    }
-                }
+                let off = edge.prepend_to(&mut spans);
                 let rec = TraceRecord {
                     id,
                     tier: "worker",
@@ -282,67 +272,56 @@ impl WorkerCore {
             Some((r, q)) => (r, Some(q)),
             None => (rest, None),
         };
+        let reply =
+            |status: u16, body: Json| Some((status, Arc::new(body.to_string().into_bytes())));
         if rest == "slow" {
             // A present-but-unparseable `ms=` is a client error, not a
             // silent fall-through to the unfiltered listing. `ms=0` is
             // valid (explicitly "no threshold").
-            let min_us =
-                match query.and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("ms="))) {
-                    Some(v) => match v.parse::<u64>() {
-                        Ok(ms) => Some(ms.saturating_mul(1_000)),
-                        Err(_) => {
-                            let body = Json::obj([(
-                                "error",
-                                Json::obj([
-                                    ("kind", Json::from("usage")),
-                                    (
-                                        "message",
-                                        Json::from(format!(
-                                            "bad `ms` value `{v}`: expected a non-negative integer"
-                                        )),
-                                    ),
-                                ]),
-                            )]);
-                            return Some((400, Arc::new(body.to_string().into_bytes())));
-                        }
-                    },
-                    None => None,
-                };
+            let min_us = match query
+                .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("ms=")))
+            {
+                Some(v) => match v.parse::<u64>() {
+                    Ok(ms) => Some(ms.saturating_mul(1_000)),
+                    Err(_) => {
+                        return reply(
+                            400,
+                            error_json(
+                                "usage",
+                                format!("bad `ms` value `{v}`: expected a non-negative integer"),
+                            ),
+                        );
+                    }
+                },
+                None => None,
+            };
             let rows = self.traces.slow(min_us);
-            let body = Json::obj([(
-                "traces",
-                Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-            )]);
-            return Some((200, Arc::new(body.to_string().into_bytes())));
+            return reply(
+                200,
+                Json::obj([(
+                    "traces",
+                    Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
+                )]),
+            );
         }
         let Some(id) = obs::TraceId::parse(rest) else {
-            let body = Json::obj([(
-                "error",
-                Json::obj([
-                    ("kind", Json::from("usage")),
-                    ("message", Json::from("malformed trace id")),
-                ]),
-            )]);
-            return Some((400, Arc::new(body.to_string().into_bytes())));
+            return reply(400, error_json("usage", "malformed trace id"));
         };
         match self.traces.find(id.0) {
-            Some(rec) => {
-                let body = Json::obj([
+            Some(rec) => reply(
+                200,
+                Json::obj([
                     ("trace_id", Json::from(id.to_string())),
                     ("records", Json::Arr(vec![rec.to_json()])),
-                ]);
-                Some((200, Arc::new(body.to_string().into_bytes())))
-            }
-            None => {
-                let body = Json::obj([
-                    ("error",
-                    Json::obj([
-                        ("kind", Json::from("not_found")),
-                        ("message", Json::from("trace not in the ring (evicted, never recorded, or tracing disabled)")),
-                    ]))
-                ]);
-                Some((404, Arc::new(body.to_string().into_bytes())))
-            }
+                ]),
+            ),
+            None => reply(
+                404,
+                error_json(
+                    "not_found",
+                    "trace not in the ring (evicted, never recorded, or tracing disabled)",
+                ),
+            ),
         }
     }
 
@@ -420,29 +399,12 @@ impl WorkerCore {
             Err(_) => (
                 handlers::Reply {
                     status: 500,
-                    body: Json::obj([(
-                        "error",
-                        Json::obj([
-                            ("kind", Json::from("internal")),
-                            ("message", Json::from("handler panicked; see server log")),
-                        ]),
-                    )]),
+                    body: error_json("internal", "handler panicked; see server log"),
                     degraded: false,
                 },
                 false,
             ),
         }
-    }
-}
-
-/// A pre-scope edge phase (queue wait, request parse).
-fn edge_span(name: &str, start_us: u64, dur_us: u64) -> Span {
-    Span {
-        name: name.to_string(),
-        start_us,
-        dur_us,
-        detail: String::new(),
-        phase: true,
     }
 }
 
@@ -477,7 +439,7 @@ mod tests {
     #[test]
     fn core_answers_healthz_without_a_socket() {
         let core = core();
-        let (status, body) = core.handle("GET", "/v1/healthz", b"");
+        let (status, body, _) = core.handle(&Call::new("GET", "/v1/healthz", b""));
         assert_eq!(status, 200);
         let v = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
@@ -495,9 +457,9 @@ mod tests {
             ),
         )])
         .to_string();
-        let (s1, b1) = core.handle("POST", "/v1/analyze", body.as_bytes());
+        let (s1, b1, _) = core.handle(&Call::new("POST", "/v1/analyze", body.as_bytes()));
         assert_eq!(s1, 200, "{}", String::from_utf8_lossy(&b1));
-        let (s2, b2) = core.handle("POST", "/v1/analyze", body.as_bytes());
+        let (s2, b2, _) = core.handle(&Call::new("POST", "/v1/analyze", body.as_bytes()));
         assert_eq!(s2, 200);
         assert!(Arc::ptr_eq(&b1, &b2), "repeat must share the cached bytes");
         let d = core.dedup.stats();
@@ -525,15 +487,12 @@ mod tests {
             queue_us: 30,
             parse_us: 20,
         };
-        let (status, _bytes, rec) = core.handle_traced(
-            "POST",
-            "/v1/analyze",
-            analyze_body().as_bytes(),
-            None,
-            None,
-            Some(0xabc),
+        let body = analyze_body();
+        let (status, _bytes, rec) = core.handle(&Call {
+            trace_id: Some(0xabc),
             edge,
-        );
+            ..Call::new("POST", "/v1/analyze", body.as_bytes())
+        });
         assert_eq!(status, 200);
         let rec = rec.expect("traced request must yield a record");
         assert_eq!(rec.tier, "worker");
@@ -563,33 +522,25 @@ mod tests {
         );
         // The record is findable through the store and the endpoint.
         assert_eq!(core.traces.find(0xabc).unwrap().id, 0xabc);
-        let (s, body) = core.handle("GET", "/v1/trace/0000000000000abc", b"");
+        let (s, body, _) = core.handle(&Call::new("GET", "/v1/trace/0000000000000abc", b""));
         assert_eq!(s, 200);
         let v = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(
             v.get("records").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
-        let (s, _) = core.handle("GET", "/v1/trace/ffffffffffffffff", b"");
+        let (s, _, _) = core.handle(&Call::new("GET", "/v1/trace/ffffffffffffffff", b""));
         assert_eq!(s, 404);
-        let (s, _) = core.handle("GET", "/v1/trace/not-hex", b"");
+        let (s, _, _) = core.handle(&Call::new("GET", "/v1/trace/not-hex", b""));
         assert_eq!(s, 400);
     }
 
     #[test]
     fn untraced_requests_record_nothing_and_metrics_render() {
         let core = core();
-        let (_, _, rec) = core.handle_traced(
-            "POST",
-            "/v1/analyze",
-            analyze_body().as_bytes(),
-            None,
-            None,
-            None,
-            EdgeTimings::default(),
-        );
+        let (_, _, rec) = core.handle(&Call::new("POST", "/v1/analyze", analyze_body().as_bytes()));
         assert!(rec.is_none());
-        let (s, body) = core.handle("GET", "/metrics", b"");
+        let (s, body, _) = core.handle(&Call::new("GET", "/metrics", b""));
         assert_eq!(s, 200);
         let text = String::from_utf8(body.to_vec()).unwrap();
         assert!(text.contains("tenet_worker_requests_total"), "{text}");
@@ -605,7 +556,7 @@ mod tests {
     fn drain_is_observable_and_idempotent() {
         let core = core();
         assert!(!core.is_draining());
-        let (status, _) = core.handle("POST", "/v1/shutdown", b"");
+        let (status, _, _) = core.handle(&Call::new("POST", "/v1/shutdown", b""));
         assert_eq!(status, 200);
         assert!(core.is_draining());
         core.drain();

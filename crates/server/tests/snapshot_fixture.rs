@@ -17,7 +17,7 @@ use std::sync::Arc;
 use tenet_core::isl_cache;
 use tenet_core::json::Json;
 use tenet_server::snapshot;
-use tenet_server::{ServerConfig, WorkerCore};
+use tenet_server::{Call, ServerConfig, WorkerCore};
 
 const GEMM_PROBLEM: &str = "\
 for (i = 0; i < 8; i++)
@@ -56,7 +56,7 @@ fn core() -> Arc<WorkerCore> {
 
 fn analyze(core: &Arc<WorkerCore>, problem: &str) {
     let body = Json::obj([("problem", Json::from(problem))]).to_string();
-    let (status, resp) = core.handle("POST", "/v1/analyze", body.as_bytes());
+    let (status, resp, _) = core.handle(&Call::new("POST", "/v1/analyze", body.as_bytes()));
     assert_eq!(
         status,
         200,
@@ -115,7 +115,7 @@ fn pre_upgrade_snapshot_restores_cleanly() {
         tenet_server::dedup::Claim::Leader(_) => panic!("restored key must be warm"),
     };
     assert_eq!(cached.status, 200);
-    let (status, resp) = c.handle("POST", "/v1/analyze", body.as_bytes());
+    let (status, resp, _) = c.handle(&Call::new("POST", "/v1/analyze", body.as_bytes()));
     assert_eq!(status, 200);
     assert_eq!(&*resp, &*cached.body, "bit-identical replay bytes");
     let v = Json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
