@@ -9,6 +9,10 @@
 //!    counts monotone nondecreasing along increasing `le` bounds, a
 //!    terminal `le="+Inf"` bucket, and a `_count` series equal to it,
 //!    with `_sum` present. This is what a real scraper would require.
+//!    Every family `tenet_server::stats` declares for workers must be
+//!    present; the per-process `tenet_process_*` ones only when the
+//!    target is a single worker (no `tenet_router_*` family), since a
+//!    router's merge drops them.
 //! 2. **Traces assemble across tiers**: one `POST /v1/analyze` is sent
 //!    with an explicit `X-Tenet-Trace-Id`, the response must echo it,
 //!    and `GET /v1/trace/<id>` must return a timeline with at least
@@ -25,6 +29,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use tenet_core::json::Json;
 use tenet_server::http::{Headers, ResponseReader};
+use tenet_server::stats;
 
 /// The explicit trace id the probe request carries (16 hex digits, so
 /// the echoed header must match it byte for byte).
@@ -294,8 +299,15 @@ fn check_exposition(text: &str) -> Result<String, String> {
     if histograms == 0 {
         return Err("no histogram families".into());
     }
-    if !types.contains_key("tenet_worker_requests_total") {
-        return Err("missing tenet_worker_requests_total".into());
+    // Every family the worker tier declares must be exposed. A router's
+    // merge drops the per-process families, so only a single-worker
+    // target (no router family) must carry those too.
+    let router = types.keys().any(|f| f.starts_with("tenet_router_"));
+    for family in stats::worker_families() {
+        let required = !(router && stats::per_process(family));
+        if required && !types.contains_key(family) {
+            return Err(format!("missing declared family `{family}`"));
+        }
     }
     Ok(format!(
         "{} samples, {} families, {histograms} histogram(s)",
@@ -372,4 +384,37 @@ fn check_trace(addr: &str, min_spans: usize, min_tiers: usize) -> Result<String,
         records.len(),
         tiers
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tenet_server::stats::{ProcessMetrics, WorkerMetrics};
+
+    #[test]
+    fn every_declared_worker_family_is_required() {
+        let worker = WorkerMetrics {
+            process: Some(ProcessMetrics::default()),
+            ..WorkerMetrics::default()
+        };
+        let text = worker.prometheus().into_string();
+        assert!(check_exposition(&text).is_ok(), "a worker's own exposition");
+        // Without the per-process section, only a router may omit the
+        // `tenet_process_*` families.
+        let merged = WorkerMetrics::default().prometheus().into_string();
+        let err = check_exposition(&merged).unwrap_err();
+        assert!(err.contains("tenet_process_"), "{err}");
+        let router = format!(
+            "{merged}# TYPE tenet_router_requests_total counter\ntenet_router_requests_total 1\n"
+        );
+        assert!(check_exposition(&router).is_ok());
+        // A worker family missing from the text fails the check.
+        let dropped: String = text
+            .lines()
+            .filter(|l| !l.contains("tenet_worker_dedup_warmed_total"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let err = check_exposition(&dropped).unwrap_err();
+        assert!(err.contains("tenet_worker_dedup_warmed_total"), "{err}");
+    }
 }

@@ -62,7 +62,9 @@ use tenet_router::{
     FaultPlan, FaultTransport, HttpTransport, LocalTransport, Router, RouterConfig, Transport,
     WorkerSpec,
 };
+use tenet_server::dedup::DedupStats;
 use tenet_server::http::{Headers, ResponseReader};
+use tenet_server::stats::WorkerMetrics;
 use tenet_server::{Server, ServerConfig, WorkerCore};
 
 /// The gemm problem text the analyze variants are built from.
@@ -434,12 +436,14 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// The dedup counters of a stats document — a worker's own, or the
 /// merged cluster view when the target is a router.
 fn dedup_counts(stats: &Json) -> (u64, u64, u64) {
-    let d = stats
-        .get("merged")
-        .and_then(|m| m.get("dedup"))
-        .or_else(|| stats.get("dedup"));
-    let f = |k: &str| d.and_then(|d| d.get(k)).and_then(Json::as_u64).unwrap_or(0);
-    (f("hits"), f("inflight_waits"), f("misses"))
+    let d = dedup_of(stats.get("merged").unwrap_or(stats));
+    (d.hits, d.waits, d.misses)
+}
+
+/// The dedup counters of one worker-shaped stats document (zeros when
+/// it does not decode).
+fn dedup_of(doc: &Json) -> DedupStats {
+    WorkerMetrics::decode(doc).unwrap_or_default().dedup
 }
 
 /// Per-shard `(worker, routed, dedup_hits, dedup_waits, dedup_misses)`
@@ -458,19 +462,13 @@ fn shard_counts(stats: &Json) -> Option<Vec<ShardRow>> {
             .iter()
             .filter(|s| matches!(s.get("stats"), Some(doc) if !matches!(doc, Json::Null)))
             .map(|s| {
-                let dedup = |k: &str| {
-                    s.get("stats")
-                        .and_then(|d| d.get("dedup"))
-                        .and_then(|d| d.get(k))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0)
-                };
+                let dedup = s.get("stats").map(dedup_of).unwrap_or_default();
                 (
                     s.get("worker").and_then(Json::as_u64).unwrap_or(0),
                     s.get("routed").and_then(Json::as_u64).unwrap_or(0),
-                    dedup("hits"),
-                    dedup("inflight_waits"),
-                    dedup("misses"),
+                    dedup.hits,
+                    dedup.waits,
+                    dedup.misses,
                 )
             })
             .collect(),
@@ -773,8 +771,8 @@ fn main() {
                 run_phase("restart_replay", &addr, &cli, false),
             ));
             let restored_cold = fetch_stats(&addr)
-                .and_then(|s| s.get("dedup")?.get("misses")?.as_u64())
-                .unwrap_or(u64::MAX);
+                .and_then(|s| WorkerMetrics::decode(&s))
+                .map_or(u64::MAX, |m| m.dedup.misses);
             if let Some((_, phase)) = phases.last_mut() {
                 if let Json::Obj(fields) = &mut phase.report {
                     fields.push((

@@ -450,9 +450,14 @@ impl TraceStore {
 /// A builder for the Prometheus text exposition format (version 0.0.4):
 /// `# TYPE` lines, counter/gauge samples, and histograms with
 /// *cumulative* `_bucket{le=...}` series plus `_sum`/`_count`.
+///
+/// One `# TYPE` line opens each run of samples from the same family, so
+/// the samples of a labelled family are written back to back.
 #[derive(Default)]
 pub struct PromBuf {
     buf: String,
+    /// The family of the last sample written.
+    family: String,
 }
 
 impl PromBuf {
@@ -466,25 +471,17 @@ impl PromBuf {
         self.buf
     }
 
-    /// Emits one counter sample (with its `# TYPE` line).
-    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.typed(name, "counter");
-        self.sample(name, labels, &value.to_string());
-    }
-
-    /// Emits a counter family sharing one label key: one `# TYPE` line,
-    /// then a sample per `(label_value, value)` pair.
-    pub fn counter_vec(&mut self, name: &str, label: &str, samples: &[(&str, u64)]) {
-        self.typed(name, "counter");
-        for (lv, value) in samples {
-            self.sample(name, &[(label, lv)], &value.to_string());
-        }
-    }
-
-    /// Emits one gauge sample (with its `# TYPE` line).
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.typed(name, "gauge");
-        self.sample(name, labels, &format_value(value));
+    /// Emits one sample of a `kind` family (`counter` or `gauge`);
+    /// `value` prints as the sample's number.
+    pub fn sample(
+        &mut self,
+        kind: &str,
+        name: &str,
+        labels: &[(&str, &str)],
+        value: impl fmt::Display,
+    ) {
+        self.typed(name, kind);
+        self.line(name, labels, value);
     }
 
     /// Emits a full histogram family from *per-bucket* counts: the
@@ -500,17 +497,23 @@ impl PromBuf {
                 Some(&b) if b != u64::MAX => b.to_string(),
                 _ => "+Inf".to_string(),
             };
-            self.sample(
+            self.line(
                 &format!("{name}_bucket"),
                 &[("le", le.as_str())],
-                &cumulative.to_string(),
+                cumulative,
             );
         }
-        self.sample(&format!("{name}_sum"), &[], &sum.to_string());
-        self.sample(&format!("{name}_count"), &[], &cumulative.to_string());
+        self.line(&format!("{name}_sum"), &[], sum);
+        self.line(&format!("{name}_count"), &[], cumulative);
     }
 
+    /// Opens a new family run with its `# TYPE` line, unless the last
+    /// sample already belongs to `name`.
     fn typed(&mut self, name: &str, kind: &str) {
+        if self.family == name {
+            return;
+        }
+        self.family = name.to_string();
         self.buf.push_str("# TYPE ");
         self.buf.push_str(name);
         self.buf.push(' ');
@@ -518,7 +521,7 @@ impl PromBuf {
         self.buf.push('\n');
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
+    fn line(&mut self, name: &str, labels: &[(&str, &str)], value: impl fmt::Display) {
         self.buf.push_str(name);
         if !labels.is_empty() {
             self.buf.push('{');
@@ -534,18 +537,8 @@ impl PromBuf {
             self.buf.push('}');
         }
         self.buf.push(' ');
-        self.buf.push_str(value);
+        self.buf.push_str(&value.to_string());
         self.buf.push('\n');
-    }
-}
-
-/// Renders an `f64` gauge without scientific notation surprises:
-/// integral values print bare, fractions keep their precision.
-fn format_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
     }
 }
 
@@ -709,12 +702,18 @@ mod tests {
     #[test]
     fn prometheus_histogram_buckets_are_cumulative() {
         let mut p = PromBuf::new();
-        p.counter("x_total", &[("class", "2xx")], 12);
-        p.gauge("g", &[], 3.5);
+        p.sample("counter", "x_total", &[("class", "2xx")], 12);
+        p.sample("counter", "x_total", &[("class", "5xx")], 1);
+        p.sample("gauge", "g", &[], 3.5);
         p.histogram("lat_us", &[50, 100, u64::MAX], &[2, 3, 1], 456);
         let text = p.into_string();
         assert!(text.contains("# TYPE x_total counter\n"));
         assert!(text.contains("x_total{class=\"2xx\"} 12\n"));
+        assert_eq!(
+            text.matches("# TYPE x_total").count(),
+            1,
+            "one run, one TYPE"
+        );
         assert!(text.contains("g 3.5\n"));
         assert!(text.contains("# TYPE lat_us histogram\n"));
         assert!(text.contains("lat_us_bucket{le=\"50\"} 2\n"));

@@ -153,9 +153,7 @@ struct HandleCounters {
     /// compute, so the total never exceeds wall time.
     cold_ns: AtomicU64,
     /// Closed-form fast-path dispatches (`count_fast` family) taken on
-    /// attached threads.
-    fast: AtomicU64,
-    /// Per-kind dispatch counts, indexed by
+    /// attached threads, per kind, indexed by
     /// [`crate::count::FastPathKind`] discriminant.
     fast_kinds: [AtomicU64; crate::count::FAST_PATH_KINDS],
 }
@@ -209,7 +207,11 @@ impl CounterHandle {
     /// Closed-form counting fast-path dispatches taken on attached
     /// threads (the per-request slice of [`crate::fast_path_stats`]).
     pub fn fast_paths(&self) -> u64 {
-        self.inner.fast.load(Ordering::Relaxed)
+        self.inner
+            .fast_kinds
+            .iter()
+            .map(|k| k.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Per-kind dispatch counts scoped to attached threads — the racing
@@ -303,13 +305,11 @@ fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
     result
 }
 
-/// Bumps every attached handle's fast-path counters (total and
-/// per-kind); called next to the global fast-path counters in the
-/// counting layer.
+/// Bumps every attached handle's per-kind fast-path counter; called
+/// next to the global fast-path counters in the counting layer.
 pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
     ATTACHED.with(|a| {
         for h in a.borrow().iter() {
-            h.inner.fast.fetch_add(1, Ordering::Relaxed);
             h.inner.fast_kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
         }
     });

@@ -31,7 +31,7 @@
 //! |---|---|
 //! | `POST /v1/analyze`, `POST /v1/dse` | proxied to the owning shard (hedged when slow); transport failure evicts + retries on the rehashed owner |
 //! | `GET /v1/healthz` | router liveness + live-worker count |
-//! | `GET /v1/stats` | fan-out: per-shard documents, the additive merge, router counters |
+//! | `GET /v1/stats` | fan-out: per-shard documents, the merge of the live shards, router counters |
 //! | `GET /metrics` | Prometheus text: merged worker families + `tenet_router_*` counters |
 //! | `GET /v1/trace/<id>` | cross-tier span timeline: router record + live shards' records |
 //! | `GET /v1/trace/slow?ms=N` | the router's recent-slowest request timelines |
@@ -46,7 +46,6 @@
 //!   [`transport::LocalTransport`].
 //! * [`upstream`] — [`upstream::HttpTransport`], pooled keep-alive
 //!   connections to a worker process.
-//! * [`merge`] — additive merge of per-worker `/v1/stats` documents.
 //! * [`fault`] — [`fault::FaultTransport`], a seeded fault-injection
 //!   wrapper around any transport (latency spikes, drops, 5xx bursts,
 //!   torn responses, flap windows) for chaos tests and drills.
@@ -78,7 +77,6 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod merge;
 pub mod ring;
 mod router;
 pub mod transport;

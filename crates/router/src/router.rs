@@ -2,7 +2,6 @@
 //! replication, hedging, fan-out endpoints, health probing, and
 //! cascaded drain.
 
-use crate::merge;
 use crate::ring::HashRing;
 use crate::transport::{ForwardError, LocalTransport, Transport};
 use crate::upstream::HttpTransport;
@@ -13,9 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::{Duration, Instant};
 use tenet_core::json::Json;
-use tenet_core::obs::{self, EdgeTimings, PromBuf, Span, TraceRecord, TraceStore};
+use tenet_core::obs::{self, EdgeTimings, Span, TraceRecord, TraceStore};
 use tenet_server::http::{self, RequestBuffer};
 use tenet_server::pool::{SubmitError, WorkerPool};
+use tenet_server::stats::{self, Prom, WorkerMetrics};
 use tenet_server::{canonical_key, canonical_request, error_json, Call, WorkerCore};
 
 /// Deferred work (hedged primaries, replication write-throughs) run by
@@ -1523,204 +1523,124 @@ fn get_json(state: &RouterState, shard: &Shard, path: &str) -> Result<Json, Forw
     )))
 }
 
-/// `GET /v1/stats` fan-out: each live worker's stats document, the
-/// additive merge across them, and the router's own counters. A worker
-/// whose stats fetch fails at the transport layer is evicted (the fetch
-/// *is* a probe); a worker whose pool slots are merely busy stays on the
-/// ring and just misses this snapshot.
-fn stats_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
-    let mut shards = Vec::with_capacity(state.shards.len());
-    let mut docs = Vec::new();
+/// One exported router value: its dotted path in the `router` object of
+/// `/v1/stats`, its Prometheus form, and its reading.
+type RouterValue = (&'static str, Prom, fn(&RouterState) -> u64);
+
+/// The router's own exported values, each declared once. The
+/// configuration values are JSON-only.
+#[rustfmt::skip]
+const ROUTER_VALUES: &[RouterValue] = {
+    use Prom::*;
+    &[
+        ("uptime_ms",                      Gauge("tenet_router_uptime_ms"),                           |s| s.started.elapsed().as_millis().min(u64::MAX as u128) as u64),
+        ("workers",                        Gauge("tenet_router_workers"),                             |s| s.shards.len() as u64),
+        ("alive_workers",                  Gauge("tenet_router_alive_workers"),                       |s| s.alive_workers() as u64),
+        ("requests.accepted_connections",  Counter("tenet_router_connections_total"),                 |s| load(&s.stats.connections)),
+        ("requests.total",                 Counter("tenet_router_requests_total"),                    |s| load(&s.stats.requests)),
+        ("requests.completed",             Counter("tenet_router_completed_total"),                   |s| load(&s.stats.completed)),
+        ("requests.status_2xx",            Labelled("tenet_router_responses_total", "class", "2xx"),  |s| load(&s.stats.status_2xx)),
+        ("requests.status_4xx",            Labelled("tenet_router_responses_total", "class", "4xx"),  |s| load(&s.stats.status_4xx)),
+        ("requests.status_5xx",            Labelled("tenet_router_responses_total", "class", "5xx"),  |s| load(&s.stats.status_5xx)),
+        ("requests.rejected_busy",         Counter("tenet_router_rejected_busy_total"),               |s| load(&s.stats.rejected_busy)),
+        ("requests.deadline_exceeded",     Counter("tenet_router_deadline_exceeded_total"),           |s| load(&s.stats.deadline_exceeded)),
+        ("retries",                        Counter("tenet_router_retries_total"),                     |s| load(&s.stats.retries)),
+        ("rehashes",                       Counter("tenet_router_rehashes_total"),                    |s| load(&s.stats.rehashes)),
+        ("revivals",                       Counter("tenet_router_revivals_total"),                    |s| load(&s.stats.revivals)),
+        ("breakers.threshold",             JsonOnly,                                                  |s| u64::from(s.config.breaker_threshold)),
+        ("breakers.trips",                 Counter("tenet_router_breaker_trips_total"),               |s| load(&s.stats.breaker_trips)),
+        ("admission.rps",                  JsonOnly,                                                  |s| s.config.admission_rps),
+        ("admission.rejects",              Counter("tenet_router_admission_rejects_total"),           |s| load(&s.stats.admission_rejects)),
+        ("replication.factor",             JsonOnly,                                                  |s| s.config.replication.max(1) as u64),
+        ("replication.warm_writes",        Counter("tenet_router_warm_writes_total"),                 |s| load(&s.stats.warm_writes)),
+        ("replication.warm_shipped",       Counter("tenet_router_warm_shipped_total"),                |s| load(&s.stats.warm_shipped)),
+        ("replication.warm_ship_failures", Counter("tenet_router_warm_ship_failures_total"),          |s| load(&s.stats.warm_ship_failures)),
+        ("hedges.fired",                   Labelled("tenet_router_hedges_total", "outcome", "fired"), |s| load(&s.stats.hedges_fired)),
+        ("hedges.won",                     Labelled("tenet_router_hedges_total", "outcome", "won"),   |s| load(&s.stats.hedges_won)),
+    ]
+};
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// The `/v1/stats` fan-out behind both operator views: fetches every
+/// live shard's document, and with `rows` also each evicted shard's
+/// (display only), and returns the per-shard rows (empty without
+/// `rows`) and the merge of the live documents that decode. A live
+/// shard whose fetch fails at the transport layer is evicted (the fetch
+/// *is* a probe). One whose pool slots are merely busy stays on the
+/// ring and just misses this snapshot. One whose document does not
+/// decode stays alive, keeps its raw row, and stays out of the merge,
+/// so it never contributes silent zeros.
+fn fan_out_stats(state: &Arc<RouterState>, rows: bool) -> (Vec<Json>, WorkerMetrics) {
+    let mut shards = Vec::new();
+    let mut live = Vec::new();
     for shard in &state.shards {
-        let was_alive = shard.is_alive();
-        let (doc, alive) = if was_alive {
+        let (doc, alive) = if shard.is_alive() {
             match get_json(state, shard, "/v1/stats") {
-                Ok(doc) => (Some(doc), true),
+                Ok(doc) => {
+                    live.extend(WorkerMetrics::decode(&doc));
+                    (Some(doc), true)
+                }
                 Err(ForwardError::Busy) => (None, true),
                 Err(ForwardError::Transport(_)) => {
                     state.mark_dead(shard.index);
                     (None, false)
                 }
             }
-        } else {
+        } else if rows {
             // Display-only best effort for an evicted shard (a flapping
             // worker is often reachable between its dark windows): its
             // last-known counters fill the row, but nothing revives it
             // here — that is the prober's call — and its document stays
             // out of the merge, which covers live shards only.
             (get_json(state, shard, "/v1/stats").ok(), false)
-        };
-        shards.push(Json::obj([
-            ("worker", Json::from(shard.index)),
-            ("addr", Json::from(shard.transport.endpoint())),
-            ("transport", Json::from(shard.transport.kind())),
-            ("alive", Json::from(alive)),
-            ("routed", Json::from(shard.routed.load(Ordering::Relaxed))),
-            ("errors", Json::from(shard.errors.load(Ordering::Relaxed))),
-            ("stats", doc.clone().unwrap_or(Json::Null)),
-        ]));
-        if was_alive {
-            if let Some(d) = doc {
-                docs.push(d);
-            }
-        }
-    }
-    let merged = merge::merge_worker_stats(&docs);
-    let s = &state.stats;
-    let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
-    let body = Json::obj([
-        (
-            "router",
-            Json::obj([
-                (
-                    "uptime_ms",
-                    Json::from(state.started.elapsed().as_millis().min(u64::MAX as u128) as u64),
-                ),
-                ("workers", Json::from(state.shards.len())),
-                ("alive_workers", Json::from(state.alive_workers())),
-                (
-                    "requests",
-                    Json::obj([
-                        ("accepted_connections", load(&s.connections)),
-                        ("total", load(&s.requests)),
-                        ("completed", load(&s.completed)),
-                        ("status_2xx", load(&s.status_2xx)),
-                        ("status_4xx", load(&s.status_4xx)),
-                        ("status_5xx", load(&s.status_5xx)),
-                        ("rejected_busy", load(&s.rejected_busy)),
-                        ("deadline_exceeded", load(&s.deadline_exceeded)),
-                    ]),
-                ),
-                ("retries", load(&s.retries)),
-                ("rehashes", load(&s.rehashes)),
-                ("revivals", load(&s.revivals)),
-                (
-                    "breakers",
-                    Json::obj([
-                        (
-                            "threshold",
-                            Json::from(u64::from(state.config.breaker_threshold)),
-                        ),
-                        ("trips", load(&s.breaker_trips)),
-                    ]),
-                ),
-                (
-                    "admission",
-                    Json::obj([
-                        ("rps", Json::from(state.config.admission_rps)),
-                        ("rejects", load(&s.admission_rejects)),
-                    ]),
-                ),
-                (
-                    "replication",
-                    Json::obj([
-                        ("factor", Json::from(state.config.replication.max(1))),
-                        ("warm_writes", load(&s.warm_writes)),
-                        ("warm_shipped", load(&s.warm_shipped)),
-                        ("warm_ship_failures", load(&s.warm_ship_failures)),
-                    ]),
-                ),
-                (
-                    "hedges",
-                    Json::obj([
-                        ("fired", load(&s.hedges_fired)),
-                        ("won", load(&s.hedges_won)),
-                    ]),
-                ),
-            ]),
-        ),
-        ("merged", merged),
-        ("shards", Json::Arr(shards)),
-    ])
-    .to_string()
-    .into_bytes();
-    (200, Arc::new(body))
-}
-
-/// `GET /metrics` at the router tier: one Prometheus text document
-/// covering the cluster. The `tenet_worker_*` families come from the
-/// additive merge of every live shard's `/v1/stats` document — so each
-/// merged series equals the sum of the per-shard expositions — and the
-/// `tenet_router_*` families append the router's own counters. The
-/// merged document carries no `isl_cache.process` section, so the
-/// single-process `tenet_process_*` families are naturally absent here.
-fn metrics_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
-    let mut docs = Vec::new();
-    for shard in &state.shards {
-        if !shard.is_alive() {
+        } else {
             continue;
-        }
-        match get_json(state, shard, "/v1/stats") {
-            Ok(doc) => docs.push(doc),
-            Err(ForwardError::Busy) => {} // saturated, not dead: skip this scrape
-            Err(ForwardError::Transport(_)) => {
-                state.mark_dead(shard.index);
-            }
+        };
+        if rows {
+            shards.push(Json::obj([
+                ("worker", Json::from(shard.index)),
+                ("addr", Json::from(shard.transport.endpoint())),
+                ("transport", Json::from(shard.transport.kind())),
+                ("alive", Json::from(alive)),
+                ("routed", Json::from(load(&shard.routed))),
+                ("errors", Json::from(load(&shard.errors))),
+                ("stats", doc.unwrap_or(Json::Null)),
+            ]));
         }
     }
-    let merged = merge::merge_worker_stats(&docs);
-    let mut text = tenet_server::stats::prometheus_from_worker_doc(&merged);
-    text.push_str(&router_prometheus(state));
-    (200, Arc::new(text.into_bytes()))
+    (shards, WorkerMetrics::merge(&live))
 }
 
-/// The router's own counter families in Prometheus text form, appended
-/// after the merged worker families by [`metrics_doc`].
-fn router_prometheus(state: &Arc<RouterState>) -> String {
-    let s = &state.stats;
-    let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut p = PromBuf::new();
-    p.gauge(
-        "tenet_router_uptime_ms",
-        &[],
-        state.started.elapsed().as_millis().min(u64::MAX as u128) as f64,
+/// `GET /v1/stats` at the router tier: the router's own values, the
+/// merge of the live shards, and one row per shard.
+fn stats_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
+    let (shards, merged) = fan_out_stats(state, true);
+    let router = stats::json_tree(
+        ROUTER_VALUES
+            .iter()
+            .map(|&(path, _, read)| (path, Json::from(read(state)))),
     );
-    p.gauge("tenet_router_workers", &[], state.shards.len() as f64);
-    p.gauge(
-        "tenet_router_alive_workers",
-        &[],
-        state.alive_workers() as f64,
-    );
-    p.counter("tenet_router_connections_total", &[], c(&s.connections));
-    p.counter("tenet_router_requests_total", &[], c(&s.requests));
-    p.counter("tenet_router_completed_total", &[], c(&s.completed));
-    p.counter_vec(
-        "tenet_router_responses_total",
-        "class",
-        &[
-            ("2xx", c(&s.status_2xx)),
-            ("4xx", c(&s.status_4xx)),
-            ("5xx", c(&s.status_5xx)),
-        ],
-    );
-    p.counter("tenet_router_rejected_busy_total", &[], c(&s.rejected_busy));
-    p.counter("tenet_router_retries_total", &[], c(&s.retries));
-    p.counter("tenet_router_rehashes_total", &[], c(&s.rehashes));
-    p.counter("tenet_router_revivals_total", &[], c(&s.revivals));
-    p.counter_vec(
-        "tenet_router_hedges_total",
-        "outcome",
-        &[("fired", c(&s.hedges_fired)), ("won", c(&s.hedges_won))],
-    );
-    p.counter("tenet_router_warm_writes_total", &[], c(&s.warm_writes));
-    p.counter("tenet_router_warm_shipped_total", &[], c(&s.warm_shipped));
-    p.counter(
-        "tenet_router_warm_ship_failures_total",
-        &[],
-        c(&s.warm_ship_failures),
-    );
-    p.counter("tenet_router_breaker_trips_total", &[], c(&s.breaker_trips));
-    p.counter(
-        "tenet_router_deadline_exceeded_total",
-        &[],
-        c(&s.deadline_exceeded),
-    );
-    p.counter(
-        "tenet_router_admission_rejects_total",
-        &[],
-        c(&s.admission_rejects),
-    );
-    p.into_string()
+    let body = Json::obj([
+        ("router", router),
+        ("merged", merged.to_json()),
+        ("shards", Json::Arr(shards)),
+    ]);
+    (200, Arc::new(body.to_string().into_bytes()))
+}
+
+/// `GET /metrics` at the router tier: the merged worker families (a
+/// merge carries no per-process section, so no `tenet_process_*`
+/// family), then the router's own.
+fn metrics_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
+    let (_, merged) = fan_out_stats(state, false);
+    let mut p = merged.prometheus();
+    for &(_, prom, read) in ROUTER_VALUES {
+        prom.write(&mut p, &Json::from(read(state)));
+    }
+    (200, Arc::new(p.into_string().into_bytes()))
 }
 
 /// `GET /v1/trace/...` at the router tier. `/v1/trace/slow` serves the

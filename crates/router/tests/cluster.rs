@@ -1471,7 +1471,12 @@ fn summable(series: &str) -> bool {
 
 #[test]
 fn merged_metrics_exposition_is_the_sum_of_per_shard_expositions() {
-    use tenet_server::stats::prometheus_from_worker_doc;
+    let prometheus_from_worker_doc = |doc: &Json| {
+        tenet_server::stats::WorkerMetrics::decode(doc)
+            .expect("a worker stats document decodes")
+            .prometheus()
+            .into_string()
+    };
     // Hedging off: a hedge-raced duplicate compute would perturb the
     // exact counter equality this test asserts.
     let cluster = Cluster::boot_with(2, Duration::ZERO, |c| c.hedge_after = Duration::MAX);

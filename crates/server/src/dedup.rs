@@ -111,7 +111,7 @@ pub struct LeaderToken {
 }
 
 /// Point-in-time dedup counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupStats {
     /// Requests answered from the response LRU.
     pub hits: u64,

@@ -107,11 +107,7 @@ pub fn route(
 ) -> Reply {
     match (method, path) {
         ("GET", "/v1/healthz") => Reply::ok(Json::obj([("status", Json::from("ok"))])),
-        ("GET", "/v1/stats") => Reply::ok(state.stats.to_json(
-            state.dedup.stats(),
-            state.started.elapsed(),
-            state.backlog(),
-        )),
+        ("GET", "/v1/stats") => Reply::ok(state.metrics().to_json()),
         ("POST", "/v1/analyze") => match decode_body(body) {
             Ok(req) => analyze(&req, state, deadline),
             Err(r) => *r,

@@ -35,7 +35,9 @@
 //!   public ([`canonical_request`] / [`canonical_key`]) because the
 //!   sharding router (`tenet-router`) hashes the same identity to keep
 //!   every repeated query on the shard that already owns its answer.
-//! * [`stats`] — counters and a lock-free latency histogram.
+//! * [`stats`] — counters, a lock-free latency histogram, and the one
+//!   declaration of every exported value, which renders `/v1/stats` and
+//!   `/metrics` at both tiers and decodes and merges shard documents.
 //! * [`handlers`] — routing and the endpoint implementations; errors
 //!   mirror the CLI's exit-code taxonomy (4xx usage/parse, 5xx analysis).
 //! * [`worker`] — [`WorkerCore`], the whole request path (counting,

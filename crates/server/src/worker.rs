@@ -14,7 +14,7 @@
 
 use crate::dedup::{CachedResponse, Claim, Dedup};
 use crate::handlers::{self, error_json};
-use crate::stats::ServerStats;
+use crate::stats::{ServerStats, WorkerMetrics};
 use crate::ServerConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,6 +103,13 @@ impl WorkerCore {
             traces,
             backlog: std::sync::OnceLock::new(),
         })
+    }
+
+    /// A typed snapshot of this core's counters: what `GET /v1/stats`
+    /// and `GET /metrics` render.
+    pub fn metrics(&self) -> WorkerMetrics {
+        self.stats
+            .snapshot(self.dedup.stats(), self.started.elapsed(), self.backlog())
     }
 
     /// Jobs waiting for a worker right now (0 without a listener).
@@ -261,10 +268,7 @@ impl WorkerCore {
     /// `None` for every other path.
     fn handle_obs(self: &Arc<WorkerCore>, path: &str) -> Option<(u16, Arc<Vec<u8>>)> {
         if path == "/metrics" {
-            let doc =
-                self.stats
-                    .to_json(self.dedup.stats(), self.started.elapsed(), self.backlog());
-            let text = crate::stats::prometheus_from_worker_doc(&doc);
+            let text = self.metrics().prometheus().into_string();
             return Some((200, Arc::new(text.into_bytes())));
         }
         let rest = path.strip_prefix("/v1/trace/")?;
