@@ -52,7 +52,10 @@
 //! * [`router`] — accept loop, proxy path (deadline propagation,
 //!   bounded jittered retries, per-shard circuit breakers, per-client
 //!   admission control, hedging, replication write-through), fan-outs,
-//!   health prober, cascaded drain.
+//!   health prober, cascaded drain. Its own exported values (the
+//!   `router` object of `/v1/stats` and the `tenet_router_*` families)
+//!   are declared once there, in `ROUTER_VALUES`; worker values are
+//!   declared in `tenet_server::stats`.
 //!
 //! Like the worker, the router is loopback-oriented: no TLS, no
 //! authentication — anything beyond local deployment needs a

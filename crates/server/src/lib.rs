@@ -36,8 +36,10 @@
 //!   sharding router (`tenet-router`) hashes the same identity to keep
 //!   every repeated query on the shard that already owns its answer.
 //! * [`stats`] — counters, a lock-free latency histogram, and the one
-//!   declaration of every exported value, which renders `/v1/stats` and
+//!   declaration of every worker value, which renders `/v1/stats` and
 //!   `/metrics` at both tiers and decodes and merges shard documents.
+//!   The router declares its own values alongside its state and renders
+//!   them through the same [`stats::Prom`] forms and [`stats::json_tree`].
 //! * [`handlers`] — routing and the endpoint implementations; errors
 //!   mirror the CLI's exit-code taxonomy (4xx usage/parse, 5xx analysis).
 //! * [`worker`] — [`WorkerCore`], the whole request path (counting,

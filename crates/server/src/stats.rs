@@ -865,6 +865,8 @@ mod tests {
         assert_eq!(empty, WorkerMetrics::default());
         assert_eq!(empty.latency_quantile_us(0.99), 0);
         assert_eq!(empty.latency_mean_us(), 0.0);
+        assert_eq!(empty.latency_est_mean_us(), 0.0);
+        assert_eq!(empty.latency_est_error(), 0.0);
     }
 
     /// A golden fixture: `fixed` raw values, latencies recorded through
