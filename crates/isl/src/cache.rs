@@ -26,6 +26,12 @@
 //! * **Bounding.** The table is cleared wholesale when it exceeds
 //!   [`MAX_ENTRIES`]; correctness never depends on a hit, so eviction is
 //!   free to be coarse.
+//! * **Counting.** Every lookup (hit or miss) and every closed-form
+//!   counting dispatch bumps one root counter set, the process totals
+//!   that [`stats`] and [`crate::fast_path_stats`] read, plus every
+//!   [`CounterHandle`] attached to the calling thread. A handle is a
+//!   scope below the root with the same counters. Only handles time cold
+//!   computes, so an unattached lookup reads no clock.
 //! * **Concurrency.** One global mutex guards the tables. The lock is
 //!   held only for lookups and insertions, never while computing a missed
 //!   operation, so parallel DSE threads serialize on microseconds, not on
@@ -114,10 +120,22 @@ struct Tables {
     generation: u64,
 }
 
+impl Tables {
+    /// Drops every interned map, memo entry and parse result, and bumps
+    /// the generation so in-flight stores are discarded.
+    fn reset(&mut self) {
+        self.memo.clear();
+        self.ids.clear();
+        self.n_interned = 0;
+        self.parsed_map.clear();
+        self.parsed_set.clear();
+        self.next_id = 0;
+        self.generation += 1;
+    }
+}
+
 struct Ctx {
     tables: Mutex<Tables>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     enabled: AtomicBool,
 }
 
@@ -127,36 +145,63 @@ thread_local! {
     static ATTACHED: RefCell<Vec<CounterHandle>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Exact per-run hit/miss counters, independent of the process-wide
-/// totals.
+/// A counter scope below the root counter set: the same hit, miss and
+/// fast-path counters, plus cold compute time, bumped only by work on
+/// threads it is [attached] to.
 ///
-/// A handle only observes lookups made on threads it is [attached] to, so
-/// concurrent cache users (other exploration runs, server requests on
-/// other workers) never pollute its numbers — unlike deltas of
-/// [`stats`], which are process-wide. Handles are cheap `Arc` clones;
-/// attach the same handle on several threads (see
+/// Concurrent cache users (other exploration runs, server requests on
+/// other workers) therefore never pollute its numbers — unlike deltas of
+/// [`stats`], which read the process-wide root. Handles are cheap `Arc`
+/// clones; attach the same handle on several threads (see
 /// [`attached_handles`] for propagating into worker pools) to aggregate
 /// one logical run that spans threads.
 ///
 /// [attached]: CounterHandle::attach
 #[derive(Clone, Default)]
 pub struct CounterHandle {
-    inner: Arc<HandleCounters>,
+    inner: Arc<CounterSet>,
 }
 
+/// One counter set: the root's process totals, or one handle's scope.
 #[derive(Default)]
-struct HandleCounters {
+pub(crate) struct CounterSet {
     hits: AtomicU64,
     misses: AtomicU64,
     /// Wall nanoseconds spent inside *cold* (missed) memo computations on
     /// attached threads. Nested memoized ops only accrue at the outermost
-    /// compute, so the total never exceeds wall time.
+    /// compute, so the total never exceeds wall time. Only handles time
+    /// cold computes; the root's stays zero.
     cold_ns: AtomicU64,
-    /// Closed-form fast-path dispatches (`count_fast` family) taken on
-    /// attached threads, per kind, indexed by
-    /// [`crate::count::FastPathKind`] discriminant.
+    /// Closed-form fast-path dispatches (`count_fast` family) in this
+    /// set's scope, per kind, indexed by [`crate::count::FastPathKind`]
+    /// discriminant.
     fast_kinds: [AtomicU64; crate::count::FAST_PATH_KINDS],
 }
+
+impl CounterSet {
+    /// Per-kind fast-path dispatch counts of this set.
+    pub(crate) fn fast_path_stats(&self) -> crate::count::CountStats {
+        let k = |i: crate::count::FastPathKind| self.fast_kinds[i as usize].load(Ordering::Relaxed);
+        use crate::count::FastPathKind as K;
+        crate::count::CountStats {
+            window_counts: k(K::Window),
+            box_counts: k(K::Box),
+            slab_counts: k(K::Slab),
+            multi_slab_counts: k(K::MultiSlab),
+            pair_chain_counts: k(K::PairChain),
+            coupled_slab_counts: k(K::CoupledSlab),
+        }
+    }
+}
+
+/// The root counter set: process totals since start, bumped beside every
+/// attached handle.
+pub(crate) static ROOT: CounterSet = CounterSet {
+    hits: AtomicU64::new(0),
+    misses: AtomicU64::new(0),
+    cold_ns: AtomicU64::new(0),
+    fast_kinds: [const { AtomicU64::new(0) }; crate::count::FAST_PATH_KINDS],
+};
 
 impl CounterHandle {
     /// A fresh handle with zeroed counters.
@@ -167,8 +212,8 @@ impl CounterHandle {
     /// Attaches the handle to the current thread until the guard drops.
     ///
     /// Every memo lookup performed on this thread inside the guard's
-    /// lifetime bumps the handle's counters (in addition to the global
-    /// ones and any other attached handles).
+    /// lifetime bumps the handle's counters (in addition to the root
+    /// counter set and any other attached handles).
     pub fn attach(&self) -> AttachGuard {
         ATTACHED.with(|a| a.borrow_mut().push(self.clone()));
         AttachGuard {
@@ -218,18 +263,7 @@ impl CounterHandle {
     /// process-global [`crate::fast_path_stats`] sliced down to this
     /// handle, so dispatch assertions stay exact under test parallelism.
     pub fn fast_path_stats(&self) -> crate::count::CountStats {
-        let k = |i: crate::count::FastPathKind| {
-            self.inner.fast_kinds[i as usize].load(Ordering::Relaxed)
-        };
-        use crate::count::FastPathKind as K;
-        crate::count::CountStats {
-            window_counts: k(K::Window),
-            box_counts: k(K::Box),
-            slab_counts: k(K::Slab),
-            multi_slab_counts: k(K::MultiSlab),
-            pair_chain_counts: k(K::PairChain),
-            coupled_slab_counts: k(K::CoupledSlab),
-        }
+        self.inner.fast_path_stats()
     }
 }
 
@@ -305,26 +339,25 @@ fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
     result
 }
 
-/// Bumps every attached handle's per-kind fast-path counter; called
-/// next to the global fast-path counters in the counting layer.
-pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
+/// Bumps the counter `pick` selects in the root counter set and in every
+/// handle attached to this thread.
+fn bump(pick: impl Fn(&CounterSet) -> &AtomicU64) {
+    pick(&ROOT).fetch_add(1, Ordering::Relaxed);
     ATTACHED.with(|a| {
         for h in a.borrow().iter() {
-            h.inner.fast_kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
+            pick(&h.inner).fetch_add(1, Ordering::Relaxed);
         }
     });
 }
 
-/// Bumps the global counters plus every handle attached to this thread.
-fn record(c: &Ctx, hit: bool) {
-    let global = if hit { &c.hits } else { &c.misses };
-    global.fetch_add(1, Ordering::Relaxed);
-    ATTACHED.with(|a| {
-        for h in a.borrow().iter() {
-            let ctr = if hit { &h.inner.hits } else { &h.inner.misses };
-            ctr.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+/// Counts one closed-form dispatch of `kind` in the counting layer.
+pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
+    bump(|c| &c.fast_kinds[kind as usize]);
+}
+
+/// Counts one memo lookup as a hit or a miss.
+fn record(hit: bool) {
+    bump(|c| if hit { &c.hits } else { &c.misses });
 }
 
 fn ctx() -> &'static Ctx {
@@ -335,8 +368,6 @@ fn ctx() -> &'static Ctx {
             .unwrap_or(false);
         Ctx {
             tables: Mutex::new(Tables::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             enabled: AtomicBool::new(!off),
         }
     })
@@ -367,13 +398,13 @@ impl CacheStats {
     }
 }
 
-/// Current global cache counters.
+/// Current global cache counters (hits and misses from the root counter
+/// set).
 pub fn stats() -> CacheStats {
-    let c = ctx();
-    let t = c.tables.lock().expect("isl cache poisoned");
+    let t = ctx().tables.lock().expect("isl cache poisoned");
     CacheStats {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
+        hits: ROOT.hits.load(Ordering::Relaxed),
+        misses: ROOT.misses.load(Ordering::Relaxed),
         entries: t.memo.len() as u64,
         interned: t.n_interned as u64,
     }
@@ -381,22 +412,14 @@ pub fn stats() -> CacheStats {
 
 /// Clears all cached results and interned relations (counters survive).
 pub fn clear() {
-    let c = ctx();
-    let mut t = c.tables.lock().expect("isl cache poisoned");
-    t.memo.clear();
-    t.ids.clear();
-    t.n_interned = 0;
-    t.parsed_map.clear();
-    t.parsed_set.clear();
-    t.next_id = 0;
-    t.generation += 1;
+    ctx().tables.lock().expect("isl cache poisoned").reset();
 }
 
-/// Resets the hit/miss counters (entries survive).
+/// Resets the root hit/miss counters (entries and fast-path counts
+/// survive).
 pub fn reset_stats() {
-    let c = ctx();
-    c.hits.store(0, Ordering::Relaxed);
-    c.misses.store(0, Ordering::Relaxed);
+    ROOT.hits.store(0, Ordering::Relaxed);
+    ROOT.misses.store(0, Ordering::Relaxed);
 }
 
 /// Globally enables or disables memoization (e.g. for A/B measurements).
@@ -445,13 +468,7 @@ fn evict_if_full(t: &mut Tables) {
         || t.parsed_map.len() > MAX_ENTRIES
         || t.parsed_set.len() > MAX_ENTRIES
     {
-        t.memo.clear();
-        t.ids.clear();
-        t.n_interned = 0;
-        t.parsed_map.clear();
-        t.parsed_set.clear();
-        t.next_id = 0;
-        t.generation += 1;
+        t.reset();
     }
 }
 
@@ -468,9 +485,9 @@ struct Slot {
 
 /// Finishes a lookup once both operand ids are known. Caller holds the
 /// lock.
-fn finish_lookup(c: &Ctx, t: &Tables, op: OpKind, ia: u64, ib: u64, extra: i128) -> Slot {
+fn finish_lookup(t: &Tables, op: OpKind, ia: u64, ib: u64, extra: i128) -> Slot {
     let hit = t.memo.get(&(op, ia, ib, extra)).cloned();
-    record(c, hit.is_some());
+    record(hit.is_some());
     Slot {
         ia,
         ib,
@@ -498,7 +515,7 @@ fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
             _ => Some(NO_RHS),
         };
         if let (Some(ia), Some(ib)) = (ia, ib) {
-            return Some(finish_lookup(c, &t, op, ia, ib, extra));
+            return Some(finish_lookup(&t, op, ia, ib, extra));
         }
         (ia.is_some(), ib.is_some())
     };
@@ -523,7 +540,7 @@ fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
         },
         _ => NO_RHS,
     };
-    Some(finish_lookup(c, &t, op, ia, ib, extra))
+    Some(finish_lookup(&t, op, ia, ib, extra))
 }
 
 fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) {
@@ -556,10 +573,10 @@ pub(crate) fn memo_parse(
         if let Some(m) = table.get(text) {
             let m = Arc::clone(m);
             drop(t);
-            record(c, true);
+            record(true);
             return Ok((*m).clone());
         }
-        record(c, false);
+        record(false);
     }
     let m = timed_compute(compute)?;
     let mut t = c.tables.lock().expect("isl cache poisoned");
@@ -969,18 +986,52 @@ mod tests {
             })
         };
         let m = Map::parse("{ S[i, j] -> PE[j] : 0 <= i < 4 and 0 <= j < 5 }").unwrap();
+        let (cache0, fast0) = (stats(), crate::fast_path_stats());
         {
             let _attached = handle.attach();
             for _ in 0..10 {
                 assert_eq!(m.card().unwrap(), 20);
             }
         }
+        let (cache1, fast1) = (stats(), crate::fast_path_stats());
         stop.store(true, Ordering::Relaxed);
         polluter.join().unwrap();
         // Exactly 10 attributed card lookups: 1 miss then 9 hits.
         assert_eq!(handle.hits() + handle.misses(), 10, "exact attribution");
         assert_eq!(handle.misses(), 1);
         assert_eq!(handle.hits(), 9);
+        // The root counter set sees everything the handle saw in the
+        // window (and the polluter's lookups besides).
+        assert!(
+            cache1.hits - cache0.hits >= handle.hits(),
+            "{cache0:?} -> {cache1:?}"
+        );
+        assert!(
+            cache1.misses - cache0.misses >= handle.misses(),
+            "{cache0:?} -> {cache1:?}"
+        );
+        assert!(
+            handle.fast_paths() > 0,
+            "the miss must dispatch a closed form"
+        );
+        let kinds = |s: crate::CountStats| {
+            [
+                s.window_counts,
+                s.box_counts,
+                s.slab_counts,
+                s.multi_slab_counts,
+                s.pair_chain_counts,
+                s.coupled_slab_counts,
+            ]
+        };
+        let scoped = kinds(handle.fast_path_stats());
+        for (i, (before, after)) in kinds(fast0).into_iter().zip(kinds(fast1)).enumerate() {
+            assert!(
+                after - before >= scoped[i],
+                "fast-path kind {i}: root {before} -> {after}, handle {}",
+                scoped[i]
+            );
+        }
         // Detached now: further lookups must not move the handle.
         let _ = m.card().unwrap();
         assert_eq!(handle.hits() + handle.misses(), 10);

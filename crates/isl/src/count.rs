@@ -14,12 +14,19 @@
 //!    component factoring, closed-form interval and arithmetic-series sums,
 //!    and recursive enumeration with bound propagation.
 //!
+//! Before recursing, a system tries the closed forms: functional-window
+//! drops, an axis-aligned box, and one slab counter for a box intersected
+//! with `k >= 1` slab directions, which labels its `k = 1` case
+//! [`FastPathKind::Slab`]. Each dispatch bumps the root counter set and
+//! every attached [`crate::CounterHandle`] (see [`crate::cache`]).
+//!
 //! Every path is exact; property tests compare against brute force.
 
 use crate::basic::{BasicMap, Row};
+use crate::cache::note_fastpath;
 use crate::value::{ceil_div, floor_div, gcd, mod_hat};
 use crate::{Error, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Hard cap on the number of values a single variable may be enumerated
 /// over before we give up with [`Error::TooComplex`].
@@ -27,21 +34,8 @@ const ENUM_LIMIT: i64 = 4_000_000;
 /// Hard cap on total recursion work.
 const WORK_LIMIT: u64 = 400_000_000;
 
-/// Process-wide counters for the closed-form counting shortcuts, bumped
-/// each time a shape dispatches to a fast path instead of the recursive
-/// enumerator. Monotonic since process start; used by the `perfbench`
-/// smoke mode (and tests) to assert the fast paths are actually taken.
-/// Tests needing exact attribution under `cargo test` parallelism use
-/// the scoped view ([`crate::CounterHandle::fast_path_stats`]) instead.
-static WINDOW_FAST: AtomicU64 = AtomicU64::new(0);
-static BOX_FAST: AtomicU64 = AtomicU64::new(0);
-static SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-static MULTI_SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-static PAIR_CHAIN_FAST: AtomicU64 = AtomicU64::new(0);
-static COUPLED_SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-
 /// Which closed-form counting shortcut dispatched. The discriminants
-/// index the per-handle counter array in [`crate::cache`].
+/// index the per-kind counter array of a counter set in [`crate::cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FastPathKind {
@@ -49,7 +43,7 @@ pub enum FastPathKind {
     Window = 0,
     /// Axis-aligned box.
     Box = 1,
-    /// Box ∩ single slab.
+    /// Box ∩ one slab direction: the slab counter's `k = 1` case.
     Slab = 2,
     /// Box ∩ k≥2 independent slab directions.
     MultiSlab = 3,
@@ -59,23 +53,8 @@ pub enum FastPathKind {
     CoupledSlab = 5,
 }
 
-/// Number of [`FastPathKind`] variants (length of per-handle arrays).
+/// Number of [`FastPathKind`] variants (length of per-kind arrays).
 pub(crate) const FAST_PATH_KINDS: usize = 6;
-
-/// Bumps the process-wide counter for `kind` plus every attached
-/// [`crate::CounterHandle`]'s scoped per-shape counter.
-fn note(kind: FastPathKind) {
-    let ctr = match kind {
-        FastPathKind::Window => &WINDOW_FAST,
-        FastPathKind::Box => &BOX_FAST,
-        FastPathKind::Slab => &SLAB_FAST,
-        FastPathKind::MultiSlab => &MULTI_SLAB_FAST,
-        FastPathKind::PairChain => &PAIR_CHAIN_FAST,
-        FastPathKind::CoupledSlab => &COUPLED_SLAB_FAST,
-    };
-    ctr.fetch_add(1, Ordering::Relaxed);
-    crate::cache::note_fastpath(kind);
-}
 
 /// Point-in-time snapshot of the closed-form dispatch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,7 +64,8 @@ pub struct CountStats {
     pub window_counts: u64,
     /// Axis-aligned residual boxes counted by interval-width products.
     pub box_counts: u64,
-    /// Box ∩ single slab (or halfspace) shapes counted by floor-sums.
+    /// Box ∩ one slab direction (or halfspace): the slab counter's `k = 1`
+    /// case, counted by floor-sums, plus its ±1 emptiness probes.
     pub slab_counts: u64,
     /// Box ∩ k≥2 independent slab directions counted by the split-and-
     /// floor-sum path.
@@ -110,16 +90,11 @@ impl CountStats {
     }
 }
 
-/// Current fast-path dispatch counters (process-wide, monotonic).
+/// Fast-path dispatch counters since process start, read from the root
+/// counter set. Tests needing exact attribution under `cargo test`
+/// parallelism read a scoped [`crate::CounterHandle::fast_path_stats`].
 pub fn fast_path_stats() -> CountStats {
-    CountStats {
-        window_counts: WINDOW_FAST.load(Ordering::Relaxed),
-        box_counts: BOX_FAST.load(Ordering::Relaxed),
-        slab_counts: SLAB_FAST.load(Ordering::Relaxed),
-        multi_slab_counts: MULTI_SLAB_FAST.load(Ordering::Relaxed),
-        pair_chain_counts: PAIR_CHAIN_FAST.load(Ordering::Relaxed),
-        coupled_slab_counts: COUPLED_SLAB_FAST.load(Ordering::Relaxed),
-    }
+    crate::cache::ROOT.fast_path_stats()
 }
 
 /// A free-form constraint system: `n` variables, rows of width `n + 1`
@@ -1066,17 +1041,12 @@ fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Resu
             .and_then(|v| v.checked_add(n))
             .ok_or(Error::Overflow)?;
         debug_assert!(total >= 0, "per-x counts are nonnegative on the region");
-        note(FastPathKind::PairChain);
+        note_fastpath(FastPathKind::PairChain);
         return Ok(Some(total as u128));
     }
     Ok(None)
 }
 
-/// Closed-form dispatch: returns `Some(count)` when the (normalized,
-/// equality-free) tableau is an axis-aligned box or a box intersected with
-/// a single slab (one halfspace, or two-plus parallel ones), `None` when
-/// the shape needs the recursive counter. `work` shares [`count_rec`]'s
-/// effort budget: the halfspace enumeration charges its loop count.
 /// Total value-table cells (sum of variable range widths) the pair-chain
 /// DP may allocate before deferring to the recursive counter.
 const PAIR_CHAIN_CELL_LIMIT: u128 = 1 << 18;
@@ -1250,7 +1220,7 @@ fn count_pair_chain(
         }
         tables[root] = Vec::new();
         if tree == 0 {
-            note(FastPathKind::PairChain);
+            note_fastpath(FastPathKind::PairChain);
             return Ok(Some(0));
         }
         total = total.checked_mul(tree).ok_or(Error::Overflow)?;
@@ -1268,10 +1238,15 @@ fn count_pair_chain(
             .checked_mul((h as i128 - l as i128 + 1) as u128)
             .ok_or(Error::Overflow)?;
     }
-    note(FastPathKind::PairChain);
+    note_fastpath(FastPathKind::PairChain);
     Ok(Some(total))
 }
 
+/// Closed-form dispatch: returns `Some(count)` when the (normalized,
+/// equality-free) tableau is an axis-aligned box or a box intersected with
+/// `k >= 1` slab directions (see [`count_multi_slab`]), `None` when the
+/// shape needs the recursive counter. `work` shares [`count_rec`]'s
+/// effort budget: the halfspace enumeration charges its loop count.
 fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option<u128>> {
     if !t.eqs.is_empty() {
         return Ok(None);
@@ -1281,7 +1256,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     };
     if wide.is_empty() {
         let c = count_box(&bounds, limit)?;
-        note(FastPathKind::Box);
+        note_fastpath(FastPathKind::Box);
         return Ok(Some(c));
     }
     // Group the multi-variable rows by the linear expression they bound
@@ -1383,100 +1358,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
             }
         }
     }
-    if groups.len() >= 2 {
-        return count_multi_slab(&bounds, &groups, limit, work);
-    }
-    let SlabGroup {
-        dir,
-        lo: slab_lo,
-        hi: slab_hi,
-    } = groups.swap_remove(0);
-    // Split variables into slab participants and pure box factors.
-    let mut hs: Vec<(i128, i128, i64)> = Vec::new();
-    let mut box_bounds: Vec<(Option<i128>, Option<i128>)> = Vec::new();
-    let mut e_min: i128 = 0;
-    let mut e_max: i128 = 0;
-    for v in 0..n {
-        if dir[v] == 0 {
-            box_bounds.push(bounds[v]);
-            continue;
-        }
-        match bounds[v] {
-            (Some(l), Some(h)) => {
-                if h < l {
-                    return Ok(Some(0));
-                }
-                if dir[v] == i64::MIN {
-                    return Ok(None); // coefficient not negatable below
-                }
-                hs.push((l, h, dir[v]));
-                let a = dir[v] as i128;
-                let (tmin, tmax) = if a > 0 { (l, h) } else { (h, l) };
-                e_min = a
-                    .checked_mul(tmin)
-                    .and_then(|t| e_min.checked_add(t))
-                    .ok_or(Error::Overflow)?;
-                e_max = a
-                    .checked_mul(tmax)
-                    .and_then(|t| e_max.checked_add(t))
-                    .ok_or(Error::Overflow)?;
-            }
-            _ => return Ok(None), // slab variable not boxed: fall back
-        }
-    }
-    let lo = slab_lo.unwrap_or(e_min).max(e_min);
-    let hi = slab_hi.unwrap_or(e_max).min(e_max);
-    if hi < lo {
-        return Ok(Some(0));
-    }
-    if limit.is_some() {
-        // Emptiness probe. When every slab coefficient is ±1, e attains
-        // every integer of [e_min, e_max] over the box (a Minkowski sum of
-        // unit-step integer intervals is an integer interval), so the
-        // nonempty window [lo, hi] ⊆ [e_min, e_max] is attained and the
-        // system is feasible iff the box factor is nonempty. Larger
-        // coefficients can step over the window; defer those to the exact
-        // machinery.
-        if hs.iter().all(|&(_, _, a)| a.abs() == 1) {
-            let factor = count_box(&box_bounds, limit)?;
-            note(FastPathKind::Slab);
-            return Ok(Some(factor));
-        }
-        return Ok(None);
-    }
-    let factor = count_box(&box_bounds, None)?;
-    if factor == 0 {
-        return Ok(Some(0));
-    }
-    // Widest ranges first: positions 0 and 1 are handled in closed form,
-    // the rest are enumerated.
-    hs.sort_by_key(|&(l, h, _)| std::cmp::Reverse(h - l));
-    let mut enum_work: u128 = 1;
-    for &(l, h, _) in hs.iter().skip(2) {
-        enum_work = enum_work.saturating_mul((h - l + 1) as u128);
-    }
-    if enum_work > HALFSPACE_ENUM_LIMIT {
-        return Ok(None);
-    }
-    // The enumerated dimensions cost real work even on the closed-form
-    // path; charge them against the shared recursion budget.
-    *work = work.saturating_add(enum_work.min(u64::MAX as u128) as u64);
-    if *work > WORK_LIMIT {
-        return Err(Error::TooComplex("counting work limit exceeded".into()));
-    }
-    // F(T) = #{x in the sub-box : e(x) <= T}, via the negated halfspace
-    // -e + T >= 0; the slab count is the telescoping difference.
-    let neg: Vec<(i128, i128, i64)> = hs.iter().map(|&(l, h, a)| (l, h, -a)).collect();
-    let upper = count_halfspace_rec(&neg, hi)?;
-    let lower = if lo > e_min {
-        count_halfspace_rec(&neg, lo - 1)?
-    } else {
-        0
-    };
-    debug_assert!(upper >= lower);
-    let inner = upper - lower;
-    note(FastPathKind::Slab);
-    Ok(Some(factor.checked_mul(inner).ok_or(Error::Overflow)?))
+    count_multi_slab(&bounds, &groups, limit, work)
 }
 
 /// One direction's worth of wide rows: the slab `lo <= dir·x <= hi`
@@ -1491,7 +1373,7 @@ struct SlabGroup {
 /// the recursive counter takes over.
 const MAX_SLAB_GROUPS: usize = 6;
 
-/// Exactly counts a box intersected with `k >= 2` slabs of independent
+/// Exactly counts a box intersected with `k >= 1` slabs of independent
 /// directions, including *coupled* slabs that share variables.
 ///
 /// A small enumeration set `E` of variables is chosen greedily so that
@@ -1499,20 +1381,24 @@ const MAX_SLAB_GROUPS: usize = 6;
 /// variables are pairwise variable-disjoint — only *shared* variables
 /// are ever pinned, so two slabs coupled through one variable cost a
 /// single odometer axis instead of a whole slab's worth. Each remaining
-/// multi-variable slab closes independently with the same Euclidean
-/// floor-sum telescoping the single-slab path uses (their free-variable
-/// sets are disjoint, so the per-assignment counts multiply); every
-/// other slab collapses to a *single-variable interval* (or a constant
-/// feasibility check), which merely tightens that variable's box
-/// bounds. Pinning proceeds by odometer over `E`'s box ranges with
-/// cheap integer arithmetic only; no tableau is rebuilt anywhere.
+/// multi-variable slab closes independently with Euclidean floor-sum
+/// telescoping (their free-variable sets are disjoint, so the
+/// per-assignment counts multiply); every other slab collapses to a
+/// *single-variable interval* (or a constant feasibility check), which
+/// merely tightens that variable's box bounds. Pinning proceeds by
+/// odometer over `E`'s box ranges with cheap integer arithmetic only; no
+/// tableau is rebuilt anywhere. A single slab (`k = 1`) pins nothing and
+/// closes in one floor-sum pass.
 ///
-/// Dispatch is recorded as [`FastPathKind::CoupledSlab`] when two or
-/// more true slabs survive the pinning (the shapes the old greedy — pin
-/// until one slab remains — enumerated much more widely), and
-/// [`FastPathKind::MultiSlab`] otherwise.
+/// Dispatch is recorded as [`FastPathKind::Slab`] for `k = 1`,
+/// [`FastPathKind::CoupledSlab`] when two or more true slabs survive the
+/// pinning (the shapes the old greedy — pin until one slab remains —
+/// enumerated much more widely), and [`FastPathKind::MultiSlab`]
+/// otherwise.
 ///
-/// Returns `Ok(None)` when the shape is unsuitable (unboxed slab
+/// Emptiness probes (`limit` set) close only the `k = 1` case, and only
+/// when every slab coefficient is ±1; other probes return `Ok(None)`.
+/// Otherwise `Ok(None)` means the shape is unsuitable (unboxed slab
 /// variables, enumeration too wide, extreme coefficients) — the caller
 /// then falls back to the recursive counter.
 fn count_multi_slab(
@@ -1521,10 +1407,10 @@ fn count_multi_slab(
     limit: Option<u128>,
     work: &mut u64,
 ) -> Result<Option<u128>> {
-    if limit.is_some() {
-        // Emptiness probes keep their pre-existing recursive treatment:
-        // the exact count below could be arbitrarily more work than the
-        // first-point probe needs.
+    if limit.is_some() && groups.len() >= 2 {
+        // k ≥ 2 emptiness probes go to the recursive counter: the exact
+        // count below could be arbitrarily more work than the first-point
+        // probe needs.
         return Ok(None);
     }
     let n = bounds.len();
@@ -1534,15 +1420,9 @@ fn count_multi_slab(
             if g.dir[v] == 0 {
                 continue;
             }
-            if g.dir[v] == i64::MIN {
-                return Ok(None);
-            }
             match b {
-                (Some(l), Some(h)) => {
-                    if h < l {
-                        return Ok(Some(0));
-                    }
-                }
+                (Some(l), Some(h)) if h < l => return Ok(Some(0)),
+                (Some(_), Some(_)) if g.dir[v] != i64::MIN => {}
                 _ => return Ok(None),
             }
         }
@@ -1574,6 +1454,30 @@ fn count_multi_slab(
             return Ok(Some(0));
         }
         windows.push((lo, hi));
+    }
+    // Variables no slab touches contribute a constant box factor.
+    let untouched: Vec<(Option<i128>, Option<i128>)> = (0..n)
+        .filter(|&v| groups.iter().all(|g| g.dir[v] == 0))
+        .map(|v| bounds[v])
+        .collect();
+    if limit.is_some() {
+        // Single-slab emptiness probe. When every slab coefficient is ±1,
+        // e attains every integer of [e_min, e_max] over the box (a
+        // Minkowski sum of unit-step integer intervals is an integer
+        // interval), so the nonempty window ⊆ [e_min, e_max] is attained
+        // and the system is feasible iff the box factor is nonempty.
+        // Larger coefficients can step over the window; defer those to the
+        // exact machinery.
+        if groups[0].dir.iter().all(|a| a.unsigned_abs() <= 1) {
+            let factor = count_box(&untouched, limit)?;
+            note_fastpath(FastPathKind::Slab);
+            return Ok(Some(factor));
+        }
+        return Ok(None);
+    }
+    let factor = count_box(&untouched, None)?;
+    if factor == 0 {
+        return Ok(Some(0));
     }
     let width = |v: usize| bounds[v].1.unwrap() - bounds[v].0.unwrap() + 1;
     let free_of = |g: &SlabGroup, in_e: &[bool]| -> usize {
@@ -1619,12 +1523,15 @@ fn count_multi_slab(
     let kept: Vec<usize> = (0..groups.len())
         .filter(|&i| free_of(&groups[i], &in_e) >= 2)
         .collect();
+    // Each kept slab's free variables, widest box range first (stably).
     let kept_r: Vec<Vec<usize>> = kept
         .iter()
         .map(|&kj| {
-            (0..n)
+            let mut r: Vec<usize> = (0..n)
                 .filter(|&v| groups[kj].dir[v] != 0 && !in_e[v])
-                .collect()
+                .collect();
+            r.sort_by_key(|&v| std::cmp::Reverse(width(v)));
+            r
         })
         .collect();
     debug_assert!(
@@ -1635,18 +1542,15 @@ fn count_multi_slab(
         "kept slabs must be pairwise disjoint on free variables"
     );
     // Work guard: odometer volume × each kept slab's inner enumeration
-    // (its dimensions beyond the two widest, like the single-slab path).
+    // (its dimensions beyond the two widest, which the closed form cannot
+    // absorb).
     let mut volume: u128 = 1;
     for &v in &enum_vars {
         volume = volume.saturating_mul(width(v) as u128);
     }
     let mut inner_work: u128 = 1;
-    for r in &kept_r {
-        let mut widths: Vec<i128> = r.iter().map(|&v| width(v)).collect();
-        widths.sort_unstable_by_key(|&w| std::cmp::Reverse(w));
-        for &w in widths.iter().skip(2) {
-            inner_work = inner_work.saturating_mul(w as u128);
-        }
+    for &v in kept_r.iter().flat_map(|r| r.iter().skip(2)) {
+        inner_work = inner_work.saturating_mul(width(v) as u128);
     }
     let total_work = volume.saturating_mul(inner_work);
     if total_work > HALFSPACE_ENUM_LIMIT {
@@ -1657,19 +1561,10 @@ fn count_multi_slab(
         return Err(Error::TooComplex("counting work limit exceeded".into()));
     }
     // Variables free of E and touched by some slab get per-assignment
-    // tightened bounds; vars touched by nothing contribute a constant box
-    // factor.
+    // tightened bounds.
     let touched: Vec<usize> = (0..n)
         .filter(|&v| !in_e[v] && groups.iter().any(|g| g.dir[v] != 0))
         .collect();
-    let untouched: Vec<(Option<i128>, Option<i128>)> = (0..n)
-        .filter(|&v| !in_e[v] && groups.iter().all(|g| g.dir[v] == 0))
-        .map(|v| bounds[v])
-        .collect();
-    let factor = count_box(&untouched, None)?;
-    if factor == 0 {
-        return Ok(Some(0));
-    }
     // Per-slab E-support (coefficient per enum var) and the collapsed
     // single free variable of each non-kept slab.
     struct SlabPlan {
@@ -1788,7 +1683,12 @@ fn count_multi_slab(
                     let inner = if hi < lo {
                         0
                     } else {
-                        triples.sort_unstable_by_key(|&(l, h, _)| std::cmp::Reverse(h - l));
+                        // F(T) = #{x : e(x) <= T} via the negated
+                        // halfspace -e + T >= 0; the slab count is the
+                        // telescoping difference. Widest ranges first,
+                        // stably: positions 0 and 1 close in floor-sums,
+                        // the rest are enumerated.
+                        triples.sort_by_key(|&(l, h, _)| std::cmp::Reverse(h - l));
                         let upper = count_halfspace_rec(&triples, hi)?;
                         let lower = if lo > r_min {
                             count_halfspace_rec(&triples, lo - 1)?
@@ -1816,10 +1716,12 @@ fn count_multi_slab(
         }
         break;
     }
-    note(if kept.len() >= 2 {
+    note_fastpath(if kept.len() >= 2 {
         FastPathKind::CoupledSlab
-    } else {
+    } else if groups.len() >= 2 {
         FastPathKind::MultiSlab
+    } else {
+        FastPathKind::Slab
     });
     Ok(Some(factor.checked_mul(total).ok_or(Error::Overflow)?))
 }
@@ -1871,7 +1773,7 @@ fn count_rec_inner(
             return Ok(0);
         }
         if t.n < n_before {
-            note(FastPathKind::Window);
+            note_fastpath(FastPathKind::Window);
         }
         if t.n == 0 {
             return Ok(factor);

@@ -217,21 +217,32 @@ proptest! {
     }
 }
 
-/// Counts `text` with the cache off while a scoped [`CounterHandle`] is
-/// attached, returning the card together with the handle's per-kind
+/// Runs `f` with the cache off while a scoped [`CounterHandle`] is
+/// attached, returning its result together with the handle's per-kind
 /// dispatch stats. Unlike the process-global [`tenet_isl::fast_path_stats`],
 /// the handle only sees this thread's dispatches, so the assertions stay
 /// exact when the test harness runs other counting tests in parallel.
-fn card_with_dispatch(text: &str) -> (u128, CountStats) {
+fn with_dispatch<T>(f: impl FnOnce() -> T) -> (T, CountStats) {
     let _guard = test_lock();
     cache::set_enabled(false);
     let handle = CounterHandle::new();
-    let card = {
+    let out = {
         let _attached = handle.attach();
-        Set::parse(text).unwrap().card().unwrap()
+        f()
     };
     cache::set_enabled(true);
-    (card, handle.fast_path_stats())
+    (out, handle.fast_path_stats())
+}
+
+/// `card()` of `text` under [`with_dispatch`].
+fn card_with_dispatch(text: &str) -> (u128, CountStats) {
+    with_dispatch(|| Set::parse(text).unwrap().card().unwrap())
+}
+
+/// `is_empty()` of `text` (the limited emptiness probe) under
+/// [`with_dispatch`].
+fn empty_with_dispatch(text: &str) -> (bool, CountStats) {
+    with_dispatch(|| Set::parse(text).unwrap().is_empty().unwrap())
 }
 
 /// The k≥2 multi-slab closed form must actually be taken (not silently
@@ -255,6 +266,34 @@ fn multi_slab_fast_path_taken_and_exact() {
         let (card, stats) = card_with_dispatch(text);
         let s = Set::parse(text).unwrap();
         assert_eq!(card, count_by_points(&s, -1, 27), "{text}");
+        assert!(
+            stats.multi_slab_counts + stats.coupled_slab_counts > 0,
+            "multi-slab path not taken for {text}: {stats:?}"
+        );
+    }
+    // Boxes too wide for the brute-force window above; the counts come
+    // from a direct enumeration of each box.
+    let known: [(&str, u128); 3] = [
+        (
+            "{ A[x, y, z] : 0 <= x < 60 and 0 <= y < 60 and 0 <= z < 60 \
+             and 20 <= x + y and x + y <= 70 and 15 <= y + z and y + z <= 80 }",
+            109_459,
+        ),
+        (
+            "{ A[x, y, z] : 0 <= x < 40 and 0 <= y < 40 and 0 <= z < 40 \
+             and 10 <= x + y and x + y <= 60 and 5 <= y + z and y + z <= 70 \
+             and 0 <= x + z and x + z <= 50 }",
+            41_553,
+        ),
+        (
+            "{ A[x, y, z, w] : 0 <= x < 30 and 0 <= y < 30 and 0 <= z < 30 and 0 <= w < 30 \
+             and 10 <= x + y and x + y <= 40 and 5 <= z + w and z + w <= 45 }",
+            535_156,
+        ),
+    ];
+    for (text, expect) in known {
+        let (card, stats) = card_with_dispatch(text);
+        assert_eq!(card, expect, "{text}");
         assert!(
             stats.multi_slab_counts + stats.coupled_slab_counts > 0,
             "multi-slab path not taken for {text}: {stats:?}"
@@ -903,16 +942,8 @@ fn box_dispatch_taken() {
     // residual-box branch is exercised by feasibility probes on one-sided
     // boxes instead (unbounded vars can't be window-dropped, and limited
     // counts saturate through `count_box`).
-    let _guard = test_lock();
-    cache::set_enabled(false);
-    let handle = CounterHandle::new();
-    {
-        let _attached = handle.attach();
-        let s = Set::parse("{ A[x, y] : x >= 0 and y >= 0 }").unwrap();
-        assert!(!s.is_empty().unwrap());
-    }
-    cache::set_enabled(true);
-    let stats = handle.fast_path_stats();
+    let (empty, stats) = empty_with_dispatch("{ A[x, y] : x >= 0 and y >= 0 }");
+    assert!(!empty);
     assert!(stats.box_counts > 0, "box path not taken: {stats:?}");
 }
 
@@ -934,6 +965,18 @@ fn slab_dispatch_taken() {
     let s = Set::parse(text).unwrap();
     assert_eq!(card, count_by_points(&s, -1, 10));
     assert!(stats.slab_counts > 0, "slab path not taken: {stats:?}");
+    // Emptiness probe, ±1 coefficients: the slab expression attains every
+    // integer of its range over the box, so the probe answers from the
+    // box factor alone.
+    let (empty, stats) = empty_with_dispatch(text);
+    assert!(!empty);
+    assert!(stats.slab_counts > 0, "slab probe not taken: {stats:?}");
+    // Coefficients 2 and -3 can step over the window, so the probe must
+    // defer to the exact path. Only x = 5, y = 0 satisfies the row.
+    let wide = "{ A[x, y] : 0 <= x <= 5 and 0 <= y <= 5 and 2x - 3y >= 9 }";
+    let (empty, stats) = empty_with_dispatch(wide);
+    assert!(!empty);
+    assert_eq!(stats.slab_counts, 0, "non-unit slab probed: {stats:?}");
 }
 
 #[test]
