@@ -15,9 +15,14 @@
 //!   mapping to a small integer id. Interning makes the memo keys compact
 //!   (`(op, id, id, extra)`) and — because the table compares keys with
 //!   full structural equality, never by hash alone — collision-proof.
+//!   Operands, map-valued results and parse results all go through the
+//!   one intern table, so each map the memo holds is held once: a result
+//!   that later comes back as an operand is found interned, not copied
+//!   again.
 //! * **Memoization.** Results are stored under `(op kind, interned
-//!   operand ids, extra operand)`. Cached values are returned as clones of
-//!   the stored result.
+//!   operand ids, extra operand)`; a map-valued result is stored as its
+//!   intern entry's `Arc`. Cached values are returned as clones of the
+//!   stored result.
 //! * **Exactness.** The cache can only return a value that was computed
 //!   by the very operation being memoized on structurally identical
 //!   operands, so cached and uncached results are *bit-identical* — there
@@ -56,6 +61,10 @@ use std::time::Instant;
 const MAX_ENTRIES: usize = 1 << 17;
 
 /// Which memoized operation produced a cache entry.
+///
+/// Only operations whose repeats outweigh the bytes of their interned
+/// operands are listed. [`Map::coalesce`] is not: its in-crate callers
+/// are memoized themselves, so its lookups almost always missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum OpKind {
     /// [`Map::reverse`]
@@ -78,8 +87,6 @@ pub(crate) enum OpKind {
     Card,
     /// [`Map::is_empty`]
     Empty,
-    /// [`Map::coalesce`]
-    Coalesce,
     /// [`Map::fix_in`] / [`Map::fix_out`] (column and value in `extra`)
     Fix,
     /// [`crate::Set::max_suffix_slice_card`] (split position in `extra`)
@@ -96,22 +103,24 @@ enum CachedVal {
 #[derive(Default)]
 struct Tables {
     /// Interned maps, bucketed by a *precomputed* structural hash (see
-    /// [`map_hash`]): callers hash — and, for first-seen operands, clone —
+    /// [`map_hash`]): callers hash — and, for first-seen maps, clone —
     /// outside the global mutex, so the locked section only does bucket
     /// lookups and (rare) equality scans. Buckets hold every interned map
     /// with that hash; equality disambiguates, so collisions stay safe.
+    /// The `Arc`s here are the only copies the context holds: memo values
+    /// and parse results share them.
     ids: HashMap<u64, Vec<(Arc<Map>, u64)>>,
     /// Count of interned maps across all buckets.
     n_interned: usize,
     next_id: u64,
     /// Memo: (op, lhs id, rhs id or MAX, extra) -> result.
     memo: HashMap<(OpKind, u64, u64, i128), CachedVal>,
-    /// Parse memos: source text -> parsed map, one table per entry point
-    /// (`Map::parse` vs `Set::parse` — each accepts texts the other
-    /// rejects, so a hit must never cross them; separate tables also allow
-    /// allocation-free borrowed lookups). Parsing is deterministic, and
-    /// the generated relation texts of the analysis layer (spacetime
-    /// maps, windows) recur verbatim.
+    /// Parse memos: source text -> interned parsed map, one table per
+    /// entry point (`Map::parse` vs `Set::parse` — each accepts texts the
+    /// other rejects, so a hit must never cross them; separate tables
+    /// also allow allocation-free borrowed lookups). Parsing is
+    /// deterministic, and the generated relation texts of the analysis
+    /// layer (spacetime maps, windows) recur verbatim.
     parsed_map: HashMap<String, Arc<Map>>,
     parsed_set: HashMap<String, Arc<Map>>,
     /// Bumped whenever the tables are cleared. Stores capture the
@@ -382,7 +391,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored.
     pub entries: u64,
-    /// Distinct interned relations.
+    /// Distinct interned relations: memo operands, map-valued memo
+    /// results and parse results, each counted once.
     pub interned: u64,
 }
 
@@ -442,24 +452,25 @@ fn map_hash(m: &Map) -> u64 {
     h.finish()
 }
 
-/// Looks up the intern id of `m` in the bucket for its precomputed hash.
-/// Caller holds the lock; only (rare) same-hash equality scans run here.
-fn find_interned(t: &Tables, h: u64, m: &Map) -> Option<u64> {
-    t.ids
-        .get(&h)?
-        .iter()
-        .find(|(k, _)| **k == *m)
-        .map(|(_, id)| *id)
+/// Looks up the intern entry (shared map and id) of `m` in the bucket for
+/// its precomputed hash. Caller holds the lock; only (rare) same-hash
+/// equality scans run here.
+fn find_interned<'t>(t: &'t Tables, h: u64, m: &Map) -> Option<&'t (Arc<Map>, u64)> {
+    t.ids.get(&h)?.iter().find(|(k, _)| **k == *m)
 }
 
-/// Files an already-cloned map under its precomputed hash. Caller holds
-/// the lock and has verified the map is not yet interned.
-fn insert_interned(t: &mut Tables, h: u64, m: Arc<Map>) -> u64 {
+/// Resolves an already-cloned map to its intern entry, filing it under
+/// its precomputed hash and a fresh id when no equal map is interned yet
+/// (if one is, its `Arc` wins and `m` drops). Caller holds the lock.
+fn intern(t: &mut Tables, h: u64, m: Arc<Map>) -> (Arc<Map>, u64) {
+    if let Some((shared, id)) = find_interned(t, h, &m) {
+        return (Arc::clone(shared), *id);
+    }
     let id = t.next_id;
     t.next_id += 1;
-    t.ids.entry(h).or_default().push((m, id));
+    t.ids.entry(h).or_default().push((Arc::clone(&m), id));
     t.n_interned += 1;
-    id
+    (m, id)
 }
 
 fn evict_if_full(t: &mut Tables) {
@@ -509,9 +520,9 @@ fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
     let (a_known, b_known) = {
         let mut t = c.tables.lock().expect("isl cache poisoned");
         evict_if_full(&mut t);
-        let ia = find_interned(&t, ha, a);
+        let ia = find_interned(&t, ha, a).map(|e| e.1);
         let ib = match (b, hb) {
-            (Some(bm), Some(hb)) => find_interned(&t, hb, bm),
+            (Some(bm), Some(hb)) => find_interned(&t, hb, bm).map(|e| e.1),
             _ => Some(NO_RHS),
         };
         if let (Some(ia), Some(ib)) = (ia, ib) {
@@ -521,22 +532,24 @@ fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
     };
     // Slow phase: at least one operand is first-seen. Clone it into its
     // `Arc` *outside* the lock — for large unions the deep copy dwarfs the
-    // bucket bookkeeping — then re-resolve under the lock (another thread
-    // may have interned it meanwhile; its clone simply wins).
+    // bucket bookkeeping — then intern it under the lock (another thread
+    // may have interned it meanwhile; its clone simply wins). An operand
+    // known in the fast phase is found again, unless an eviction dropped
+    // it since, which ends the lookup.
     let arc_a = (!a_known).then(|| Arc::new(a.clone()));
     let arc_b = match (b, b_known) {
         (Some(bm), false) => Some(Arc::new(bm.clone())),
         _ => None,
     };
     let mut t = c.tables.lock().expect("isl cache poisoned");
-    let ia = match find_interned(&t, ha, a) {
-        Some(id) => id,
-        None => insert_interned(&mut t, ha, arc_a?),
+    let ia = match arc_a {
+        Some(arc) => intern(&mut t, ha, arc).1,
+        None => find_interned(&t, ha, a)?.1,
     };
     let ib = match (b, hb) {
-        (Some(bm), Some(hb)) => match find_interned(&t, hb, bm) {
-            Some(id) => id,
-            None => insert_interned(&mut t, hb, arc_b?),
+        (Some(bm), Some(hb)) => match arc_b {
+            Some(arc) => intern(&mut t, hb, arc).1,
+            None => find_interned(&t, hb, bm)?.1,
         },
         _ => NO_RHS,
     };
@@ -545,6 +558,12 @@ fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
 
 fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) {
     let c = ctx();
+    // A map value (already cloned into its `Arc` by the caller) is hashed
+    // before the lock, as `lookup` hashes operands.
+    let hash = match &val {
+        CachedVal::Map(m) => map_hash(m),
+        _ => 0, // unused
+    };
     let mut t = c.tables.lock().expect("isl cache poisoned");
     // An eviction between lookup and store invalidates the captured ids
     // (they may have been reassigned to different relations — note that
@@ -552,6 +571,12 @@ fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) {
     // dropping the write is always safe: the memo is an accelerator,
     // never a source of truth.
     if t.generation == slot.generation {
+        // A map value is stored as its intern entry, so its later use as
+        // an operand finds it interned instead of cloning it again.
+        let val = match val {
+            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, hash, m).0),
+            v => v,
+        };
         t.memo.insert((op, slot.ia, slot.ib, extra), val);
     }
 }
@@ -579,13 +604,17 @@ pub(crate) fn memo_parse(
         record(false);
     }
     let m = timed_compute(compute)?;
+    // Hash and clone outside the lock; the parsed map is stored as its
+    // intern entry. No generation check: the key is the text, not ids.
+    let (hash, fresh) = (map_hash(&m), Arc::new(m.clone()));
     let mut t = c.tables.lock().expect("isl cache poisoned");
+    let (shared, _) = intern(&mut t, hash, fresh);
     let table = if as_set {
         &mut t.parsed_set
     } else {
         &mut t.parsed_map
     };
-    table.insert(text.to_string(), Arc::new(m.clone()));
+    table.insert(text.to_string(), shared);
     Ok(m)
 }
 
@@ -661,7 +690,8 @@ pub(crate) fn memo_bool(
 
 /// Stable wire name of an [`OpKind`]; the inverse of [`op_from_name`].
 /// Snapshot files persist these strings, so renaming a variant must keep
-/// its wire name (or bump the snapshot format version).
+/// its wire name (or bump the snapshot format version), and a variant
+/// that is removed moves its name to [`RETIRED_OPS`].
 fn op_name(op: OpKind) -> &'static str {
     match op {
         OpKind::Reverse => "reverse",
@@ -674,11 +704,16 @@ fn op_name(op: OpKind) -> &'static str {
         OpKind::IntersectRange => "intersect_range",
         OpKind::Card => "card",
         OpKind::Empty => "empty",
-        OpKind::Coalesce => "coalesce",
         OpKind::Fix => "fix",
         OpKind::SliceMax => "slice_max",
     }
 }
+
+/// Wire names of operations that are no longer memoized. Snapshots
+/// written before an operation retired still carry its rows; [`import`]
+/// drops them without counting them as skipped, since an old file is not
+/// damaged by holding them.
+const RETIRED_OPS: [&str; 1] = ["coalesce"];
 
 fn op_from_name(name: &str) -> Option<OpKind> {
     Some(match name {
@@ -692,7 +727,6 @@ fn op_from_name(name: &str) -> Option<OpKind> {
         "intersect_range" => OpKind::IntersectRange,
         "card" => OpKind::Card,
         "empty" => OpKind::Empty,
-        "coalesce" => OpKind::Coalesce,
         "fix" => OpKind::Fix,
         "slice_max" => OpKind::SliceMax,
         _ => return None,
@@ -767,6 +801,8 @@ pub struct ImportReport {
     /// Memo entries restored.
     pub memo: u64,
     /// Entries dropped (unknown op name, unparseable text, table full).
+    /// Rows of a retired operation (see [`RETIRED_OPS`]) are dropped
+    /// without being counted here or in `memo`.
     pub skipped: u64,
 }
 
@@ -847,9 +883,10 @@ fn reparse(r: &RelExport) -> Option<Map> {
 }
 
 /// Imports a previously [`export`]ed image: re-parse every text and
-/// re-intern under fresh ids. Unknown ops and unparseable texts are
-/// skipped (counted), never fatal — the memo is an accelerator, not a
-/// source of truth. No-op when the cache is disabled.
+/// re-intern under fresh ids, map-valued results included. Unknown ops
+/// and unparseable texts are skipped (counted), never fatal — the memo is
+/// an accelerator, not a source of truth. Rows of retired operations are
+/// dropped uncounted. No-op when the cache is disabled.
 pub fn import(snap: &CacheExport) -> ImportReport {
     let c = ctx();
     let mut report = ImportReport::default();
@@ -879,6 +916,9 @@ pub fn import(snap: &CacheExport) -> ImportReport {
     };
     let mut ready: Vec<(OpKind, Map, Option<Map>, i128, CachedVal)> = Vec::new();
     for e in snap.memo.iter() {
+        if RETIRED_OPS.contains(&e.op.as_str()) {
+            continue;
+        }
         let prepared = op_from_name(&e.op).and_then(|op| {
             let lhs = resolve(&e.lhs)?;
             let rhs = match &e.rhs {
@@ -903,20 +943,14 @@ pub fn import(snap: &CacheExport) -> ImportReport {
             report.skipped += 1;
             continue;
         }
-        let ha = map_hash(&lhs);
-        let ia = match find_interned(&t, ha, &lhs) {
-            Some(id) => id,
-            None => insert_interned(&mut t, ha, Arc::new(lhs)),
-        };
+        let ia = intern(&mut t, map_hash(&lhs), Arc::new(lhs)).1;
         let ib = match rhs {
-            Some(r) => {
-                let hb = map_hash(&r);
-                match find_interned(&t, hb, &r) {
-                    Some(id) => id,
-                    None => insert_interned(&mut t, hb, Arc::new(r)),
-                }
-            }
+            Some(r) => intern(&mut t, map_hash(&r), Arc::new(r)).1,
             None => NO_RHS,
+        };
+        let val = match val {
+            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, map_hash(&m), m).0),
+            v => v,
         };
         t.memo.entry((op, ia, ib, extra)).or_insert(val);
         report.memo += 1;
@@ -1158,6 +1192,81 @@ mod tests {
         assert_eq!(report.parsed, 1);
         assert_eq!(report.skipped, 2, "bad text + unknown op: {report:?}");
         assert_eq!(report.memo, 0);
+    }
+
+    #[test]
+    fn memoized_results_share_the_intern_entry() {
+        let _guard = test_lock();
+        set_enabled(true);
+        clear();
+        let a = Map::parse("{ X[i] -> Y[i + 1] : 0 <= i < 13 }").unwrap();
+        let b = Map::parse("{ Y[j] -> Z[j, 2j] : 0 <= j < 20 }").unwrap();
+        let r = a.apply_range(&b).unwrap();
+        assert_eq!(r.card().unwrap(), 13);
+        let t = ctx().tables.lock().unwrap();
+        let entry = |m: &Map| find_interned(&t, map_hash(m), m).expect("interned");
+        let key = (OpKind::ApplyRange, entry(&a).1, entry(&b).1, 0);
+        let Some(CachedVal::Map(memoized)) = t.memo.get(&key) else {
+            panic!("apply_range result memoized");
+        };
+        let (interned, id) = entry(&r);
+        assert!(
+            Arc::ptr_eq(memoized, interned),
+            "the memo value and the operand entry are one allocation"
+        );
+        assert!(
+            t.memo.contains_key(&(OpKind::Card, *id, NO_RHS, 0)),
+            "card is keyed by the shared entry's id"
+        );
+    }
+
+    #[test]
+    fn coalesce_makes_no_memo_round_trip() {
+        let _guard = test_lock();
+        set_enabled(true);
+        let m = Map::parse("{ C[i] -> D[i] : 0 <= i < 4 or 4 <= i < 9 }").unwrap();
+        assert_eq!(m.basics.len(), 2, "two disjuncts to merge");
+        let handle = CounterHandle::new();
+        let merged = {
+            let _attached = handle.attach();
+            m.coalesce()
+        };
+        assert_eq!(merged.basics.len(), 1, "adjacent intervals merge");
+        assert_eq!((handle.hits(), handle.misses()), (0, 0));
+    }
+
+    #[test]
+    fn import_drops_retired_coalesce_rows_uncounted() {
+        let _guard = test_lock();
+        set_enabled(true);
+        clear();
+        let text = "{ K[i] -> L[i] : 0 <= i < 4 or 4 <= i < 9 }";
+        let rel = |text: &str| RelExport {
+            text: text.into(),
+            set: false,
+        };
+        let snap = CacheExport {
+            parsed_map: Vec::new(),
+            parsed_set: Vec::new(),
+            memo: vec![MemoExport {
+                op: "coalesce".into(),
+                lhs: rel(text),
+                rhs: None,
+                extra: 0,
+                value: ValExport::Map(rel("{ K[i] -> L[i] : 0 <= i < 9 }")),
+            }],
+        };
+        let report = import(&snap);
+        assert_eq!(report.skipped, 0, "a retired row is not a skip: {report:?}");
+        assert_eq!(report.memo, 0, "a retired row is not restored: {report:?}");
+        let lhs = Map::parse(text).unwrap();
+        let t = ctx().tables.lock().unwrap();
+        let keyed = find_interned(&t, map_hash(&lhs), &lhs)
+            .is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
+        assert!(
+            !keyed,
+            "no memo entry is keyed by the retired row's operand"
+        );
     }
 
     #[test]

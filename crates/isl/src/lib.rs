@@ -63,16 +63,18 @@
 //!   trip does — never re-allocates a string.
 //!
 //! * **A shared operation memo ([`cache`]).** `reverse`, `apply_range`,
-//!   `intersect`, `subtract`, projection, `card`, `is_empty`, `coalesce`,
-//!   and parsing consult a process-wide, thread-safe memo table keyed by
-//!   *interned* operand relations. Interning compares keys with full
-//!   structural equality (never hash alone), so a hit replays exactly the
-//!   value the uncached computation would produce — results are
-//!   bit-identical by construction, which the `tests/fastpath.rs`
-//!   property suite verifies end to end. DSE sweeps, whose candidates
-//!   share access maps and intermediate relations, amortize much of their
-//!   relational work this way (`isl.memo_hit_ratio` is 0.78 on the
-//!   benchmark's `dse_conv` sweep).
+//!   `intersect`, `subtract`, projection, `card`, `is_empty` and parsing
+//!   consult a process-wide, thread-safe memo table keyed by *interned*
+//!   operand relations. Interning compares keys with full structural
+//!   equality (never hash alone), so a hit replays exactly the value the
+//!   uncached computation would produce — results are bit-identical by
+//!   construction, which the `tests/fastpath.rs` property suite verifies
+//!   end to end. A memoized map result is filed in the same intern
+//!   table, so it shares one allocation with its later uses as an
+//!   operand. DSE sweeps, whose candidates share access maps and
+//!   intermediate relations, amortize much of their relational work this
+//!   way (`isl.memo_hit_ratio` is 0.80 on the benchmark's `dse_conv`
+//!   sweep).
 //!
 //! * **Composition by substitution.** [`Map::apply_range`] composes each
 //!   disjunct pair whose left side is an affine-function graph (no divs,
