@@ -1,71 +1,36 @@
-//! `servload` — closed-loop load generator for the analysis service,
-//! single-process or sharded.
+//! `servload` — closed-loop load generator for a running analysis
+//! service, single-process or sharded.
 //!
-//! N client threads each hold one keep-alive connection and drive a
-//! fixed request mix (several `analyze` variants, a `dse` sweep, and
-//! periodic `stats` probes) as fast as the target answers. Latency is
-//! recorded per request; dedup effectiveness comes from the target's own
-//! `/v1/stats` deltas — for a router target, the merged cluster document
-//! plus the per-shard hit distribution. Results are written as
-//! `BENCH_server.json` at the repo root — a committed artifact tracked
-//! across PRs, like the other `BENCH_*.json` files.
-//!
-//! Modes:
-//!
-//! * **Self-hosted** (no target argument): spins up an in-process
-//!   `tenet_server::Server` on an ephemeral port, loads it, then drains
-//!   it — the reproducible configuration the committed artifact uses.
-//!   The drain writes a warm-state snapshot, and a second phase
-//!   (`restart_replay`) boots a fresh process from that file and replays
-//!   the identical mix: a restored shard must answer its old keys warm,
-//!   so the phase's p50 should sit in the single phase's warm regime
-//!   (recorded as `vs_single_p50`) and the restored process must serve
-//!   the whole replay without a single cold recompute
-//!   (`restored_cold_misses`).
-//!   With `--router`, two more phases boot a `tenet_router::Router` and
-//!   load it identically — once over two HTTP workers (`router_http`)
-//!   and once over two in-process cores behind the local transport
-//!   (`router_local`) — so the artifact records the single-process
-//!   baseline and both sharded transports side by side, including each
-//!   router phase's throughput as a fraction of the single baseline.
-//! * **External** (`servload http://127.0.0.1:8091 ...`): targets an
-//!   already-running `tenet serve` — or, with `--router`, a running
-//!   `tenet route` (the CI cluster-smoke step).
+//! `servload http://HOST:PORT` targets an already-running `tenet serve`,
+//! or with `--router` a running `tenet route`. N client threads each hold
+//! one keep-alive connection and drive a fixed request mix (several
+//! `analyze` variants, a `dse` sweep, and periodic `stats` probes) as
+//! fast as the target answers. Latency is recorded per request; dedup
+//! effectiveness comes from the target's own `/v1/stats` deltas — for a
+//! router target, the merged cluster document plus the per-shard hit
+//! distribution. The summary is printed as one line; `--out FILE` also
+//! writes it as JSON. Timing claims come from `tenetbench/run.py`, not
+//! from this tool.
 //!
 //! `--smoke` asserts zero 5xx responses and a nonzero success count —
-//! plus, in router mode, that more than one shard carried traffic and
+//! plus, with `--router`, that more than one shard carried traffic and
 //! that every loaded shard served warm dedup hits — exiting nonzero
-//! otherwise (and skips the artifact unless `--out` is given).
-//!
-//! Robustness knobs: `--deadline-ms N` stamps every data-path request
-//! with `X-Tenet-Deadline-Ms: N`, and `--fault-plan key=value[,...]`
-//! (repeatable, self-hosted `--router` only) wraps worker transports in
-//! seeded [`FaultTransport`]s — the chaos-smoke configuration. Each
-//! phase records its `failures` (deadline-clipped 504s, admission 429s,
-//! explicitly degraded partials) alongside the status classes; 504s are
-//! deliberately not 5xx for the smoke gate, since an honored deadline is
-//! the contract working.
+//! otherwise. CI runs it against every tier it boots.
 //!
 //! `--trace` additionally harvests each response's
 //! `X-Tenet-Server-Timing` header and records the per-phase latency
 //! breakdown (queue, parse, dedup, compute, isl, serialize, …) as a
-//! `phases` object in the artifact — mean microseconds and sample count
+//! `phases` object in the report — mean microseconds and sample count
 //! per phase, the attribution view next to the end-to-end quantiles.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tenet_core::json::Json;
-use tenet_router::{
-    FaultPlan, FaultTransport, HttpTransport, LocalTransport, Router, RouterConfig, Transport,
-    WorkerSpec,
-};
 use tenet_server::dedup::DedupStats;
 use tenet_server::http::{Headers, ResponseReader};
 use tenet_server::stats::WorkerMetrics;
-use tenet_server::{Server, ServerConfig, WorkerCore};
 
 /// The gemm problem text the analyze variants are built from.
 fn gemm_problem(n: usize, bandwidth: usize) -> String {
@@ -120,28 +85,24 @@ fn workload() -> Vec<Shot> {
 }
 
 struct Cli {
-    target: Option<String>,
+    target: String,
     threads: usize,
     requests: usize,
     out: Option<String>,
     smoke: bool,
     router: bool,
     trace: bool,
-    deadline_ms: Option<u64>,
-    fault_plans: Vec<FaultPlan>,
 }
 
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
-        target: None,
+        target: String::new(),
         threads: 4,
         requests: 250,
         out: None,
         smoke: false,
         router: false,
         trace: false,
-        deadline_ms: None,
-        fault_plans: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -164,47 +125,16 @@ fn parse_cli() -> Result<Cli, String> {
             "--smoke" => cli.smoke = true,
             "--router" => cli.router = true,
             "--trace" => cli.trace = true,
-            "--deadline-ms" => {
-                cli.deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--deadline-ms needs a positive integer")?,
-                )
-            }
-            "--fault-plan" => {
-                let spec = args.next().ok_or("--fault-plan needs key=value[,...]")?;
-                cli.fault_plans.push(FaultPlan::parse(&spec)?);
-            }
-            other if !other.starts_with("--") && cli.target.is_none() => {
-                cli.target = Some(other.to_string())
+            other if !other.starts_with("--") && cli.target.is_empty() => {
+                cli.target = normalize_addr(other)
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if !cli.fault_plans.is_empty() && cli.target.is_some() {
-        return Err(
-            "--fault-plan wraps self-hosted worker transports; it cannot reach an external target"
-                .into(),
-        );
-    }
-    if !cli.fault_plans.is_empty() && !cli.router {
-        return Err(
-            "--fault-plan needs --router (faults are injected at the router's transports)".into(),
-        );
+    if cli.target.is_empty() {
+        return Err("a target address is required".into());
     }
     Ok(cli)
-}
-
-/// Wraps worker `i`'s transport in every fault plan that targets it
-/// (`worker=N` scoping, `None` = all workers). Wrapping composes.
-fn wrap_faults(mut inner: Box<dyn Transport>, i: usize, plans: &[FaultPlan]) -> Box<dyn Transport> {
-    for plan in plans {
-        if plan.only_worker.is_none_or(|w| w == i) {
-            inner = Box::new(FaultTransport::new(inner, plan.clone()));
-        }
-    }
-    inner
 }
 
 /// Normalizes `http://host:port/` or `host:port` to `host:port`.
@@ -216,15 +146,12 @@ fn normalize_addr(target: &str) -> String {
 }
 
 /// Sends one request on an open connection and reads the response.
-/// `deadline_ms` rides along as `X-Tenet-Deadline-Ms` on data-path
-/// shots (analyze/dse); operator probes are never deadlined.
 fn send(
     stream: &mut TcpStream,
     reader: &mut ResponseReader<TcpStream>,
     shot: &Shot,
-    deadline_ms: Option<u64>,
 ) -> std::io::Result<(u16, Vec<u8>)> {
-    write_shot(stream, shot, deadline_ms, None)?;
+    write_shot(stream, shot, None)?;
     reader.next_response()
 }
 
@@ -235,30 +162,22 @@ fn send_traced(
     stream: &mut TcpStream,
     reader: &mut ResponseReader<TcpStream>,
     shot: &Shot,
-    deadline_ms: Option<u64>,
     trace_id: u64,
 ) -> std::io::Result<(u16, Headers, Vec<u8>)> {
-    write_shot(stream, shot, deadline_ms, Some(trace_id))?;
+    write_shot(stream, shot, Some(trace_id))?;
     reader.next_response_with_headers()
 }
 
-fn write_shot(
-    stream: &mut TcpStream,
-    shot: &Shot,
-    deadline_ms: Option<u64>,
-    trace_id: Option<u64>,
-) -> std::io::Result<()> {
+/// Writes one request; a trace id rides along as `X-Tenet-Trace-Id` on
+/// data-path shots (analyze/dse) only.
+fn write_shot(stream: &mut TcpStream, shot: &Shot, trace_id: Option<u64>) -> std::io::Result<()> {
     let data_path = shot.path == "/v1/analyze" || shot.path == "/v1/dse";
-    let deadline = match deadline_ms {
-        Some(ms) if data_path => format!("X-Tenet-Deadline-Ms: {ms}\r\n"),
-        _ => String::new(),
-    };
     let trace = match trace_id {
         Some(id) if data_path => format!("X-Tenet-Trace-Id: {id:x}\r\n"),
         _ => String::new(),
     };
     let head = format!(
-        "{} {} HTTP/1.1\r\nHost: servload\r\nContent-Type: application/json\r\n{deadline}{trace}Content-Length: {}\r\n\r\n",
+        "{} {} HTTP/1.1\r\nHost: servload\r\nContent-Type: application/json\r\n{trace}Content-Length: {}\r\n\r\n",
         shot.method,
         shot.path,
         shot.body.len()
@@ -304,7 +223,7 @@ fn fetch_stats(addr: &str) -> Option<Json> {
         path: "/v1/stats",
         body: String::new(),
     };
-    let (status, body) = send(&mut s, &mut r, &shot, None).ok()?;
+    let (status, body) = send(&mut s, &mut r, &shot).ok()?;
     if status != 200 {
         return None;
     }
@@ -313,15 +232,7 @@ fn fetch_stats(addr: &str) -> Option<Json> {
 
 struct ThreadResult {
     latencies_us: Vec<u64>,
-    by_class: [u64; 4], // 2xx, 4xx, 5xx/other, 504-deadline
-    /// 504s: requests the deadline clipped entirely. Deliberately not a
-    /// 5xx for smoke purposes — an honored deadline is the contract
-    /// working, not the service failing.
-    deadline_exceeded: u64,
-    /// 429s: requests the router's admission control shed.
-    rejected_429: u64,
-    /// 200s whose body was an explicit partial (`"truncated":true`).
-    degraded: u64,
+    by_class: [u64; 3], // 2xx, 4xx, 5xx/other
     /// Per-phase `(total_ms, samples)` from `X-Tenet-Server-Timing`
     /// headers; empty unless the run collects them (`--trace`).
     phase_ms: BTreeMap<String, (f64, u64)>,
@@ -332,15 +243,11 @@ fn client_loop(
     shots: &[Shot],
     requests: usize,
     seed: usize,
-    deadline_ms: Option<u64>,
     trace: bool,
 ) -> ThreadResult {
     let mut result = ThreadResult {
         latencies_us: Vec::with_capacity(requests),
-        by_class: [0; 4],
-        deadline_exceeded: 0,
-        rejected_429: 0,
-        degraded: 0,
+        by_class: [0; 3],
         phase_ms: BTreeMap::new(),
     };
     let stats_probe = Shot {
@@ -369,43 +276,25 @@ fn client_loop(
             // A unique nonzero id per request (thread in the high bits);
             // the server only records spans for requests that carry one.
             let trace_id = ((seed as u64 + 1) << 32) | i as u64;
-            send_traced(&mut stream, &mut reader, shot, deadline_ms, trace_id).map(
-                |(status, headers, body)| {
-                    for (name, value) in &headers {
-                        if name == "x-tenet-server-timing" {
-                            accumulate_server_timing(value, &mut result.phase_ms);
-                        }
+            send_traced(&mut stream, &mut reader, shot, trace_id).map(|(status, headers, body)| {
+                for (name, value) in &headers {
+                    if name == "x-tenet-server-timing" {
+                        accumulate_server_timing(value, &mut result.phase_ms);
                     }
-                    (status, body)
-                },
-            )
+                }
+                (status, body)
+            })
         } else {
-            send(&mut stream, &mut reader, shot, deadline_ms)
+            send(&mut stream, &mut reader, shot)
         };
         match outcome {
-            Ok((status, body)) => {
+            Ok((status, _body)) => {
                 result
                     .latencies_us
                     .push(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
                 let class = match status {
-                    200..=299 => {
-                        if body
-                            .windows(b"\"truncated\":true".len())
-                            .any(|w| w == b"\"truncated\":true")
-                        {
-                            result.degraded += 1;
-                        }
-                        0
-                    }
-                    429 => {
-                        result.rejected_429 += 1;
-                        1
-                    }
+                    200..=299 => 0,
                     400..=499 => 1,
-                    504 => {
-                        result.deadline_exceeded += 1;
-                        3
-                    }
                     _ => 2,
                 };
                 result.by_class[class] += 1;
@@ -475,9 +364,9 @@ fn shard_counts(stats: &Json) -> Option<Vec<ShardRow>> {
     )
 }
 
-/// Everything one measured phase produced: the artifact fragment plus
-/// the numbers the smoke gate checks.
-struct Phase {
+/// What one run produced: the report plus the numbers the smoke gate
+/// checks.
+struct Run {
     report: Json,
     n_2xx: u64,
     n_5xx: u64,
@@ -485,18 +374,17 @@ struct Phase {
     shards_without_warm_hits: usize,
 }
 
-/// Warm-up, measure, and summarize one target. `label` names the phase
-/// in the artifact and the log line.
-fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
+/// Warm-up, measure, and summarize the target.
+fn run(cli: &Cli) -> Run {
+    let addr = cli.target.as_str();
     let shots = workload();
-    // Warm-up: every distinct request once, so the measured phase sees
-    // the steady state (dedup LRU and ISL memo populated) — the regime a
-    // long-running service lives in. Never deadlined: a clipped warm-up
-    // would leave caches cold and the measured phase unrepresentative.
+    // Warm-up: every distinct request once, so the measured run sees the
+    // steady state (dedup LRU and ISL memo populated) — the regime a
+    // long-running service lives in.
     {
         let (mut s, mut r) = connect(addr).expect("warm-up connect");
         for shot in &shots {
-            let (status, body) = send(&mut s, &mut r, shot, None).expect("warm-up request");
+            let (status, body) = send(&mut s, &mut r, shot).expect("warm-up request");
             assert!(
                 status < 500,
                 "warm-up {} failed ({status}): {}",
@@ -511,18 +399,8 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
     let results: Vec<ThreadResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cli.threads)
             .map(|t| {
-                let addr = addr.to_string();
                 let shots = &shots;
-                scope.spawn(move || {
-                    client_loop(
-                        &addr,
-                        shots,
-                        cli.requests,
-                        t * 3,
-                        cli.deadline_ms,
-                        cli.trace,
-                    )
-                })
+                scope.spawn(move || client_loop(addr, shots, cli.requests, t * 3, cli.trace))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -535,22 +413,14 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
         .flat_map(|r| r.latencies_us.iter().copied())
         .collect();
     latencies.sort_unstable();
-    let (n_2xx, n_4xx, n_5xx, n_504) = results.iter().fold((0, 0, 0, 0), |acc, r| {
-        (
-            acc.0 + r.by_class[0],
-            acc.1 + r.by_class[1],
-            acc.2 + r.by_class[2],
-            acc.3 + r.by_class[3],
-        )
+    let [n_2xx, n_4xx, n_5xx] = results.iter().fold([0; 3], |acc, r| {
+        [
+            acc[0] + r.by_class[0],
+            acc[1] + r.by_class[1],
+            acc[2] + r.by_class[2],
+        ]
     });
-    let (deadline_exceeded, rejected_429, degraded) = results.iter().fold((0, 0, 0), |acc, r| {
-        (
-            acc.0 + r.deadline_exceeded,
-            acc.1 + r.rejected_429,
-            acc.2 + r.degraded,
-        )
-    });
-    let total = n_2xx + n_4xx + n_5xx + n_504;
+    let total = n_2xx + n_4xx + n_5xx;
     let throughput = total as f64 / wall.as_secs_f64();
     if before.is_none() || after.is_none() {
         eprintln!("servload: warning: a /v1/stats probe failed; dedup deltas are unreliable");
@@ -570,14 +440,10 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
     };
 
     let mut fields = vec![
+        ("bench".to_string(), Json::from("servload")),
         (
             "mode".to_string(),
-            Json::from(match (cli.target.is_some(), router_mode) {
-                (false, false) => "self-hosted",
-                (false, true) => "self-hosted-router",
-                (true, false) => "external",
-                (true, true) => "external-router",
-            }),
+            Json::from(if cli.router { "router" } else { "single" }),
         ),
         ("threads".to_string(), Json::from(cli.threads)),
         ("requests".to_string(), Json::from(total)),
@@ -594,15 +460,6 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
                 ("s2xx", Json::from(n_2xx)),
                 ("s4xx", Json::from(n_4xx)),
                 ("s5xx", Json::from(n_5xx)),
-                ("s504", Json::from(n_504)),
-            ]),
-        ),
-        (
-            "failures".to_string(),
-            Json::obj([
-                ("deadline_exceeded", Json::from(deadline_exceeded)),
-                ("rejected_429", Json::from(rejected_429)),
-                ("degraded", Json::from(degraded)),
             ]),
         ),
         (
@@ -621,7 +478,7 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
     // loaded shard served its repeats from its own dedup layer.
     let mut shards_loaded = 0;
     let mut shards_without_warm_hits = 0;
-    if router_mode {
+    if cli.router {
         let b = before.as_ref().and_then(shard_counts).unwrap_or_default();
         let a = after.as_ref().and_then(shard_counts).unwrap_or_default();
         let mut rows = Vec::new();
@@ -653,8 +510,8 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
     }
     // With --trace, fold every thread's Server-Timing samples into a
     // per-phase mean: where a request's time actually went
-    // (queue / parse / dedup / compute / isl / serialize at the worker;
-    // queue / upstream / backoff / router at the router tier).
+    // (queue / parse / dedup / compute / isl / serialize / worker at the
+    // worker; queue / upstream / backoff / router at the router tier).
     if cli.trace {
         let mut acc: BTreeMap<String, (f64, u64)> = BTreeMap::new();
         for r in &results {
@@ -689,15 +546,14 @@ fn run_phase(label: &str, addr: &str, cli: &Cli, router_mode: bool) -> Phase {
     ));
 
     println!(
-        "servload[{label}]: {total} requests in {:.1} ms -> {throughput:.0} req/s \
-         (p50 {} us, p99 {} us, 5xx {n_5xx}, deadline {deadline_exceeded}, \
-         429 {rejected_429}, degraded {degraded}, dedup hit rate {dedup_rate:.4})",
+        "servload: {total} requests in {:.1} ms -> {throughput:.0} req/s \
+         (p50 {} us, p99 {} us, 5xx {n_5xx}, dedup hit rate {dedup_rate:.4})",
         wall.as_secs_f64() * 1e3,
         quantile(&latencies, 0.50),
         quantile(&latencies, 0.99),
     );
 
-    Phase {
+    Run {
         report: Json::Obj(fields),
         n_2xx,
         n_5xx,
@@ -712,245 +568,18 @@ fn main() {
         Err(e) => {
             eprintln!("servload: {e}");
             eprintln!(
-                "usage: servload [http://HOST:PORT] [--router] [--trace] [--threads N] \
-                 [--requests N-per-thread] [--deadline-ms MS] \
-                 [--fault-plan key=value[,...]] [--out FILE] [--smoke]"
+                "usage: servload http://HOST:PORT [--router] [--trace] [--threads N] \
+                 [--requests N-per-thread] [--out FILE] [--smoke]"
             );
             std::process::exit(1);
         }
     };
+    let run = run(&cli);
 
-    let mut phases: Vec<(&str, Phase)> = Vec::new();
-    match &cli.target {
-        // External: one phase against the given server or router.
-        Some(t) => {
-            let label = if cli.router { "router" } else { "single" };
-            phases.push((
-                label,
-                run_phase(label, &normalize_addr(t), &cli, cli.router),
-            ));
-        }
-        // Self-hosted: the single-process baseline (which snapshots its
-        // warm state on drain), a restart-replay phase restored from
-        // that snapshot, then (with --router) the sharded tier over two
-        // workers — same workload, same box.
-        None => {
-            let snap_path =
-                std::env::temp_dir().join(format!("servload-snap-{}.snap", std::process::id()));
-            let _ = std::fs::remove_file(&snap_path);
-            let server = Server::bind(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 4,
-                snapshot_file: Some(snap_path.clone()),
-                ..Default::default()
-            })
-            .expect("bind ephemeral server");
-            let addr = server.local_addr().to_string();
-            let handle = server.handle();
-            let join = std::thread::spawn(move || server.run());
-            phases.push(("single", run_phase("single", &addr, &cli, false)));
-            handle.shutdown();
-            let _ = join.join();
-
-            // Restart-replay: a fresh process restored from the drained
-            // server's snapshot answers the same mix. Everything it
-            // serves — warm-up included — must come out of the restored
-            // dedup cache, never be recomputed.
-            let restored = Server::bind(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: 4,
-                snapshot_file: Some(snap_path.clone()),
-                ..Default::default()
-            })
-            .expect("bind restored server");
-            let addr = restored.local_addr().to_string();
-            let handle = restored.handle();
-            let join = std::thread::spawn(move || restored.run());
-            phases.push((
-                "restart_replay",
-                run_phase("restart_replay", &addr, &cli, false),
-            ));
-            let restored_cold = fetch_stats(&addr)
-                .and_then(|s| WorkerMetrics::decode(&s))
-                .map_or(u64::MAX, |m| m.dedup.misses);
-            if let Some((_, phase)) = phases.last_mut() {
-                if let Json::Obj(fields) = &mut phase.report {
-                    fields.push((
-                        "restored_cold_misses".to_string(),
-                        Json::from(restored_cold),
-                    ));
-                }
-            }
-            handle.shutdown();
-            let _ = join.join();
-            let _ = std::fs::remove_file(&snap_path);
-
-            if cli.router {
-                let router_config = RouterConfig {
-                    addr: "127.0.0.1:0".into(),
-                    threads: 4,
-                    ..Default::default()
-                };
-                // The worker parks a thread per keep-alive connection, so
-                // it needs headroom over the router's connection-pool
-                // bound (probes and stats fan-outs must never queue
-                // behind parked proxy sockets).
-                let worker_threads = router_config.upstream_connections + 2;
-                let workers: Vec<_> = (0..2)
-                    .map(|_| {
-                        Server::spawn(ServerConfig {
-                            addr: "127.0.0.1:0".into(),
-                            threads: worker_threads,
-                            ..Default::default()
-                        })
-                        .expect("spawn worker")
-                    })
-                    .collect();
-                let router = if cli.fault_plans.is_empty() {
-                    Router::spawn(RouterConfig {
-                        workers: workers.iter().map(|w| w.addr().to_string()).collect(),
-                        ..router_config.clone()
-                    })
-                    .expect("spawn router")
-                } else {
-                    // Fault plans wrap each worker's HTTP transport, so
-                    // the chaos applies to the real pooled wire path.
-                    let specs = workers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, w)| {
-                            let http = Box::new(HttpTransport::new(
-                                w.addr(),
-                                router_config.upstream_connections,
-                            ));
-                            WorkerSpec::Custom(wrap_faults(http, i, &cli.fault_plans))
-                        })
-                        .collect();
-                    Router::spawn_with_workers(router_config.clone(), specs)
-                        .expect("spawn faulted router")
-                };
-                let addr = router.addr().to_string();
-                phases.push(("router_http", run_phase("router_http", &addr, &cli, true)));
-                let _ = router.shutdown_and_join();
-                for w in workers {
-                    let _ = w.shutdown_and_join();
-                }
-
-                // The same sharded tier with zero worker sockets: two
-                // in-process cores behind direct dispatch — the transport
-                // that collapses the loopback tax.
-                let cores: Vec<Arc<WorkerCore>> = (0..2)
-                    .map(|_| {
-                        WorkerCore::new(ServerConfig {
-                            addr: "in-process".into(),
-                            ..Default::default()
-                        })
-                    })
-                    .collect();
-                let specs = cores
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        if cli.fault_plans.is_empty() {
-                            WorkerSpec::Local(Arc::clone(c))
-                        } else {
-                            let local = Box::new(LocalTransport::new(Arc::clone(c)));
-                            WorkerSpec::Custom(wrap_faults(local, i, &cli.fault_plans))
-                        }
-                    })
-                    .collect();
-                let router =
-                    Router::spawn_with_workers(router_config, specs).expect("spawn local router");
-                let addr = router.addr().to_string();
-                phases.push(("router_local", run_phase("router_local", &addr, &cli, true)));
-                let _ = router.shutdown_and_join();
-            }
-        }
-    }
-
-    // With a single-process baseline in the run, record each router
-    // phase's throughput as a fraction of it — the loopback-tax number
-    // the local transport exists to fix.
-    if let Some(single_rps) = phases
-        .iter()
-        .find(|(label, _)| *label == "single")
-        .and_then(|(_, p)| p.report.get("throughput_rps"))
-        .and_then(Json::as_f64)
-        .filter(|&r| r > 0.0)
-    {
-        for (label, phase) in phases.iter_mut() {
-            if !label.starts_with("router") {
-                continue;
-            }
-            let rps = phase
-                .report
-                .get("throughput_rps")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            if let Json::Obj(fields) = &mut phase.report {
-                fields.push((
-                    "vs_single_throughput".to_string(),
-                    Json::from(((rps / single_rps) * 1e4).round() / 1e4),
-                ));
-            }
-        }
-    }
-    // The restart-replay phase records its p50 relative to the
-    // steady-state warm baseline: a restored process should sit in the
-    // same warm regime, not pay a cold-start tax per request.
-    if let Some(single_p50) = phases
-        .iter()
-        .find(|(label, _)| *label == "single")
-        .and_then(|(_, p)| p.report.get("p50_us"))
-        .and_then(Json::as_f64)
-        .filter(|&r| r > 0.0)
-    {
-        if let Some((_, phase)) = phases
-            .iter_mut()
-            .find(|(label, _)| *label == "restart_replay")
-        {
-            let p50 = phase
-                .report
-                .get("p50_us")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            if let Json::Obj(fields) = &mut phase.report {
-                fields.push((
-                    "vs_single_p50".to_string(),
-                    Json::from(((p50 / single_p50) * 1e4).round() / 1e4),
-                ));
-            }
-        }
-    }
-
-    // One phase → the phase's flat document (the committed single-process
-    // schema); two phases → one section per phase, side by side.
-    let report = if phases.len() == 1 {
-        let mut fields = vec![("bench".to_string(), Json::from("servload"))];
-        if let Json::Obj(pairs) = &phases[0].1.report {
-            fields.extend(pairs.clone());
-        }
-        Json::Obj(fields)
-    } else {
-        let mut fields = vec![("bench".to_string(), Json::from("servload"))];
-        for (label, phase) in &phases {
-            fields.push((label.to_string(), phase.report.clone()));
-        }
-        Json::Obj(fields)
-    };
-
-    let out_path = cli.out.clone().or_else(|| {
-        if cli.smoke {
-            None // a smoke run against a foreign server is not an artifact
-        } else {
-            let dir = std::env::var("PERFBENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
-            Some(format!("{dir}/BENCH_server.json"))
-        }
-    });
-    if let Some(path) = out_path {
-        // Pretty-print the top level for diff-friendly commits.
+    if let Some(path) = &cli.out {
+        // Pretty-print the top level for diff-friendly reading.
         let mut text = String::from("{\n");
-        if let Json::Obj(pairs) = &report {
+        if let Json::Obj(pairs) = &run.report {
             for (i, (k, v)) in pairs.iter().enumerate() {
                 text.push_str(&format!(
                     "  {}: {v}{}\n",
@@ -960,75 +589,39 @@ fn main() {
             }
         }
         text.push_str("}\n");
-        std::fs::write(&path, text).expect("write artifact");
+        std::fs::write(path, text).expect("write report");
         println!("servload: wrote {path}");
     }
 
     if cli.smoke {
         let mut failed = false;
-        for (label, phase) in &phases {
-            if phase.n_5xx > 0 || phase.n_2xx == 0 {
-                eprintln!(
-                    "servload: SMOKE FAILED [{label}] (2xx {}, 5xx {})",
-                    phase.n_2xx, phase.n_5xx
-                );
-                failed = true;
-            }
+        if run.n_5xx > 0 || run.n_2xx == 0 {
+            eprintln!(
+                "servload: SMOKE FAILED (2xx {}, 5xx {})",
+                run.n_2xx, run.n_5xx
+            );
+            failed = true;
         }
-        // Router smoke: in every router phase (HTTP and local alike),
-        // the hash must actually shard (more than one worker loaded) and
-        // every loaded shard must have served warm dedup hits — the
-        // property the sharded tier exists for. Under a fault plan the
-        // spread gates don't hold by design: a flapping worker is off
-        // the ring for much of the run, concentrating keys on the
-        // survivors and recomputing them cold after each revival. The
-        // chaos gate is the zero-5xx assertion above.
-        let sharding_gates = cli.fault_plans.is_empty();
-        for (label, phase) in phases
-            .iter()
-            .filter(|(l, _)| sharding_gates && l.starts_with("router"))
-        {
-            if phase.shards_loaded < 2 {
-                eprintln!(
-                    "servload: SMOKE FAILED [{label}] only {} shard(s) carried traffic",
-                    phase.shards_loaded
-                );
-                failed = true;
-            }
-            if phase.shards_without_warm_hits > 0 {
-                eprintln!(
-                    "servload: SMOKE FAILED [{label}] {} loaded shard(s) served no dedup hits",
-                    phase.shards_without_warm_hits
-                );
-                failed = true;
-            }
+        // Router smoke: the hash must actually shard (more than one
+        // worker loaded) and every loaded shard must have served warm
+        // dedup hits — the property the sharded tier exists for.
+        if cli.router && run.shards_loaded < 2 {
+            eprintln!(
+                "servload: SMOKE FAILED only {} shard(s) carried traffic",
+                run.shards_loaded
+            );
+            failed = true;
         }
-        // Restart smoke: a restored process must replay its old keys
-        // without recomputing a single one. Only gated on clean runs —
-        // under a deadline or a fault plan, clipped requests can leave
-        // leader claims uncounted either way.
-        if cli.deadline_ms.is_none() && cli.fault_plans.is_empty() {
-            for (label, phase) in phases.iter().filter(|(l, _)| *l == "restart_replay") {
-                let cold = phase
-                    .report
-                    .get("restored_cold_misses")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(u64::MAX);
-                if cold != 0 {
-                    eprintln!(
-                        "servload: SMOKE FAILED [{label}] restored process recomputed \
-                         {cold} request(s) cold"
-                    );
-                    failed = true;
-                }
-            }
+        if cli.router && run.shards_without_warm_hits > 0 {
+            eprintln!(
+                "servload: SMOKE FAILED {} loaded shard(s) served no dedup hits",
+                run.shards_without_warm_hits
+            );
+            failed = true;
         }
         if failed {
             std::process::exit(2);
         }
-        println!(
-            "servload: smoke ok (zero 5xx across {} phase(s))",
-            phases.len()
-        );
+        println!("servload: smoke ok (zero 5xx)");
     }
 }

@@ -24,10 +24,11 @@
 //!   `/metrics` endpoints.
 //!
 //! Spans are either **phases** — disjoint intervals whose durations sum
-//! to (approximately) the record's total, the contract behind the
-//! `X-Tenet-Server-Timing` response header — or informational **events**
-//! (retries, breaker trips, DSE chunk progress) that annotate the
-//! timeline without participating in the sum.
+//! to the record's total, the contract behind the
+//! `X-Tenet-Server-Timing` response header ([`TraceStore::finish`] adds
+//! the tier's unattributed time as its own phase) — or informational
+//! **events** (retries, breaker trips, DSE chunk progress) that annotate
+//! the timeline without participating in the sum.
 
 use crate::json::Json;
 use std::cell::RefCell;
@@ -101,7 +102,7 @@ pub struct Span {
     pub dur_us: u64,
     /// Free-form annotation (`leader`, `hits=3 misses=1`, …); may be empty.
     pub detail: String,
-    /// Phases are disjoint and sum to ≈ the record total (the
+    /// Phases are disjoint and sum to the record total (the
     /// `Server-Timing` contract); events are informational only.
     pub phase: bool,
 }
@@ -222,11 +223,6 @@ pub fn is_active() -> bool {
 }
 
 impl TraceScope {
-    /// When this scope began.
-    pub fn start(&self) -> Instant {
-        self.start
-    }
-
     /// Ends the scope, returning the collected spans.
     pub fn finish(mut self) -> Vec<Span> {
         self.finished = true;
@@ -267,7 +263,7 @@ pub fn add_info_span(name: &str, start: Instant, dur: Duration, detail: impl Int
 
 /// Edge timings measured before a tier's trace scope exists — the
 /// connection-queue wait and the request-parse time — recorded as the
-/// timeline's leading phases by [`EdgeTimings::prepend_to`].
+/// timeline's leading phases by [`TraceStore::finish`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EdgeTimings {
     /// Microseconds the connection waited in the accept queue before a
@@ -275,35 +271,6 @@ pub struct EdgeTimings {
     pub queue_us: u64,
     /// Microseconds spent reading and parsing the request head + body.
     pub parse_us: u64,
-}
-
-impl EdgeTimings {
-    /// Places a finished scope's spans after the edge phases, which
-    /// happened before the scope began: shifts every span right by the
-    /// edge time and prepends the non-zero `queue` and `parse` phases.
-    /// Returns the edge time, which belongs in the record's total.
-    pub fn prepend_to(&self, spans: &mut Vec<Span>) -> u64 {
-        let off = self.queue_us + self.parse_us;
-        if off > 0 {
-            for s in spans.iter_mut() {
-                s.start_us += off;
-            }
-            let phase = |name: &str, start_us, dur_us| Span {
-                name: name.to_string(),
-                start_us,
-                dur_us,
-                detail: String::new(),
-                phase: true,
-            };
-            if self.parse_us > 0 {
-                spans.insert(0, phase("parse", self.queue_us, self.parse_us));
-            }
-            if self.queue_us > 0 {
-                spans.insert(0, phase("queue", 0, self.queue_us));
-            }
-        }
-        off
-    }
 }
 
 fn push_span(name: &str, start: Option<Instant>, dur: Duration, detail: String, phase: bool) {
@@ -421,6 +388,58 @@ impl TraceStore {
             }
         }
         rec
+    }
+
+    /// Ends a tier's trace `scope` and stores its record of one request
+    /// (the one record builder both tiers use). The non-zero `edge`
+    /// phases lead the timeline, since they happened before the scope
+    /// began. Handling time the scope's phases do not cover is the
+    /// tier's own work (routing, counting, framing) and becomes a
+    /// residual phase named after the `tier`. Unless spans overlap, the
+    /// phases therefore sum to the total by construction.
+    pub fn finish(
+        &self,
+        scope: TraceScope,
+        tier: &'static str,
+        id: u64,
+        endpoint: String,
+        status: u16,
+        edge: EdgeTimings,
+    ) -> std::sync::Arc<TraceRecord> {
+        let handled_us = scope.start.elapsed().as_micros() as u64;
+        let scoped = scope.finish();
+        let attributed: u64 = scoped.iter().filter(|s| s.phase).map(|s| s.dur_us).sum();
+        let residual = handled_us.saturating_sub(attributed);
+        let off = edge.queue_us + edge.parse_us;
+        let phase = |name: &str, start_us, dur_us| Span {
+            name: name.to_string(),
+            start_us,
+            dur_us,
+            detail: String::new(),
+            phase: true,
+        };
+        let mut spans: Vec<Span> = [
+            phase("queue", 0, edge.queue_us),
+            phase("parse", edge.queue_us, edge.parse_us),
+        ]
+        .into_iter()
+        .filter(|s| s.dur_us > 0)
+        .collect();
+        spans.extend(scoped.into_iter().map(|s| Span {
+            start_us: s.start_us + off,
+            ..s
+        }));
+        if residual > 0 {
+            spans.push(phase(tier, off, residual));
+        }
+        self.record(TraceRecord {
+            id,
+            tier,
+            endpoint,
+            status,
+            total_us: off + handled_us,
+            spans,
+        })
     }
 
     /// Looks an id up in both rings.
@@ -652,6 +671,46 @@ mod tests {
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].id, 1);
         assert!(store.slow(Some(10_000)).is_empty());
+    }
+
+    #[test]
+    fn finish_adds_the_tier_residual_after_the_edge_phases() {
+        let store = TraceStore::new(4, u64::MAX);
+        let edge = EdgeTimings {
+            queue_us: 30,
+            parse_us: 20,
+        };
+        let scope = begin();
+        add_span("dedup", Instant::now(), Duration::from_micros(100), "");
+        add_event("retry", "");
+        std::thread::sleep(Duration::from_millis(2));
+        let rec = store.finish(scope, "worker", 9, "POST /v1/analyze".into(), 200, edge);
+        assert!(!is_active());
+        let phases: Vec<&str> = rec
+            .spans
+            .iter()
+            .filter(|s| s.phase)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(phases, ["queue", "parse", "dedup", "worker"]);
+        assert_eq!(rec.phase_sum_us(), rec.total_us);
+        assert!(rec.total_us >= 50 + 2_000, "{rec:?}");
+        assert_eq!(store.find(9).unwrap().endpoint, "POST /v1/analyze");
+
+        // Spans that claim more than the handling time leave no residual,
+        // so the overlap still shows as a phase sum above the total.
+        let scope = begin();
+        add_span("upstream", Instant::now(), Duration::from_secs(5), "");
+        let rec = store.finish(
+            scope,
+            "router",
+            10,
+            "GET /".into(),
+            200,
+            EdgeTimings::default(),
+        );
+        assert!(rec.spans.iter().all(|s| s.name != "router"));
+        assert!(rec.phase_sum_us() > rec.total_us);
     }
 
     #[test]

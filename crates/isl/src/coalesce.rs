@@ -185,8 +185,15 @@ fn try_merge(x: &BasicMap, y: &BasicMap, ex: &Expanded, ey: &Expanded) -> Option
 /// (sorted + deduplicated) every pair's rows from scratch after every
 /// single merge, which dominated cold `apply_range` time on case-split
 /// unions.
-pub(crate) fn coalesce_map(map: &Map) -> Map {
-    let mut basics = map.basics.clone();
+///
+/// Takes the map by value: a map of at most one disjunct comes back
+/// unchanged, and a larger one's disjuncts are merged in place, so an
+/// owner that moves its map in pays no copy.
+pub(crate) fn coalesce_map(map: Map) -> Map {
+    if map.basics.len() <= 1 {
+        return map;
+    }
+    let Map { space, mut basics } = map;
     let mut exp: Vec<Expanded> = basics.iter().map(expand).collect();
     let mut changed = true;
     let mut guard = 0;
@@ -214,10 +221,7 @@ pub(crate) fn coalesce_map(map: &Map) -> Map {
             i += 1;
         }
     }
-    Map {
-        space: map.space.clone(),
-        basics,
-    }
+    Map { space, basics }
 }
 
 #[cfg(test)]

@@ -150,11 +150,10 @@ impl Map {
                 }
             }
         }
-        Ok(Map {
+        Ok(crate::coalesce::coalesce_map(Map {
             space: self.space.clone(),
             basics,
-        }
-        .coalesce())
+        }))
     }
 
     /// Exact set difference `self \ other`.
@@ -271,7 +270,7 @@ impl Map {
         // Compositions through case splits and offset unions produce many
         // adjacent disjuncts; merge them so downstream set algebra stays
         // close to linear.
-        Ok(m.coalesce())
+        Ok(crate::coalesce::coalesce_map(m))
     }
 
     /// Packs the project-op memo key: bit 0 distinguishes the in/out
@@ -570,10 +569,7 @@ impl Map {
     /// interned only for those keys, held about half of the memo's
     /// interned bytes.
     pub fn coalesce(&self) -> Map {
-        if self.basics.len() <= 1 {
-            return self.clone();
-        }
-        crate::coalesce::coalesce_map(self)
+        crate::coalesce::coalesce_map(self.clone())
     }
 
     /// The difference set `{ out - in : (in, out) ∈ self }` (ISL's

@@ -49,10 +49,11 @@
 //! * [`fault`] — [`fault::FaultTransport`], a seeded fault-injection
 //!   wrapper around any transport (latency spikes, drops, 5xx bursts,
 //!   torn responses, flap windows) for chaos tests and drills.
-//! * [`router`] — accept loop, proxy path (deadline propagation,
-//!   bounded jittered retries, per-shard circuit breakers, per-client
-//!   admission control, hedging, replication write-through), fan-outs,
-//!   health prober, cascaded drain. Its own exported values (the
+//! * [`router`] — proxy path (deadline propagation, bounded jittered
+//!   retries, per-shard circuit breakers, per-client admission control,
+//!   hedging, replication write-through), fan-outs, health prober,
+//!   cascaded drain, served as a [`tenet_server::Tier`] through the
+//!   worker's [`tenet_server::Listener`]. Its own exported values (the
 //!   `router` object of `/v1/stats` and the `tenet_router_*` families)
 //!   are declared once there, in `ROUTER_VALUES`; worker values are
 //!   declared in `tenet_server::stats`.
@@ -87,7 +88,9 @@ pub mod upstream;
 
 pub use fault::{FaultPlan, FaultTransport};
 pub use router::{
-    Router, RouterConfig, RouterHandle, RouterState, RouterStats, Shard, SpawnedRouter, WorkerSpec,
+    Router, RouterConfig, RouterState, RouterStats, Shard, SpawnedRouter, WorkerSpec,
 };
+/// The router's remote control: the worker's handle type.
+pub use tenet_server::ServerHandle as RouterHandle;
 pub use transport::{ForwardError, LocalTransport, Transport};
 pub use upstream::HttpTransport;

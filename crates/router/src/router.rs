@@ -1,22 +1,25 @@
-//! The front tier: accept loop, request proxying over [`Transport`]s,
-//! replication, hedging, fan-out endpoints, health probing, and
-//! cascaded drain.
+//! The front tier: request proxying over [`Transport`]s, replication,
+//! hedging, fan-out endpoints, health probing, and cascaded drain,
+//! served through the worker's [`Listener`].
 
 use crate::ring::HashRing;
 use crate::transport::{ForwardError, LocalTransport, Transport};
 use crate::upstream::HttpTransport;
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::{Duration, Instant};
 use tenet_core::json::Json;
-use tenet_core::obs::{self, EdgeTimings, Span, TraceRecord, TraceStore};
-use tenet_server::http::{self, RequestBuffer};
-use tenet_server::pool::{SubmitError, WorkerPool};
+use tenet_core::obs::{self, EdgeTimings, TraceStore};
+use tenet_server::handlers::trace_endpoint;
+use tenet_server::http;
+use tenet_server::pool::WorkerPool;
 use tenet_server::stats::{self, Prom, WorkerMetrics};
-use tenet_server::{canonical_key, canonical_request, error_json, Call, WorkerCore};
+use tenet_server::{
+    canonical_key, canonical_request, error_json, Call, Limits, Listener, Response, ServerHandle,
+    Tier, WorkerCore,
+};
 
 /// Deferred work (hedged primaries, replication write-throughs) run by
 /// the router's helper pool.
@@ -312,7 +315,8 @@ pub enum WorkerSpec {
     Custom(Box<dyn Transport>),
 }
 
-/// State shared by the accept loop, connection workers, and the prober.
+/// State shared by the listener's connection threads, the helper pool,
+/// and the prober; the listener serves it as the router [`Tier`].
 pub struct RouterState {
     /// Router configuration (immutable after bind).
     pub config: RouterConfig,
@@ -461,37 +465,16 @@ impl RouterState {
     }
 }
 
-/// A cheap, clonable remote control for a running [`Router`].
-#[derive(Clone)]
-pub struct RouterHandle {
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Starts a graceful drain of the router itself. Does NOT cascade to
-    /// workers — that is `POST /v1/shutdown`'s job; a supervisor holding
-    /// worker handles can drain them directly.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
 /// A router spawned onto its own thread by [`Router::spawn`].
 pub struct SpawnedRouter {
-    handle: RouterHandle,
+    handle: ServerHandle,
     state: Arc<RouterState>,
     thread: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
 impl SpawnedRouter {
     /// The router's remote control.
-    pub fn handle(&self) -> RouterHandle {
+    pub fn handle(&self) -> ServerHandle {
         self.handle.clone()
     }
 
@@ -516,9 +499,8 @@ impl SpawnedRouter {
 
 /// A bound (but not yet running) sharding router.
 pub struct Router {
-    listener: TcpListener,
+    listener: Listener,
     state: Arc<RouterState>,
-    addr: SocketAddr,
 }
 
 impl Router {
@@ -558,16 +540,15 @@ impl Router {
             shards.push(Arc::new(Shard::new(index, transport)));
             ring.add(index);
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let listener = Listener::bind(&config.addr, &shutdown)?;
         let traces = TraceStore::new(config.trace_buffer, config.slow_ms.saturating_mul(1_000));
         let state = Arc::new(RouterState {
             config,
             shards,
             ring: RwLock::new(ring),
             stats: RouterStats::default(),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown,
             started: Instant::now(),
             warmed: RwLock::new(WarmedSet::default()),
             self_ref: OnceLock::new(),
@@ -576,24 +557,18 @@ impl Router {
             traces,
         });
         let _ = state.self_ref.set(Arc::downgrade(&state));
-        Ok(Router {
-            listener,
-            state,
-            addr,
-        })
+        Ok(Router { listener, state })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
-    /// A remote control usable from other threads.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            shutdown: Arc::clone(&self.state.shutdown),
-            addr: self.addr,
-        }
+    /// A remote control usable from other threads. Its drain does not
+    /// cascade to the workers; `POST /v1/shutdown` does.
+    pub fn handle(&self) -> ServerHandle {
+        self.listener.handle()
     }
 
     /// The shared router state (shard counters, ring view) — read-only
@@ -626,9 +601,9 @@ impl Router {
         })
     }
 
-    /// Runs until a graceful shutdown is requested, then drains: the
-    /// accept loop stops, admitted connections finish, the prober, the
-    /// helper pool, and the connection workers join.
+    /// Runs the [`Listener`] until a graceful shutdown is requested,
+    /// then drains: the accept loop stops, admitted connections finish,
+    /// the connection threads join, then the helper pool and the prober.
     pub fn run(self) -> std::io::Result<()> {
         let state = Arc::clone(&self.state);
         {
@@ -652,40 +627,8 @@ impl Router {
         } else {
             None
         };
-        let pool_state = Arc::clone(&self.state);
-        let pool = WorkerPool::new(
-            "tenet-route",
-            state.config.threads,
-            state.config.queue_capacity,
-            move |(queued_at, stream): (Instant, TcpStream)| {
-                serve_connection(stream, queued_at, &pool_state)
-            },
-        );
-        let shutdown = Arc::clone(&state.shutdown);
-        let outcome = loop {
-            if shutdown.load(Ordering::Acquire) {
-                break Ok(());
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    match pool.try_submit((Instant::now(), stream)) {
-                        Ok(()) => {}
-                        Err(((_, stream), SubmitError::Busy | SubmitError::ShuttingDown)) => {
-                            state.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                            shed(stream, &state);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(e),
-            }
-        };
-        pool.shutdown();
-        // The connection workers are gone; nothing submits aux jobs
+        let outcome = self.listener.serve("tenet-route", Arc::clone(&state));
+        // The connection threads are gone; nothing submits aux jobs
         // anymore. Drain what was admitted (late hedge results land in
         // dropped receivers and are discarded).
         let aux = state.aux.lock().expect("aux poisoned").take();
@@ -744,145 +687,68 @@ fn error_body(kind: &str, message: impl Into<String>) -> Arc<Vec<u8>> {
     Arc::new(error_json(kind, message).to_string().into_bytes())
 }
 
-/// Answers `503` on the accept thread when the pool refused a connection.
-fn shed(mut stream: TcpStream, state: &Arc<RouterState>) {
-    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-    let body = error_body("busy", "router backlog full; retry later");
-    let _ = stream.write_all(&http::encode_response_with(
-        503,
-        "application/json",
-        &body,
-        false,
-        &[("Retry-After", "1".to_string())],
-    ));
-}
-
-/// Serves one client connection: parse → handle/proxy → respond,
-/// repeating for keep-alive/pipelined requests until close, error, or
-/// drain. Mirrors the worker's connection loop so clients cannot tell a
-/// router from a single server. `queued_at` is when the accept loop
-/// admitted the connection; the gap until the first parsed request is
-/// its traced queue phase.
-fn serve_connection(mut stream: TcpStream, queued_at: Instant, state: &Arc<RouterState>) {
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    // The admission fallback key when the client sends no
-    // `X-Tenet-Client`: one bucket per peer IP.
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".into());
-    let mut rb = RequestBuffer::new(state.config.max_header, state.config.max_body);
-    let mut queue_us = queued_at.elapsed().as_micros() as u64;
-    let mut parse_acc = Duration::ZERO;
-    loop {
-        loop {
-            let t_parse = Instant::now();
-            let parsed = rb.next_request();
-            parse_acc += t_parse.elapsed();
-            match parsed {
-                Ok(Some(req)) => {
-                    let draining = state.shutdown.load(Ordering::Acquire);
-                    let keep_alive = req.keep_alive && !draining;
-                    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let deadline = req.anchor_deadline();
-                    let edge = EdgeTimings {
-                        queue_us: std::mem::take(&mut queue_us),
-                        parse_us: parse_acc.as_micros() as u64,
-                    };
-                    parse_acc = Duration::ZERO;
-                    let trace_id = req.resolve_trace_id();
-                    // Observability endpoints are never traced: scraping
-                    // metrics or fetching a trace must not spam the ring.
-                    let obs_path = req.method == "GET"
-                        && (req.path == "/metrics" || req.path.starts_with("/v1/trace/"));
-                    let tracing = !obs_path && trace_id.is_some() && state.traces.enabled();
-                    let scope = tracing.then(obs::begin);
-                    let t0 = Instant::now();
-                    let (status, body, retry_after) =
-                        handle(&req, state, &peer, deadline, trace_id);
-                    state.stats.record(status);
-                    let record = match (scope, trace_id) {
-                        (Some(scope), Some(id)) => {
-                            let handled_us = t0.elapsed().as_micros() as u64;
-                            let mut spans = scope.finish();
-                            // Whatever the proxy path did not attribute to
-                            // upstream waits or backoff sleeps is the
-                            // router's own work (routing, framing).
-                            let attributed: u64 =
-                                spans.iter().filter(|s| s.phase).map(|s| s.dur_us).sum();
-                            let residual = handled_us.saturating_sub(attributed);
-                            if residual > 0 {
-                                spans.push(Span {
-                                    name: "router".into(),
-                                    start_us: 0,
-                                    dur_us: residual,
-                                    detail: String::new(),
-                                    phase: true,
-                                });
-                            }
-                            let off = edge.prepend_to(&mut spans);
-                            Some(state.traces.record(TraceRecord {
-                                id,
-                                tier: "router",
-                                endpoint: format!("{} {}", req.method, req.path),
-                                status,
-                                total_us: off + handled_us,
-                                spans,
-                            }))
-                        }
-                        _ => None,
-                    };
-                    let content_type = if req.path == "/metrics" {
-                        "text/plain; version=0.0.4"
-                    } else {
-                        "application/json"
-                    };
-                    let mut extra: Vec<(&str, String)> = Vec::new();
-                    if let Some(secs) = retry_after {
-                        extra.push(("Retry-After", secs.to_string()));
-                    }
-                    if let Some(rec) = &record {
-                        extra.push(("X-Tenet-Trace-Id", obs::TraceId(rec.id).to_string()));
-                        let timing = rec.server_timing();
-                        if !timing.is_empty() {
-                            extra.push(("X-Tenet-Server-Timing", timing));
-                        }
-                    }
-                    let bytes = if extra.is_empty() {
-                        http::encode_response(status, content_type, &body, keep_alive)
-                    } else {
-                        http::encode_response_with(status, content_type, &body, keep_alive, &extra)
-                    };
-                    if stream.write_all(&bytes).is_err() {
-                        return;
-                    }
-                    if !keep_alive {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing is broken (including chunked bodies → 501);
-                    // report and hang up, counting the request.
-                    let body = error_body("parse", e.message());
-                    let _ = stream.write_all(&http::encode_response(
-                        e.status(),
-                        "application/json",
-                        &body,
-                        false,
-                    ));
-                    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    state.stats.record(e.status());
-                    return;
-                }
-            }
+/// The router tier: counts and optionally traces each request, then
+/// answers it through [`handle`].
+impl Tier for RouterState {
+    fn limits(&self) -> Limits {
+        let c = &self.config;
+        Limits {
+            threads: c.threads,
+            queue_capacity: c.queue_capacity,
+            read_timeout: c.read_timeout,
+            write_timeout: c.write_timeout,
+            max_header: c.max_header,
+            max_body: c.max_body,
         }
-        match rb.fill_from(&mut stream) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(_) => return,
+    }
+
+    fn connections(&self) -> &AtomicU64 {
+        &self.stats.connections
+    }
+
+    fn rejected_busy(&self) -> &AtomicU64 {
+        &self.stats.rejected_busy
+    }
+
+    fn shed_message(&self) -> &'static str {
+        "router backlog full; retry later"
+    }
+
+    fn framing_error(&self, status: u16) {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.record(status);
+    }
+
+    fn respond(
+        self: &Arc<Self>,
+        req: &http::Request,
+        peer: SocketAddr,
+        edge: EdgeTimings,
+    ) -> Response {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let deadline = req.anchor_deadline();
+        let trace_id = req.resolve_trace_id();
+        // Observability endpoints are never traced: scraping metrics or
+        // fetching a trace must not spam the ring.
+        let obs_path =
+            req.method == "GET" && (req.path == "/metrics" || req.path.starts_with("/v1/trace/"));
+        let tracing = !obs_path && trace_id.is_some() && self.traces.enabled();
+        let scope = tracing.then(obs::begin);
+        let (status, body, retry_after) = handle(req, self, peer, deadline, trace_id);
+        self.stats.record(status);
+        // The router's residual phase is its own work (routing, framing):
+        // whatever the proxy path did not attribute to upstream waits or
+        // backoff sleeps.
+        let trace = scope.zip(trace_id).map(|(scope, id)| {
+            let endpoint = format!("{} {}", req.method, req.path);
+            self.traces
+                .finish(scope, "router", id, endpoint, status, edge)
+        });
+        Response {
+            status,
+            body,
+            retry_after,
+            trace,
         }
     }
 }
@@ -893,16 +759,16 @@ fn serve_connection(mut stream: TcpStream, queued_at: Instant, state: &Arc<Route
 fn handle(
     req: &http::Request,
     state: &Arc<RouterState>,
-    peer: &str,
+    peer: SocketAddr,
     deadline: Option<Instant>,
     trace_id: Option<u64>,
 ) -> (u16, Arc<Vec<u8>>, Option<u64>) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/v1/healthz") => plain(healthz(state)),
-        ("GET", "/v1/stats") => plain(stats_doc(state)),
-        ("GET", "/metrics") => plain(metrics_doc(state)),
-        ("GET", p) if p.starts_with("/v1/trace/") => plain(trace_doc(state, p)),
-        ("POST", "/v1/shutdown") => plain(cascade_shutdown(state)),
+    let (status, body) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/v1/healthz") => healthz(state),
+        ("GET", "/v1/stats") => stats_doc(state),
+        ("GET", "/metrics") => metrics_doc(state),
+        ("GET", p) if p.starts_with("/v1/trace/") => trace_doc(state, p),
+        ("POST", "/v1/shutdown") => cascade_shutdown(state),
         ("POST", "/v1/analyze" | "/v1/dse") => {
             if let Some(secs) = admission_reject(req, state, peer) {
                 state
@@ -915,23 +781,17 @@ fn handle(
                     Some(secs),
                 );
             }
-            proxy(req, state, deadline, trace_id)
+            return proxy(req, state, deadline, trace_id);
         }
         ("GET" | "POST", _) => (
             404,
             error_body("not_found", format!("no route for {}", req.path)),
-            None,
         ),
         _ => (
             405,
             error_body("method_not_allowed", format!("method {}", req.method)),
-            None,
         ),
-    }
-}
-
-/// Adapts a plain `(status, body)` endpoint to [`handle`]'s triple.
-fn plain((status, body): (u16, Arc<Vec<u8>>)) -> (u16, Arc<Vec<u8>>, Option<u64>) {
+    };
     (status, body, None)
 }
 
@@ -942,7 +802,11 @@ fn plain((status, body): (u16, Arc<Vec<u8>>)) -> (u16, Arc<Vec<u8>>, Option<u64>
 /// single bursting tenant throttles itself instead of pushing everyone
 /// else into `503`s. Disabled (always admits) when
 /// [`RouterConfig::admission_rps`] is `0`.
-fn admission_reject(req: &http::Request, state: &Arc<RouterState>, peer: &str) -> Option<u64> {
+fn admission_reject(
+    req: &http::Request,
+    state: &Arc<RouterState>,
+    peer: SocketAddr,
+) -> Option<u64> {
     let rps = state.config.admission_rps;
     if rps == 0 {
         return None;
@@ -952,7 +816,7 @@ fn admission_reject(req: &http::Request, state: &Arc<RouterState>, peer: &str) -
         b => b,
     }
     .max(1) as f64;
-    let key = req.client.clone().unwrap_or_else(|| peer.to_string());
+    let key = req.client.clone().unwrap_or_else(|| peer.ip().to_string());
     let now = Instant::now();
     let mut buckets = state.admission.lock().expect("admission poisoned");
     // Bound the map: a scan of spoofed client names must not grow it
@@ -1648,69 +1512,29 @@ fn metrics_doc(state: &Arc<RouterState>) -> (u16, Arc<Vec<u8>>) {
 /// timeline — the router's record plus every live shard's records for
 /// the same id, fetched over the transport fan-out.
 fn trace_doc(state: &Arc<RouterState>, path: &str) -> (u16, Arc<Vec<u8>>) {
-    let rest = path.strip_prefix("/v1/trace/").unwrap_or("");
-    let (rest, query) = match rest.split_once('?') {
-        Some((r, q)) => (r, Some(q)),
-        None => (rest, None),
-    };
-    if rest == "slow" {
-        // A present-but-unparseable threshold is a client mistake and
-        // must say so — silently ignoring it would serve the *unfiltered*
-        // slow ring as if the filter had applied.
-        let min_us = match query.and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("ms="))) {
-            Some(v) => match v.parse::<u64>() {
-                Ok(ms) => Some(ms.saturating_mul(1_000)),
-                Err(_) => {
-                    return (
-                        400,
-                        error_body(
-                            "usage",
-                            format!("bad `ms` value `{v}`: expected a non-negative integer"),
-                        ),
-                    );
+    let records = |id: obs::TraceId| {
+        let mut records: Vec<Json> = state
+            .traces
+            .find(id.0)
+            .iter()
+            .map(|r| r.to_json())
+            .collect();
+        let worker_path = format!("/v1/trace/{id}");
+        for shard in state.shards.iter().filter(|s| s.is_alive()) {
+            if let Ok(doc) = get_json(state, shard, &worker_path) {
+                if let Some(rows) = doc.get("records").and_then(Json::as_arr) {
+                    records.extend(rows.iter().cloned());
                 }
-            },
-            None => None,
-        };
-        let rows = state.traces.slow(min_us);
-        let body = Json::obj([(
-            "traces",
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        )]);
-        return (200, Arc::new(body.to_string().into_bytes()));
-    }
-    let Some(id) = obs::TraceId::parse(rest) else {
-        return (400, error_body("usage", "malformed trace id"));
-    };
-    let mut records: Vec<Json> = Vec::new();
-    if let Some(rec) = state.traces.find(id.0) {
-        records.push(rec.to_json());
-    }
-    let worker_path = format!("/v1/trace/{id}");
-    for shard in &state.shards {
-        if !shard.is_alive() {
-            continue;
-        }
-        if let Ok(doc) = get_json(state, shard, &worker_path) {
-            if let Some(rows) = doc.get("records").and_then(Json::as_arr) {
-                records.extend(rows.iter().cloned());
             }
         }
-    }
-    if records.is_empty() {
-        return (
-            404,
-            error_body(
-                "not_found",
-                "trace not found at any tier (evicted, never recorded, or tracing disabled)",
-            ),
-        );
-    }
-    let body = Json::obj([
-        ("trace_id", Json::from(id.to_string())),
-        ("records", Json::Arr(records)),
-    ]);
-    (200, Arc::new(body.to_string().into_bytes()))
+        records
+    };
+    trace_endpoint(
+        &state.traces,
+        path,
+        records,
+        "trace not found at any tier (evicted, never recorded, or tracing disabled)",
+    )
 }
 
 /// `POST /v1/shutdown` cascade: drain every worker, then the router

@@ -11,6 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tenet_core::json::Json;
+use tenet_core::obs::{TraceId, TraceStore};
 use tenet_core::{export, presets, Analysis, AnalysisOptions, ArchSpec, Dataflow};
 use tenet_dse::{enumerate_all, explore_parallel, pareto};
 use tenet_frontend::{parse_arch, parse_problem, Problem};
@@ -131,6 +132,47 @@ pub fn route(
         ("GET" | "POST", _) => Reply::error(404, "not_found", format!("no route for {path}")),
         _ => Reply::error(405, "method_not_allowed", format!("method {method}")),
     }
+}
+
+/// `GET /v1/trace/...` at either tier. `/v1/trace/slow?ms=N` lists the
+/// tier's slow ring at or above `N` ms (`0` is no threshold, and a
+/// present but unparseable value is a 400, not the unfiltered listing).
+/// `/v1/trace/<id>` answers the `records` found for the id, or 404 with
+/// `not_found` when there are none.
+pub fn trace_endpoint(
+    traces: &TraceStore,
+    path: &str,
+    records: impl FnOnce(TraceId) -> Vec<Json>,
+    not_found: &str,
+) -> (u16, Arc<Vec<u8>>) {
+    let reply = |status: u16, body: Json| (status, Arc::new(body.to_string().into_bytes()));
+    let rest = path.strip_prefix("/v1/trace/").unwrap_or("");
+    let (rest, query) = rest.split_once('?').unwrap_or((rest, ""));
+    if rest == "slow" {
+        let ms = query.split('&').find_map(|kv| kv.strip_prefix("ms="));
+        let min_us = match ms.map(|v| (v, v.parse::<u64>())) {
+            Some((_, Ok(ms))) => Some(ms.saturating_mul(1_000)),
+            Some((v, Err(_))) => {
+                let message = format!("bad `ms` value `{v}`: expected a non-negative integer");
+                return reply(400, error_json("usage", message));
+            }
+            None => None,
+        };
+        let rows = traces.slow(min_us).iter().map(|r| r.to_json()).collect();
+        return reply(200, Json::obj([("traces", Json::Arr(rows))]));
+    }
+    let Some(id) = TraceId::parse(rest) else {
+        return reply(400, error_json("usage", "malformed trace id"));
+    };
+    let records = records(id);
+    if records.is_empty() {
+        return reply(404, error_json("not_found", not_found));
+    }
+    let trace_id = Json::from(id.to_string());
+    reply(
+        200,
+        Json::obj([("trace_id", trace_id), ("records", Json::Arr(records))]),
+    )
 }
 
 /// Whether responses for this route may enter the dedup layer.

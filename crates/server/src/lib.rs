@@ -24,6 +24,8 @@
 //!
 //! ## Layers
 //!
+//! * [`Listener`] — the accept loop and connection loop both tiers serve
+//!   through; a [`Tier`] supplies the handler, counters and shed wording.
 //! * [`http`] — incremental request parsing (split reads, pipelining,
 //!   size limits) and response encoding.
 //! * [`pool`] — the bounded worker pool; full backlog sheds load with
@@ -74,7 +76,7 @@ pub mod worker;
 
 pub use dedup::{canonical_key, canonical_request};
 pub use handlers::error_json;
-pub use server::{Server, ServerHandle, SpawnedServer};
+pub use server::{Limits, Listener, Response, Server, ServerHandle, SpawnedServer, Tier};
 pub use worker::{Call, WorkerCore};
 
 use std::time::Duration;

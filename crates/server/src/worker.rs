@@ -5,8 +5,8 @@
 //! but holds no socket. Its one entry point, [`WorkerCore::handle`],
 //! takes a [`Call`] (method, path, body, and the optional canonical
 //! form, deadline, trace id, and edge timings) and returns the response
-//! bytes. The TCP [`Server`](crate::Server) wraps one core behind an
-//! accept loop and the HTTP codec; the sharding router's
+//! bytes. The TCP [`Server`](crate::Server) serves one core through the
+//! shared [`Listener`](crate::Listener); the sharding router's
 //! `LocalTransport` hands its `Call` to a core directly, skipping the
 //! loopback hop entirely. Both paths share this code, so a request is
 //! counted, deduplicated, and attributed identically whichever way it
@@ -19,7 +19,6 @@ use crate::ServerConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tenet_core::json::Json;
 use tenet_core::obs::{self, EdgeTimings, TraceRecord, TraceStore};
 use tenet_core::CounterHandle;
 
@@ -152,9 +151,10 @@ impl WorkerCore {
     ///   cached truncation would poison deadline-free repeats.
     /// * `trace_id` (with the trace store enabled) records a span
     ///   timeline — the listener's `edge` timings, canonicalization,
-    ///   dedup, computation split into engine time vs cold ISL time, and
-    ///   serialization — stores it in [`WorkerCore::traces`], and returns
-    ///   the finished record so the caller can echo `Server-Timing`.
+    ///   dedup, computation split into engine time vs cold ISL time,
+    ///   serialization, and the rest as a `worker` phase — stores it in
+    ///   [`WorkerCore::traces`], and returns the finished record so the
+    ///   caller can echo `Server-Timing`.
     pub fn handle(
         self: &Arc<WorkerCore>,
         call: &Call,
@@ -244,23 +244,11 @@ impl WorkerCore {
             (reply.status, bytes)
         };
         self.stats.record(status, t0.elapsed());
-        let record = match (scope, trace_id) {
-            (Some(scope), Some(id)) => {
-                let handled_us = t0.elapsed().as_micros() as u64;
-                let mut spans = scope.finish();
-                let off = edge.prepend_to(&mut spans);
-                let rec = TraceRecord {
-                    id,
-                    tier: "worker",
-                    endpoint: format!("{method} {path}"),
-                    status,
-                    total_us: off + handled_us,
-                    spans,
-                };
-                Some(self.traces.record(rec))
-            }
-            _ => None,
-        };
+        let record = scope.zip(trace_id).map(|(scope, id)| {
+            let endpoint = format!("{method} {path}");
+            self.traces
+                .finish(scope, "worker", id, endpoint, status, edge)
+        });
         (status, bytes, record)
     }
 
@@ -271,62 +259,14 @@ impl WorkerCore {
             let text = self.metrics().prometheus().into_string();
             return Some((200, Arc::new(text.into_bytes())));
         }
-        let rest = path.strip_prefix("/v1/trace/")?;
-        let (rest, query) = match rest.split_once('?') {
-            Some((r, q)) => (r, Some(q)),
-            None => (rest, None),
-        };
-        let reply =
-            |status: u16, body: Json| Some((status, Arc::new(body.to_string().into_bytes())));
-        if rest == "slow" {
-            // A present-but-unparseable `ms=` is a client error, not a
-            // silent fall-through to the unfiltered listing. `ms=0` is
-            // valid (explicitly "no threshold").
-            let min_us = match query
-                .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("ms=")))
-            {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(ms) => Some(ms.saturating_mul(1_000)),
-                    Err(_) => {
-                        return reply(
-                            400,
-                            error_json(
-                                "usage",
-                                format!("bad `ms` value `{v}`: expected a non-negative integer"),
-                            ),
-                        );
-                    }
-                },
-                None => None,
-            };
-            let rows = self.traces.slow(min_us);
-            return reply(
-                200,
-                Json::obj([(
-                    "traces",
-                    Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-                )]),
-            );
-        }
-        let Some(id) = obs::TraceId::parse(rest) else {
-            return reply(400, error_json("usage", "malformed trace id"));
-        };
-        match self.traces.find(id.0) {
-            Some(rec) => reply(
-                200,
-                Json::obj([
-                    ("trace_id", Json::from(id.to_string())),
-                    ("records", Json::Arr(vec![rec.to_json()])),
-                ]),
-            ),
-            None => reply(
-                404,
-                error_json(
-                    "not_found",
-                    "trace not in the ring (evicted, never recorded, or tracing disabled)",
-                ),
-            ),
-        }
+        path.starts_with("/v1/trace/").then(|| {
+            handlers::trace_endpoint(
+                &self.traces,
+                path,
+                |id| self.traces.find(id.0).iter().map(|r| r.to_json()).collect(),
+                "trace not in the ring (evicted, never recorded, or tracing disabled)",
+            )
+        })
     }
 
     /// [`route_guarded`](WorkerCore::route_guarded) plus trace phases:
@@ -432,6 +372,7 @@ impl Drop for InFlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenet_core::json::Json;
 
     fn core() -> Arc<WorkerCore> {
         WorkerCore::new(ServerConfig {
@@ -485,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_request_records_phases_summing_close_to_total() {
+    fn traced_request_records_phases_summing_to_total() {
         let core = core();
         let edge = EdgeTimings {
             queue_us: 30,
@@ -509,6 +450,7 @@ mod tests {
             "analyze",
             "isl",
             "serialize",
+            "worker",
         ] {
             assert!(
                 rec.spans.iter().any(|s| s.name == name && s.phase),
@@ -516,14 +458,11 @@ mod tests {
                 rec.spans
             );
         }
-        // The phases tile the timeline: the only uncovered time is a few
-        // instruction-counting gaps between stopwatch reads.
-        let sum = rec.phase_sum_us();
-        assert!(
-            sum <= rec.total_us + 10 && rec.total_us.saturating_sub(sum) < 500,
-            "phase sum {sum}µs vs total {}µs",
-            rec.total_us
-        );
+        // The phases tile the timeline: the `worker` residual takes the
+        // time between stopwatch reads, so the sum is the total exactly.
+        assert_eq!(rec.phase_sum_us(), rec.total_us, "{:?}", rec.spans);
+        let residual = rec.spans.iter().find(|s| s.name == "worker").unwrap();
+        assert!(residual.dur_us < 500, "{residual:?}");
         // The record is findable through the store and the endpoint.
         assert_eq!(core.traces.find(0xabc).unwrap().id, 0xabc);
         let (s, body, _) = core.handle(&Call::new("GET", "/v1/trace/0000000000000abc", b""));
