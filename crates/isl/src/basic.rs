@@ -35,11 +35,12 @@ pub struct DivDef {
 /// `row · x + c == 0`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicMap {
-    /// The space is shared behind an `Arc`: relations are cloned on every
-    /// memo round trip and disjunct copy, and deep-copying the dim-name
-    /// strings dominated those clones. All structural traits see through
-    /// the `Arc` (hash/eq delegate to [`Space`]), so sharing is
-    /// observationally identical to owning.
+    /// The space is shared behind an `Arc`: operations copy disjuncts
+    /// constantly (every piece of a split, subtraction or coalesce starts
+    /// as one), and deep-copying the dim-name strings dominated those
+    /// copies. All structural traits see through the `Arc` (hash/eq
+    /// delegate to [`Space`]), so sharing is observationally identical to
+    /// owning.
     pub(crate) space: Arc<Space>,
     pub(crate) divs: Vec<DivDef>,
     pub(crate) eqs: Vec<Row>,
@@ -100,6 +101,20 @@ impl BasicMap {
     /// A zero row of the current width.
     pub(crate) fn zero_row(&self) -> Row {
         Row::zeros(self.n_cols())
+    }
+
+    /// Drops the spare capacity of the row and div vectors and of every
+    /// row spilled to the heap (see [`crate::Map`]'s `shrink_to_fit`).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.divs.shrink_to_fit();
+        self.eqs.shrink_to_fit();
+        self.ineqs.shrink_to_fit();
+        for d in &mut self.divs {
+            d.num.shrink_to_fit();
+        }
+        for r in self.eqs.iter_mut().chain(&mut self.ineqs) {
+            r.shrink_to_fit();
+        }
     }
 
     /// Adds an equality constraint `row == 0`.

@@ -11,18 +11,22 @@
 //! # Design
 //!
 //! * **Interning.** Every [`Map`] that participates in a memoized
-//!   operation is interned: the map value is the key of a hash table
-//!   mapping to a small integer id. Interning makes the memo keys compact
-//!   (`(op, id, id, extra)`) and — because the table compares keys with
-//!   full structural equality, never by hash alone — collision-proof.
+//!   operation is interned: the map is the key of a hash table mapping to
+//!   a small integer id. Interning makes the memo keys compact (`(op, id,
+//!   id, extra)`) and — because the table compares keys with full
+//!   structural equality, never by hash alone — collision-proof. A `Map`
+//!   is a reference-counted handle carrying its structural hash, computed
+//!   once per value, so interning a first-seen map files its handle (a
+//!   count bump, no copy), and a lookup whose operand is the interned
+//!   value itself finds it by pointer, with no structural walk.
 //!   Operands, map-valued results and parse results all go through the
 //!   one intern table, so each map the memo holds is held once: a result
-//!   that later comes back as an operand is found interned, not copied
-//!   again.
+//!   that later comes back as an operand is the interned value.
 //! * **Memoization.** Results are stored under `(op kind, interned
 //!   operand ids, extra operand)`; a map-valued result is stored as its
-//!   intern entry's `Arc`. Cached values are returned as clones of the
-//!   stored result.
+//!   intern entry's handle. A hit returns the stored handle, not a copy,
+//!   and a fresh map result or parse result drops its spare capacity
+//!   before it is shared, since it will be held for the table's life.
 //! * **Exactness.** The cache can only return a value that was computed
 //!   by the very operation being memoized on structurally identical
 //!   operands, so cached and uncached results are *bit-identical* — there
@@ -38,11 +42,12 @@
 //!   scope below the root with the same counters. Only handles time cold
 //!   computes, so an unattached lookup reads no clock.
 //! * **Concurrency.** One global mutex guards the tables. The lock is
-//!   held only for lookups and insertions, never while computing a missed
-//!   operation, so parallel DSE threads serialize on microseconds, not on
-//!   the Presburger math. Concurrent misses of the same key may compute
-//!   the value twice; both compute the same value, and the second insert
-//!   is a no-op.
+//!   held only for lookups, interning and insertions, never while
+//!   computing a missed operation or a fresh map's first hash, so
+//!   parallel DSE threads serialize on microseconds, not on the
+//!   Presburger math or a structural walk. Concurrent misses of the same
+//!   key may compute the value twice; both compute the same value, and
+//!   the second insert is a no-op.
 //!
 //! Disable globally with [`set_enabled`] or the `TENET_ISL_CACHE=off`
 //! environment variable (checked once, at first use).
@@ -50,9 +55,7 @@
 use crate::map::Map;
 use crate::Result;
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -95,21 +98,20 @@ pub(crate) enum OpKind {
 
 #[derive(Clone)]
 enum CachedVal {
-    Map(Arc<Map>),
+    Map(Map),
     Count(u128),
     Bool(bool),
 }
 
 #[derive(Default)]
 struct Tables {
-    /// Interned maps, bucketed by a *precomputed* structural hash (see
-    /// [`map_hash`]): callers hash — and, for first-seen maps, clone —
-    /// outside the global mutex, so the locked section only does bucket
-    /// lookups and (rare) equality scans. Buckets hold every interned map
-    /// with that hash; equality disambiguates, so collisions stay safe.
-    /// The `Arc`s here are the only copies the context holds: memo values
-    /// and parse results share them.
-    ids: HashMap<u64, Vec<(Arc<Map>, u64)>>,
+    /// Interned maps, bucketed by their structural hash, which callers
+    /// compute (once per value) outside the global mutex, so the locked
+    /// section only does bucket lookups and equality checks, by pointer
+    /// when the operand is the interned value. Buckets hold every interned
+    /// map with that hash; equality disambiguates, so collisions stay
+    /// safe. Memo values and parse results are handles on these values.
+    ids: HashMap<u64, Vec<(Map, u64)>>,
     /// Count of interned maps across all buckets.
     n_interned: usize,
     next_id: u64,
@@ -121,8 +123,8 @@ struct Tables {
     /// also allow allocation-free borrowed lookups). Parsing is
     /// deterministic, and the generated relation texts of the analysis
     /// layer (spacetime maps, windows) recur verbatim.
-    parsed_map: HashMap<String, Arc<Map>>,
-    parsed_set: HashMap<String, Arc<Map>>,
+    parsed_map: HashMap<String, Map>,
+    parsed_set: HashMap<String, Map>,
     /// Bumped whenever the tables are cleared. Stores capture the
     /// generation at lookup time and are dropped if eviction intervened,
     /// so a result can never be filed under a reused intern id.
@@ -442,35 +444,31 @@ pub fn enabled() -> bool {
     ctx().enabled.load(Ordering::Relaxed)
 }
 
-/// Structural hash of a map with a *deterministic* hasher, computed by
-/// callers outside the global mutex. `DefaultHasher::new()` is seeded
-/// with fixed keys, so every thread derives the same bucket for the same
-/// relation.
-fn map_hash(m: &Map) -> u64 {
-    let mut h = DefaultHasher::new();
-    m.hash(&mut h);
-    h.finish()
-}
-
-/// Looks up the intern entry (shared map and id) of `m` in the bucket for
-/// its precomputed hash. Caller holds the lock; only (rare) same-hash
-/// equality scans run here.
-fn find_interned<'t>(t: &'t Tables, h: u64, m: &Map) -> Option<&'t (Arc<Map>, u64)> {
-    t.ids.get(&h)?.iter().find(|(k, _)| **k == *m)
-}
-
-/// Resolves an already-cloned map to its intern entry, filing it under
-/// its precomputed hash and a fresh id when no equal map is interned yet
-/// (if one is, its `Arc` wins and `m` drops). Caller holds the lock.
-fn intern(t: &mut Tables, h: u64, m: Arc<Map>) -> (Arc<Map>, u64) {
-    if let Some((shared, id)) = find_interned(t, h, &m) {
-        return (Arc::clone(shared), *id);
+/// Resolves `m` to its intern entry (shared handle and id), filing a
+/// handle on it under a fresh id when no equal map is interned yet (if
+/// one is, that entry wins). Caller holds the lock and has hashed `m`
+/// before taking it, so a fresh map's one structural walk runs outside
+/// the lock and this reads the hash the handle caches.
+fn intern<'t>(t: &'t mut Tables, m: &Map) -> &'t (Map, u64) {
+    let bucket = t.ids.entry(m.structural_hash()).or_default();
+    match bucket.iter().position(|(k, _)| k == m) {
+        Some(i) => &bucket[i],
+        None => {
+            bucket.push((m.clone(), t.next_id));
+            t.next_id += 1;
+            t.n_interned += 1;
+            &bucket[bucket.len() - 1]
+        }
     }
-    let id = t.next_id;
-    t.next_id += 1;
-    t.ids.entry(h).or_default().push((Arc::clone(&m), id));
-    t.n_interned += 1;
-    (m, id)
+}
+
+/// Readies a fresh map result for the tables, outside the lock: drops its
+/// spare capacity, since the tables may hold it for their whole life, and
+/// computes its hash.
+fn ready_to_share(mut m: Map) -> Map {
+    m.shrink_to_fit();
+    m.structural_hash();
+    m
 }
 
 fn evict_if_full(t: &mut Tables) {
@@ -494,91 +492,55 @@ struct Slot {
     hit: Option<CachedVal>,
 }
 
-/// Finishes a lookup once both operand ids are known. Caller holds the
-/// lock.
-fn finish_lookup(t: &Tables, op: OpKind, ia: u64, ib: u64, extra: i128) -> Slot {
-    let hit = t.memo.get(&(op, ia, ib, extra)).cloned();
-    record(hit.is_some());
-    Slot {
-        ia,
-        ib,
-        generation: t.generation,
-        hit,
-    }
-}
-
 fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
     let c = ctx();
     if !c.enabled.load(Ordering::Relaxed) {
         return None;
     }
     // Structural hashes are computed before taking the lock.
-    let ha = map_hash(a);
-    let hb = b.map(map_hash);
-    // Fast phase: after warm-up both operands are almost always interned
-    // already, so one short locked section resolves the whole lookup.
-    let (a_known, b_known) = {
-        let mut t = c.tables.lock().expect("isl cache poisoned");
-        evict_if_full(&mut t);
-        let ia = find_interned(&t, ha, a).map(|e| e.1);
-        let ib = match (b, hb) {
-            (Some(bm), Some(hb)) => find_interned(&t, hb, bm).map(|e| e.1),
-            _ => Some(NO_RHS),
-        };
-        if let (Some(ia), Some(ib)) = (ia, ib) {
-            return Some(finish_lookup(&t, op, ia, ib, extra));
-        }
-        (ia.is_some(), ib.is_some())
-    };
-    // Slow phase: at least one operand is first-seen. Clone it into its
-    // `Arc` *outside* the lock — for large unions the deep copy dwarfs the
-    // bucket bookkeeping — then intern it under the lock (another thread
-    // may have interned it meanwhile; its clone simply wins). An operand
-    // known in the fast phase is found again, unless an eviction dropped
-    // it since, which ends the lookup.
-    let arc_a = (!a_known).then(|| Arc::new(a.clone()));
-    let arc_b = match (b, b_known) {
-        (Some(bm), false) => Some(Arc::new(bm.clone())),
-        _ => None,
-    };
+    a.structural_hash();
+    if let Some(b) = b {
+        b.structural_hash();
+    }
+    // Interning a first-seen operand files its handle, so one short
+    // locked section resolves the whole lookup.
     let mut t = c.tables.lock().expect("isl cache poisoned");
-    let ia = match arc_a {
-        Some(arc) => intern(&mut t, ha, arc).1,
-        None => find_interned(&t, ha, a)?.1,
-    };
-    let ib = match (b, hb) {
-        (Some(bm), Some(hb)) => match arc_b {
-            Some(arc) => intern(&mut t, hb, arc).1,
-            None => find_interned(&t, hb, bm)?.1,
-        },
-        _ => NO_RHS,
-    };
-    Some(finish_lookup(&t, op, ia, ib, extra))
+    evict_if_full(&mut t);
+    let ia = intern(&mut t, a).1;
+    let ib = b.map_or(NO_RHS, |b| intern(&mut t, b).1);
+    let hit = t.memo.get(&(op, ia, ib, extra)).cloned();
+    let generation = t.generation;
+    drop(t);
+    record(hit.is_some());
+    Some(Slot {
+        ia,
+        ib,
+        generation,
+        hit,
+    })
 }
 
-fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) {
+/// Files `val` under the slot's key and returns the value as filed: a
+/// map value (readied by [`ready_to_share`]) is filed as its intern
+/// entry, whose handle comes back, so its later use as an operand is the
+/// interned value itself.
+fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) -> CachedVal {
     let c = ctx();
-    // A map value (already cloned into its `Arc` by the caller) is hashed
-    // before the lock, as `lookup` hashes operands.
-    let hash = match &val {
-        CachedVal::Map(m) => map_hash(m),
-        _ => 0, // unused
-    };
     let mut t = c.tables.lock().expect("isl cache poisoned");
     // An eviction between lookup and store invalidates the captured ids
     // (they may have been reassigned to different relations — note that
     // `compute` itself can trigger eviction through nested memoized ops);
     // dropping the write is always safe: the memo is an accelerator,
     // never a source of truth.
-    if t.generation == slot.generation {
-        // A map value is stored as its intern entry, so its later use as
-        // an operand finds it interned instead of cloning it again.
-        let val = match val {
-            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, hash, m).0),
-            v => v,
-        };
-        t.memo.insert((op, slot.ia, slot.ib, extra), val);
+    if t.generation != slot.generation {
+        return val;
     }
+    let val = match val {
+        CachedVal::Map(m) => CachedVal::Map(intern(&mut t, &m).0.clone()),
+        v => v,
+    };
+    t.memo.insert((op, slot.ia, slot.ib, extra), val.clone());
+    val
 }
 
 /// Memoizes parsing by source text. `compute` runs without the lock held.
@@ -591,31 +553,28 @@ pub(crate) fn memo_parse(
     if !c.enabled.load(Ordering::Relaxed) {
         return timed_compute(compute);
     }
-    {
+    let hit = {
         let mut t = c.tables.lock().expect("isl cache poisoned");
         evict_if_full(&mut t);
         let table = if as_set { &t.parsed_set } else { &t.parsed_map };
-        if let Some(m) = table.get(text) {
-            let m = Arc::clone(m);
-            drop(t);
-            record(true);
-            return Ok((*m).clone());
-        }
-        record(false);
+        table.get(text).cloned()
+    };
+    record(hit.is_some());
+    if let Some(m) = hit {
+        return Ok(m);
     }
-    let m = timed_compute(compute)?;
-    // Hash and clone outside the lock; the parsed map is stored as its
-    // intern entry. No generation check: the key is the text, not ids.
-    let (hash, fresh) = (map_hash(&m), Arc::new(m.clone()));
+    let fresh = ready_to_share(timed_compute(compute)?);
+    // The parsed map is stored as its intern entry. No generation check:
+    // the key is the text, not ids.
     let mut t = c.tables.lock().expect("isl cache poisoned");
-    let (shared, _) = intern(&mut t, hash, fresh);
+    let shared = intern(&mut t, &fresh).0.clone();
     let table = if as_set {
         &mut t.parsed_set
     } else {
         &mut t.parsed_map
     };
-    table.insert(text.to_string(), shared);
-    Ok(m)
+    table.insert(text.to_string(), shared.clone());
+    Ok(shared)
 }
 
 /// Memoizes a map-valued operation. `compute` runs without the lock held.
@@ -630,15 +589,18 @@ pub(crate) fn memo_map(
     if let Some(Slot {
         hit: Some(CachedVal::Map(m)),
         ..
-    }) = &slot
+    }) = slot
     {
-        return Ok((**m).clone());
+        return Ok(m);
     }
     let result = timed_compute(compute)?;
-    if let Some(slot) = slot {
-        store(op, &slot, extra, CachedVal::Map(Arc::new(result.clone())));
+    let Some(slot) = slot else {
+        return Ok(result);
+    };
+    match store(op, &slot, extra, CachedVal::Map(ready_to_share(result))) {
+        CachedVal::Map(m) => Ok(m),
+        _ => unreachable!("a map value is filed as a map"),
     }
-    Ok(result)
 }
 
 /// Memoizes a count-valued operation.
@@ -816,7 +778,7 @@ pub struct ImportReport {
 pub fn export() -> CacheExport {
     let c = ctx();
     let t = c.tables.lock().expect("isl cache poisoned");
-    let mut by_id: HashMap<u64, &Arc<Map>> = HashMap::with_capacity(t.n_interned);
+    let mut by_id: HashMap<u64, &Map> = HashMap::with_capacity(t.n_interned);
     for bucket in t.ids.values() {
         for (m, id) in bucket {
             by_id.insert(*id, m);
@@ -824,7 +786,7 @@ pub fn export() -> CacheExport {
     }
     let rel = |m: &Map| -> Option<RelExport> {
         let set = set_shaped(m);
-        if m.basics.is_empty() && !set {
+        if m.basics().is_empty() && !set {
             return None; // printed form would drop the input tuple
         }
         Some(RelExport {
@@ -926,7 +888,7 @@ pub fn import(snap: &CacheExport) -> ImportReport {
                 None => None,
             };
             let val = match &e.value {
-                ValExport::Map(r) => CachedVal::Map(Arc::new(resolve(r)?)),
+                ValExport::Map(r) => CachedVal::Map(resolve(r)?),
                 ValExport::Count(n) => CachedVal::Count(*n),
                 ValExport::Bool(b) => CachedVal::Bool(*b),
             };
@@ -943,13 +905,10 @@ pub fn import(snap: &CacheExport) -> ImportReport {
             report.skipped += 1;
             continue;
         }
-        let ia = intern(&mut t, map_hash(&lhs), Arc::new(lhs)).1;
-        let ib = match rhs {
-            Some(r) => intern(&mut t, map_hash(&r), Arc::new(r)).1,
-            None => NO_RHS,
-        };
+        let ia = intern(&mut t, &lhs).1;
+        let ib = rhs.map_or(NO_RHS, |r| intern(&mut t, &r).1);
         let val = match val {
-            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, map_hash(&m), m).0),
+            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, &m).0.clone()),
             v => v,
         };
         t.memo.entry((op, ia, ib, extra)).or_insert(val);
@@ -966,6 +925,14 @@ mod tests {
     fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(())).lock().unwrap()
+    }
+
+    /// The intern entry (shared handle and id) of `m`, if it has one.
+    fn interned<'t>(t: &'t Tables, m: &Map) -> Option<&'t (Map, u64)> {
+        t.ids
+            .get(&m.structural_hash())?
+            .iter()
+            .find(|(k, _)| k == m)
     }
 
     #[test]
@@ -1199,25 +1166,129 @@ mod tests {
         let _guard = test_lock();
         set_enabled(true);
         clear();
-        let a = Map::parse("{ X[i] -> Y[i + 1] : 0 <= i < 13 }").unwrap();
+        let text = "{ X[i] -> Y[i + 1] : 0 <= i < 13 }";
+        let a = Map::parse(text).unwrap();
         let b = Map::parse("{ Y[j] -> Z[j, 2j] : 0 <= j < 20 }").unwrap();
         let r = a.apply_range(&b).unwrap();
         assert_eq!(r.card().unwrap(), 13);
+        {
+            let t = ctx().tables.lock().unwrap();
+            let entry = |m: &Map| interned(&t, m).expect("interned");
+            let key = (OpKind::ApplyRange, entry(&a).1, entry(&b).1, 0);
+            let Some(CachedVal::Map(memoized)) = t.memo.get(&key) else {
+                panic!("apply_range result memoized");
+            };
+            let (shared, id) = entry(&r);
+            assert!(
+                Map::same_value(memoized, shared),
+                "the memo value and the operand entry are one allocation"
+            );
+            assert!(
+                Map::same_value(memoized, &r),
+                "the computing call returns the stored allocation"
+            );
+            assert!(
+                t.memo.contains_key(&(OpKind::Card, *id, NO_RHS, 0)),
+                "card is keyed by the shared entry's id"
+            );
+            assert!(
+                Map::same_value(&t.parsed_map[text], &a),
+                "a parse returns the parse table's allocation"
+            );
+        }
+        assert!(
+            Map::same_value(&a.apply_range(&b).unwrap(), &r),
+            "a memo hit returns the stored allocation, not an equal copy"
+        );
+        assert!(
+            Map::same_value(&Map::parse(text).unwrap(), &a),
+            "a parse hit returns the stored allocation, not an equal copy"
+        );
+    }
+
+    #[test]
+    fn equal_maps_hash_equal_and_intern_once() {
+        let _guard = test_lock();
+        let text = "{ P[i] -> Q[j] : 0 <= i < 4 and 0 <= j < 3 or 4 <= i < 9 and 0 <= j < 3 }";
+        // With the memo off, each parse builds its own value.
+        set_enabled(false);
+        let (x, y) = (Map::parse(text).unwrap(), Map::parse(text).unwrap());
+        set_enabled(true);
+        clear();
+        // Equal to `x` as a parse, as an op result built from owned
+        // parts, and as an edit of a hashed, shared value.
+        let direct = Map::parse("{ P[i] -> Q[j] : 0 <= i < 9 and 0 <= j < 3 }").unwrap();
+        let merged = Map::parse(text).unwrap().coalesce();
+        let rebuilt = x.reverse().reverse();
+        // One constant apart from `direct`.
+        let other = Map::parse("{ P[i] -> Q[j] : 0 <= i < 10 and 0 <= j < 3 }").unwrap();
+        assert!(!Map::same_value(&x, &y), "two values, built separately");
+        assert_eq!(x, y);
+        assert_eq!(x, rebuilt);
+        assert_eq!(direct, merged);
+        let h = |m: &Map| {
+            use std::hash::{Hash, Hasher};
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            m.hash(&mut s);
+            s.finish()
+        };
+        assert_eq!(h(&x), h(&y));
+        assert_eq!(h(&x), h(&rebuilt));
+        assert_eq!(h(&direct), h(&merged));
+        assert_ne!(direct, other);
+        assert_ne!(h(&direct), h(&other));
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            assert_eq!(x.card().unwrap(), 27);
+            assert_eq!(y.card().unwrap(), 27);
+            assert_eq!(rebuilt.card().unwrap(), 27);
+            assert_eq!(direct.card().unwrap(), 27);
+            assert_eq!(merged.card().unwrap(), 27);
+            assert_eq!(other.card().unwrap(), 30);
+        }
+        assert_eq!(
+            (handle.misses(), handle.hits()),
+            (3, 3),
+            "equal maps share one card entry; the one-constant change misses"
+        );
         let t = ctx().tables.lock().unwrap();
-        let entry = |m: &Map| find_interned(&t, map_hash(m), m).expect("interned");
-        let key = (OpKind::ApplyRange, entry(&a).1, entry(&b).1, 0);
-        let Some(CachedVal::Map(memoized)) = t.memo.get(&key) else {
+        let id = |m: &Map| interned(&t, m).expect("interned").1;
+        assert_eq!(id(&x), id(&y));
+        assert_eq!(id(&x), id(&rebuilt));
+        assert_eq!(id(&direct), id(&merged));
+        assert_ne!(id(&direct), id(&other));
+    }
+
+    #[test]
+    fn shared_results_hold_no_spare_capacity() {
+        let _guard = test_lock();
+        set_enabled(true);
+        clear();
+        // Three pieces that do not merge: the parse builds them by pushes
+        // (rows into each disjunct, disjuncts through unions).
+        let text = "{ A[i, j] -> B[i + j, j] : 0 <= i < 3 and 0 <= j < 4 and i mod 2 = 0; \
+                    A[i, j] -> B[i + j, j] : 10 <= i < 13 and 0 <= j < 4; \
+                    A[i, j] -> B[i + j, j] : 20 <= i < 25 and 0 <= j < i - 18 }";
+        let a = Map::parse(text).unwrap();
+        let b = Map::parse("{ B[p, q] -> C[p - q, 2q, q mod 3] : 0 <= q < 4 }").unwrap();
+        let r = a.apply_range(&b).unwrap();
+        assert_eq!(r.basics().len(), 3);
+        let t = ctx().tables.lock().unwrap();
+        let key = (
+            OpKind::ApplyRange,
+            interned(&t, &a).unwrap().1,
+            interned(&t, &b).unwrap().1,
+            0,
+        );
+        let Some(CachedVal::Map(composed)) = t.memo.get(&key) else {
             panic!("apply_range result memoized");
         };
-        let (interned, id) = entry(&r);
-        assert!(
-            Arc::ptr_eq(memoized, interned),
-            "the memo value and the operand entry are one allocation"
-        );
-        assert!(
-            t.memo.contains_key(&(OpKind::Card, *id, NO_RHS, 0)),
-            "card is keyed by the shared entry's id"
-        );
+        for (what, m) in [("parse", &t.parsed_map[text]), ("apply_range", composed)] {
+            for (vector, len, capacity) in m.vector_sizes() {
+                assert_eq!(len, capacity, "{what}: spare capacity in {vector}");
+            }
+        }
     }
 
     #[test]
@@ -1225,13 +1296,13 @@ mod tests {
         let _guard = test_lock();
         set_enabled(true);
         let m = Map::parse("{ C[i] -> D[i] : 0 <= i < 4 or 4 <= i < 9 }").unwrap();
-        assert_eq!(m.basics.len(), 2, "two disjuncts to merge");
+        assert_eq!(m.basics().len(), 2, "two disjuncts to merge");
         let handle = CounterHandle::new();
         let merged = {
             let _attached = handle.attach();
             m.coalesce()
         };
-        assert_eq!(merged.basics.len(), 1, "adjacent intervals merge");
+        assert_eq!(merged.basics().len(), 1, "adjacent intervals merge");
         assert_eq!((handle.hits(), handle.misses()), (0, 0));
     }
 
@@ -1261,8 +1332,7 @@ mod tests {
         assert_eq!(report.memo, 0, "a retired row is not restored: {report:?}");
         let lhs = Map::parse(text).unwrap();
         let t = ctx().tables.lock().unwrap();
-        let keyed = find_interned(&t, map_hash(&lhs), &lhs)
-            .is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
+        let keyed = interned(&t, &lhs).is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
         assert!(
             !keyed,
             "no memo entry is keyed by the retired row's operand"

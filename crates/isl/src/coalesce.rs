@@ -186,14 +186,16 @@ fn try_merge(x: &BasicMap, y: &BasicMap, ex: &Expanded, ey: &Expanded) -> Option
 /// single merge, which dominated cold `apply_range` time on case-split
 /// unions.
 ///
-/// Takes the map by value: a map of at most one disjunct comes back
-/// unchanged, and a larger one's disjuncts are merged in place, so an
-/// owner that moves its map in pays no copy.
+/// Takes the map handle by value: a map of at most one disjunct comes
+/// back as the same handle. A larger one is merged on its own parts: a
+/// uniquely held value's disjuncts are merged in place, and a shared
+/// handle's are copied once before merging, so the value other handles
+/// see never changes.
 pub(crate) fn coalesce_map(map: Map) -> Map {
-    if map.basics.len() <= 1 {
+    if map.basics().len() <= 1 {
         return map;
     }
-    let Map { space, mut basics } = map;
+    let (space, mut basics) = map.into_parts();
     let mut exp: Vec<Expanded> = basics.iter().map(expand).collect();
     let mut changed = true;
     let mut guard = 0;
@@ -221,7 +223,7 @@ pub(crate) fn coalesce_map(map: Map) -> Map {
             i += 1;
         }
     }
-    Map { space, basics }
+    Map::from_parts(space, basics)
 }
 
 #[cfg(test)]

@@ -92,11 +92,11 @@ impl fmt::Display for BasicMap {
 
 impl fmt::Display for Map {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.basics.is_empty() {
+        if self.basics().is_empty() {
             // An empty relation: print an unsatisfiable constraint.
-            return write!(f, "{{ {} : 1 = 0 }}", self.space.output);
+            return write!(f, "{{ {} : 1 = 0 }}", self.space().output);
         }
-        let parts: Vec<String> = self.basics.iter().map(body).collect();
+        let parts: Vec<String> = self.basics().iter().map(body).collect();
         write!(f, "{{ {} }}", parts.join("; "))
     }
 }

@@ -59,8 +59,10 @@
 //!   `memcpy`s and the hot paths allocate almost nothing. Rows hash and
 //!   compare element-wise, giving [`BasicMap`] and [`Map`] cheap
 //!   structural equality and hashing. Spaces (the dim-name tuples) are
-//!   shared behind `Arc`, so cloning a relation — which every memo round
-//!   trip does — never re-allocates a string.
+//!   shared behind `Arc`, so copying a disjunct never re-allocates a
+//!   string, and a [`Map`] is a reference-counted handle that caches its
+//!   structural hash, so the memo stores, interns and returns relations
+//!   without copying or re-hashing them.
 //!
 //! * **A shared operation memo ([`cache`]).** `reverse`, `apply_range`,
 //!   `intersect`, `subtract`, projection, `card`, `is_empty` and parsing
@@ -71,10 +73,10 @@
 //!   construction, which the `tests/fastpath.rs` property suite verifies
 //!   end to end. A memoized map result is filed in the same intern
 //!   table, so it shares one allocation with its later uses as an
-//!   operand. DSE sweeps, whose candidates share access maps and
-//!   intermediate relations, amortize much of their relational work this
-//!   way (`isl.memo_hit_ratio` is 0.80 on the benchmark's `dse_conv`
-//!   sweep).
+//!   operand and with every hit that returns it. DSE sweeps, whose
+//!   candidates share access maps and intermediate relations, amortize
+//!   much of their relational work this way (`isl.memo_hit_ratio` is
+//!   0.80 on the benchmark's `dse_conv` sweep).
 //!
 //! * **Composition by substitution.** [`Map::apply_range`] composes each
 //!   disjunct pair whose left side is an affine-function graph (no divs,

@@ -8,9 +8,21 @@ use crate::project::eliminate_vars;
 use crate::set::Set;
 use crate::space::{Space, Tuple};
 use crate::{Error, Result};
-use std::sync::Arc;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// A binary integer relation: a union of basic maps.
+///
+/// A `Map` is a handle on one immutable, reference-counted value, as
+/// libisl's `isl_map` is: `clone()` bumps a count, and the memo
+/// ([`crate::cache`]) returns, stores and interns handles, never copies.
+/// Operations build a result from owned parts and never edit a shared
+/// value; an edit of an existing map takes its parts, moved out of a
+/// uniquely held value or copied once out of a shared one. Equal maps
+/// hash equal: the hash is structural, computed once per value and
+/// cached in it, and equality confirms it structurally unless both
+/// handles point at one value.
 ///
 /// ```
 /// use tenet_isl::Map;
@@ -18,16 +30,106 @@ use std::sync::Arc;
 /// assert_eq!(m.card()?, 12);
 /// # Ok::<(), tenet_isl::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Map {
+    rel: Arc<Rel>,
+}
+
+/// The shared value behind a [`Map`] handle.
+#[derive(Clone)]
+struct Rel {
     /// Shared with every disjunct's `space` where possible (see
-    /// [`BasicMap`]): cloning a map then costs one `Arc` bump per
-    /// disjunct instead of re-allocating every dim-name string.
-    pub(crate) space: Arc<Space>,
-    pub(crate) basics: Vec<BasicMap>,
+    /// [`BasicMap`]).
+    space: Arc<Space>,
+    basics: Vec<BasicMap>,
+    /// Structural hash of `space` and `basics`, computed on first use.
+    hash: OnceLock<u64>,
+}
+
+impl PartialEq for Map {
+    fn eq(&self, other: &Map) -> bool {
+        if Map::same_value(self, other) {
+            return true;
+        }
+        if let (Some(a), Some(b)) = (self.rel.hash.get(), other.rel.hash.get()) {
+            if a != b {
+                return false;
+            }
+        }
+        self.rel.space == other.rel.space && self.rel.basics == other.rel.basics
+    }
+}
+
+impl Eq for Map {}
+
+impl Hash for Map {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.structural_hash());
+    }
+}
+
+impl std::fmt::Debug for Map {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Map")
+            .field("space", &self.rel.space)
+            .field("basics", &self.rel.basics)
+            .finish()
+    }
 }
 
 impl Map {
+    /// Wraps owned parts in a fresh handle, the one constructor every
+    /// operation builds its result with.
+    pub(crate) fn from_parts(space: Arc<Space>, basics: Vec<BasicMap>) -> Map {
+        Map {
+            rel: Arc::new(Rel {
+                space,
+                basics,
+                hash: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// The parts of the relation, for an edit that rebuilds it with
+    /// [`Map::from_parts`]: moved out of a uniquely held value, copied
+    /// once out of a shared one. The cached hash goes with the old value.
+    pub(crate) fn into_parts(self) -> (Arc<Space>, Vec<BasicMap>) {
+        let Rel { space, basics, .. } = Arc::unwrap_or_clone(self.rel);
+        (space, basics)
+    }
+
+    /// Whether both handles point at one value.
+    pub(crate) fn same_value(a: &Map, b: &Map) -> bool {
+        Arc::ptr_eq(&a.rel, &b.rel)
+    }
+
+    /// Structural hash of the relation, with a deterministic hasher
+    /// (`DefaultHasher::new()` is seeded with fixed keys, so every thread
+    /// derives the same hash for the same relation). Computed on the first
+    /// call and cached in the value, so each value is walked once however
+    /// many handles and lookups reach it.
+    pub(crate) fn structural_hash(&self) -> u64 {
+        *self.rel.hash.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.rel.space.hash(&mut h);
+            self.rel.basics.hash(&mut h);
+            h.finish()
+        })
+    }
+
+    /// Drops the spare capacity of a uniquely held value: its disjunct
+    /// vector and each disjunct's row and div vectors. A value built by
+    /// pushes carries up to twice its size, so the memo calls this before
+    /// it shares a fresh result. A shared value is left as it is.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        if let Some(rel) = Arc::get_mut(&mut self.rel) {
+            rel.basics.shrink_to_fit();
+            for b in &mut rel.basics {
+                b.shrink_to_fit();
+            }
+        }
+    }
+
     /// Parses a map from the ISL-style textual notation used in the paper,
     /// e.g. `{ S[i,j,k] -> PE[i mod 8, j mod 8] : 0 <= i < 64 }`.
     ///
@@ -40,27 +142,18 @@ impl Map {
 
     /// A map holding a single basic map.
     pub fn from_basic(bm: BasicMap) -> Map {
-        Map {
-            space: bm.space.clone(),
-            basics: vec![bm],
-        }
+        Map::from_parts(bm.space.clone(), vec![bm])
     }
 
     /// The unconstrained relation over `space`.
     pub fn universe(space: impl Into<Arc<Space>>) -> Map {
         let space = space.into();
-        Map {
-            space: space.clone(),
-            basics: vec![BasicMap::universe(space)],
-        }
+        Map::from_parts(space.clone(), vec![BasicMap::universe(space)])
     }
 
     /// The empty relation over `space`.
     pub fn empty(space: impl Into<Arc<Space>>) -> Map {
-        Map {
-            space: space.into(),
-            basics: Vec::new(),
-        }
+        Map::from_parts(space.into(), Vec::new())
     }
 
     /// The identity relation `{ in[x] -> out[x] }`.
@@ -70,29 +163,29 @@ impl Map {
 
     /// The space of the relation.
     pub fn space(&self) -> &Space {
-        &self.space
+        &self.rel.space
     }
 
     /// Number of input dimensions.
     pub fn n_in(&self) -> usize {
-        self.space.n_in()
+        self.rel.space.n_in()
     }
 
     /// Number of output dimensions.
     pub fn n_out(&self) -> usize {
-        self.space.n_out()
+        self.rel.space.n_out()
     }
 
     /// The disjuncts of this relation.
     pub fn basics(&self) -> &[BasicMap] {
-        &self.basics
+        &self.rel.basics
     }
 
     fn check_compatible(&self, other: &Map, op: &str) -> Result<()> {
-        if !self.space.is_compatible(&other.space) {
+        if !self.rel.space.is_compatible(&other.rel.space) {
             return Err(Error::SpaceMismatch(format!(
                 "{op}: {} vs {}",
-                self.space, other.space
+                self.rel.space, other.rel.space
             )));
         }
         Ok(())
@@ -113,20 +206,17 @@ impl Map {
     }
 
     fn union_uncached(&self, other: &Map) -> Result<Map> {
-        let mut basics = self.basics.clone();
+        let mut basics = self.rel.basics.clone();
         let var_map: Vec<usize> = (0..self.n_in() + self.n_out()).collect();
-        for b in &other.basics {
+        for b in &other.rel.basics {
             // Renormalize into self's space (names may differ).
-            let mut nb = BasicMap::universe(self.space.clone());
+            let mut nb = BasicMap::universe(self.rel.space.clone());
             nb.import_constraints(b, &var_map)?;
             if !basics.contains(&nb) {
                 basics.push(nb);
             }
         }
-        Ok(Map {
-            space: self.space.clone(),
-            basics,
-        })
+        Ok(Map::from_parts(self.rel.space.clone(), basics))
     }
 
     /// Intersection of two relations over compatible spaces.
@@ -140,8 +230,8 @@ impl Map {
     fn intersect_uncached(&self, other: &Map) -> Result<Map> {
         let var_map: Vec<usize> = (0..self.n_in() + self.n_out()).collect();
         let mut basics = Vec::new();
-        for a in &self.basics {
-            for b in &other.basics {
+        for a in &self.rel.basics {
+            for b in &other.rel.basics {
                 let mut nb = a.clone();
                 nb.import_constraints(b, &var_map)?;
                 if nb.simplify() && !count::basic_is_empty(&nb)? {
@@ -150,10 +240,10 @@ impl Map {
                 }
             }
         }
-        Ok(crate::coalesce::coalesce_map(Map {
-            space: self.space.clone(),
+        Ok(crate::coalesce::coalesce_map(Map::from_parts(
+            self.rel.space.clone(),
             basics,
-        }))
+        )))
     }
 
     /// Exact set difference `self \ other`.
@@ -165,8 +255,8 @@ impl Map {
     }
 
     fn subtract_uncached(&self, other: &Map) -> Result<Map> {
-        let mut pieces = self.basics.clone();
-        for c in &other.basics {
+        let mut pieces = self.rel.basics.clone();
+        for c in &other.rel.basics {
             let mut next = Vec::new();
             for p in &pieces {
                 next.extend(basic_subtract(p, c)?);
@@ -176,25 +266,22 @@ impl Map {
                 break;
             }
         }
-        Ok(Map {
-            space: self.space.clone(),
-            basics: pieces,
-        })
+        Ok(Map::from_parts(self.rel.space.clone(), pieces))
     }
 
     /// Total stored constraint rows — the cost proxy deciding whether an
     /// operation on this relation is worth a memo-table round trip.
     fn memo_weight(&self) -> usize {
-        self.basics.iter().map(BasicMap::constraint_count).sum()
+        self.rel.basics.iter().map(BasicMap::constraint_count).sum()
     }
 
     /// The reversed relation (`out -> in`).
     pub fn reverse(&self) -> Map {
         let compute = || {
-            Ok(Map {
-                space: Arc::new(self.space.reversed()),
-                basics: self.basics.iter().map(BasicMap::reverse).collect(),
-            })
+            Ok(Map::from_parts(
+                Arc::new(self.rel.space.reversed()),
+                self.rel.basics.iter().map(BasicMap::reverse).collect(),
+            ))
         };
         // Reversing is a straight column swap: for small relations doing it
         // beats hashing it. Only unions with real bulk go through the memo.
@@ -210,7 +297,7 @@ impl Map {
         if self.n_out() != other.n_in() {
             return Err(Error::SpaceMismatch(format!(
                 "apply_range: range {} vs domain {}",
-                self.space.output, other.space.input
+                self.rel.space.output, other.rel.space.input
             )));
         }
         cache::memo_map(OpKind::ApplyRange, self, Some(other), 0, || {
@@ -223,8 +310,8 @@ impl Map {
         let ny = self.n_out();
         let nz = other.n_out();
         let result_space = Arc::new(Space::map(
-            self.space.input.clone(),
-            other.space.output.clone(),
+            self.rel.space.input.clone(),
+            other.rel.space.output.clone(),
         ));
         // Pairs whose left disjunct is not a function graph are composed in
         // the combined layout [X | Z | Ymid], projecting Ymid away.
@@ -232,9 +319,9 @@ impl Map {
         let var_map_a: Vec<usize> = (0..nx).chain(nx + nz..nx + nz + ny).collect();
         let var_map_b: Vec<usize> = (nx + nz..nx + nz + ny).chain(nx..nx + nz).collect();
         let mut basics = Vec::new();
-        for a in &self.basics {
+        for a in &self.rel.basics {
             let graph = AffineGraph::of(a);
-            for b in &other.basics {
+            for b in &other.rel.basics {
                 if let Some(g) = &graph {
                     #[cfg(test)]
                     tests::SUBSTITUTED.with(|n| n.set(n.get() + 1));
@@ -242,12 +329,12 @@ impl Map {
                     continue;
                 }
                 let space = comb_space.get_or_insert_with(|| {
-                    let mut out_dims = other.space.output.dims.clone();
+                    let mut out_dims = other.rel.space.output.dims.clone();
                     out_dims.extend((0..ny).map(|i| format!("_m{i}")));
                     Arc::new(Space::map(
-                        self.space.input.clone(),
+                        self.rel.space.input.clone(),
                         Tuple {
-                            name: other.space.output.name.clone(),
+                            name: other.rel.space.output.name.clone(),
                             dims: out_dims,
                         },
                     ))
@@ -259,18 +346,17 @@ impl Map {
                 basics.extend(eliminate_vars(comb, targets)?);
             }
         }
-        let mut m = Map {
-            space: result_space.clone(),
-            basics,
-        };
-        for b in m.basics.iter_mut() {
+        for b in basics.iter_mut() {
             b.space = result_space.clone();
         }
-        m.basics.dedup();
+        basics.dedup();
         // Compositions through case splits and offset unions produce many
         // adjacent disjuncts; merge them so downstream set algebra stays
         // close to linear.
-        Ok(crate::coalesce::coalesce_map(m))
+        Ok(crate::coalesce::coalesce_map(Map::from_parts(
+            result_space,
+            basics,
+        )))
     }
 
     /// Packs the project-op memo key: bit 0 distinguishes the in/out
@@ -296,11 +382,11 @@ impl Map {
 
     fn project_out_out_uncached(&self, first: usize, n: usize) -> Result<Map> {
         let n_in = self.n_in();
-        let mut space = (*self.space).clone();
+        let mut space = (*self.rel.space).clone();
         space.output.dims.drain(first..first + n);
         let space = Arc::new(space);
         let mut basics = Vec::new();
-        for b in &self.basics {
+        for b in &self.rel.basics {
             let targets: Vec<usize> = (n_in + first..n_in + first + n).collect();
             basics.extend(eliminate_vars(b.clone(), targets)?);
         }
@@ -308,7 +394,7 @@ impl Map {
             b.space = space.clone();
         }
         basics.dedup();
-        Ok(Map { space, basics })
+        Ok(Map::from_parts(space, basics))
     }
 
     /// Projects away input dimensions `[first, first + n)`.
@@ -322,11 +408,11 @@ impl Map {
     }
 
     fn project_out_in_uncached(&self, first: usize, n: usize) -> Result<Map> {
-        let mut space = (*self.space).clone();
+        let mut space = (*self.rel.space).clone();
         space.input.dims.drain(first..first + n);
         let space = Arc::new(space);
         let mut basics = Vec::new();
-        for b in &self.basics {
+        for b in &self.rel.basics {
             let targets: Vec<usize> = (first..first + n).collect();
             basics.extend(eliminate_vars(b.clone(), targets)?);
         }
@@ -334,7 +420,7 @@ impl Map {
             b.space = space.clone();
         }
         basics.dedup();
-        Ok(Map { space, basics })
+        Ok(Map::from_parts(space, basics))
     }
 
     /// The range of the relation, as a set.
@@ -351,19 +437,10 @@ impl Map {
     /// Reinterprets the relation as a set over the concatenated
     /// `in ++ out` dimensions (ISL's `wrap`).
     pub fn wrap(&self) -> Set {
-        let mut dims = self.space.input.dims.clone();
-        dims.extend(self.space.output.dims.iter().cloned());
+        let mut dims = self.rel.space.input.dims.clone();
+        dims.extend(self.rel.space.output.dims.iter().cloned());
         let space = Arc::new(Space::set(Tuple { name: None, dims }));
-        let basics = self
-            .basics
-            .iter()
-            .map(|b| {
-                let mut nb = b.clone();
-                nb.space = space.clone();
-                nb
-            })
-            .collect();
-        Set::from_map_unchecked(Map { space, basics })
+        Set::from_map_unchecked(self.respaced(space))
     }
 
     /// Restricts the domain to `set`.
@@ -398,7 +475,7 @@ impl Map {
 
     fn intersect_with_mapped(&self, set: &Set, var_map: &[usize]) -> Result<Map> {
         let mut basics = Vec::new();
-        for a in &self.basics {
+        for a in &self.rel.basics {
             for b in set.as_map().basics() {
                 let mut nb = a.clone();
                 nb.import_constraints(b, var_map)?;
@@ -408,10 +485,7 @@ impl Map {
                 }
             }
         }
-        Ok(Map {
-            space: self.space.clone(),
-            basics,
-        })
+        Ok(Map::from_parts(self.rel.space.clone(), basics))
     }
 
     /// Fixes input dimension `dim` to `val`.
@@ -440,7 +514,7 @@ impl Map {
         // couple of row pushes — only bulky unions (whose disjunct clones
         // carry real weight) go through the memo. Sweeps that re-pin the
         // same stamps (max-utilization probing, DSE re-evaluation) then
-        // replay the clone from the table.
+        // get the stored result back from the table.
         if self.memo_weight() < 32 {
             return self.fix_col_uncached(col, val);
         }
@@ -454,6 +528,7 @@ impl Map {
 
     fn fix_col_uncached(&self, col: usize, val: i64) -> Map {
         let basics = self
+            .rel
             .basics
             .iter()
             .map(|b| {
@@ -466,10 +541,7 @@ impl Map {
                 nb
             })
             .collect();
-        Map {
-            space: self.space.clone(),
-            basics,
-        }
+        Map::from_parts(self.rel.space.clone(), basics)
     }
 
     /// Exact number of pairs in the relation.
@@ -484,9 +556,9 @@ impl Map {
     fn card_uncached(&self) -> Result<u128> {
         // Disjoint decomposition: b_i minus all earlier disjuncts.
         let mut total: u128 = 0;
-        for (i, b) in self.basics.iter().enumerate() {
+        for (i, b) in self.rel.basics.iter().enumerate() {
             let mut pieces = vec![b.clone()];
-            for prev in &self.basics[..i] {
+            for prev in &self.rel.basics[..i] {
                 let mut next = Vec::new();
                 for p in &pieces {
                     next.extend(basic_subtract(p, prev)?);
@@ -511,7 +583,7 @@ impl Map {
     }
 
     fn is_empty_uncached(&self) -> Result<bool> {
-        for b in &self.basics {
+        for b in &self.rel.basics {
             if !count::basic_is_empty(b)? {
                 return Ok(false);
             }
@@ -531,7 +603,7 @@ impl Map {
 
     /// Whether the concatenated point `in ++ out` belongs to the relation.
     pub fn contains_point(&self, point: &[i64]) -> Result<bool> {
-        for b in &self.basics {
+        for b in &self.rel.basics {
             if b.contains_point(point)? {
                 return Ok(true);
             }
@@ -547,7 +619,7 @@ impl Map {
     /// Fails when more than `limit` points would be produced.
     pub fn points(&self, limit: usize) -> Result<Vec<Vec<i64>>> {
         let mut all = std::collections::BTreeSet::new();
-        for b in &self.basics {
+        for b in &self.rel.basics {
             for p in count::basic_points(b, limit)? {
                 all.insert(p);
                 if all.len() > limit {
@@ -593,7 +665,7 @@ impl Map {
             dims: out_dims,
         }));
         let mut basics = Vec::new();
-        for b in &self.basics {
+        for b in &self.rel.basics {
             let mut comb = BasicMap::universe(space.clone());
             // map's in dims -> x block (cols n..2n); out dims -> y block.
             let var_map: Vec<usize> = (n..2 * n).chain(2 * n..3 * n).collect();
@@ -616,16 +688,16 @@ impl Map {
             b.space = final_space.clone();
         }
         basics.dedup();
-        Ok(Set::from_map_unchecked(Map {
-            space: final_space,
+        Ok(Set::from_map_unchecked(Map::from_parts(
+            final_space,
             basics,
-        }))
+        )))
     }
 
     /// Returns some point of the relation (as `in ++ out` coordinates), or
     /// `None` if it is empty.
     pub fn sample(&self) -> Result<Option<Vec<i64>>> {
-        for b in &self.basics {
+        for b in &self.rel.basics {
             if let Some(p) = count::basic_sample(b)? {
                 return Ok(Some(p));
             }
@@ -687,13 +759,20 @@ impl Map {
     /// Renames the space (arities must match).
     pub fn with_space(&self, space: impl Into<Arc<Space>>) -> Result<Map> {
         let space = space.into();
-        if !self.space.is_compatible(&space) {
+        if !self.rel.space.is_compatible(&space) {
             return Err(Error::SpaceMismatch(format!(
                 "cannot rename {} to {}",
-                self.space, space
+                self.rel.space, space
             )));
         }
+        Ok(self.respaced(space))
+    }
+
+    /// The same constraints over `space`, which has as many columns (the
+    /// caller checks).
+    pub(crate) fn respaced(&self, space: Arc<Space>) -> Map {
         let basics = self
+            .rel
             .basics
             .iter()
             .map(|b| {
@@ -702,7 +781,26 @@ impl Map {
                 nb
             })
             .collect();
-        Ok(Map { space, basics })
+        Map::from_parts(space, basics)
+    }
+}
+
+#[cfg(test)]
+impl Map {
+    /// Length and capacity of every vector the value holds: the disjunct
+    /// vector, each disjunct's div, equality and inequality vectors, and
+    /// each of their rows.
+    pub(crate) fn vector_sizes(&self) -> Vec<(&'static str, usize, usize)> {
+        let basics = &self.rel.basics;
+        let mut sizes = vec![("disjuncts", basics.len(), basics.capacity())];
+        for b in basics {
+            sizes.push(("divs", b.divs.len(), b.divs.capacity()));
+            sizes.push(("eqs", b.eqs.len(), b.eqs.capacity()));
+            sizes.push(("ineqs", b.ineqs.len(), b.ineqs.capacity()));
+            let rows = b.divs.iter().map(|d| &d.num).chain(&b.eqs).chain(&b.ineqs);
+            sizes.extend(rows.map(|r| ("row", r.len(), r.capacity())));
+        }
+        sizes
     }
 }
 

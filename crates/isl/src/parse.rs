@@ -709,7 +709,7 @@ pub(crate) fn parse_map(text: &str) -> Result<Map> {
     let mut result: Option<Map> = None;
     for d in &disjuncts {
         let (space, basics) = build_disjunct(d, true)?;
-        let m = Map { space, basics };
+        let m = Map::from_parts(space, basics);
         result = Some(match result {
             None => m,
             Some(acc) => acc.union(&m)?,
@@ -725,7 +725,7 @@ pub(crate) fn parse_set(text: &str) -> Result<Set> {
     let mut result: Option<Map> = None;
     for d in &disjuncts {
         let (space, basics) = build_disjunct(d, false)?;
-        let m = Map { space, basics };
+        let m = Map::from_parts(space, basics);
         result = Some(match result {
             None => m,
             Some(acc) => acc.union(&m)?,

@@ -168,6 +168,23 @@ impl Row {
         }
     }
 
+    /// Drops the spare capacity of a row spilled to the heap.
+    pub fn shrink_to_fit(&mut self) {
+        if let Repr::Heap(vec) = &mut self.0 {
+            vec.shrink_to_fit();
+        }
+    }
+
+    /// Coefficients the row holds room for without growing: its length
+    /// when inline, its heap capacity once spilled.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Heap(vec) => vec.capacity(),
+        }
+    }
+
     /// Appends all coefficients of `s`.
     #[inline]
     pub fn extend_from_slice(&mut self, s: &[i64]) {

@@ -279,15 +279,7 @@ impl Set {
                 "unwrap: space arities do not match set dimensionality".into(),
             ));
         }
-        let space = std::sync::Arc::new(space);
-        let mut out = Map {
-            space: space.clone(),
-            basics: self.map.basics.clone(),
-        };
-        for b in out.basics.iter_mut() {
-            b.space = space.clone();
-        }
-        Ok(out)
+        Ok(self.map.respaced(std::sync::Arc::new(space)))
     }
 }
 

@@ -1,11 +1,12 @@
 //! Spaces: named tuples describing the domain and range of a relation.
 //!
-//! [`BasicMap`](crate::BasicMap) and [`Map`](crate::Map) hold their space
-//! behind an `Arc`, so cloning a relation (which the memo layer and every
-//! disjunct-producing operation do constantly) bumps a reference count
-//! instead of re-allocating the dim-name strings. `Space` itself stays a
-//! plain value type: constructors take it by value and wrap it; mutation
-//! inside the isl crate goes through `Arc::make_mut` (clone-on-write).
+//! [`BasicMap`](crate::BasicMap) and the value behind a
+//! [`Map`](crate::Map) handle hold their space behind an `Arc`, so copying
+//! a disjunct (which every splitting, subtracting and coalescing operation
+//! does constantly) bumps a reference count instead of re-allocating the
+//! dim-name strings. `Space` itself stays a plain value type: constructors
+//! take it by value and wrap it; mutation inside the isl crate goes
+//! through `Arc::make_mut` (clone-on-write).
 
 use std::fmt;
 
@@ -66,11 +67,12 @@ impl Tuple {
     }
 }
 
-// Hashing a tuple deliberately ignores the name strings: relations are
-// hashed on every memo-table lookup, and hashing dimension names would
-// dominate the lookup cost. Equal tuples still hash equal (the contract),
-// and the memo table always confirms candidates with full `Eq`, so
-// same-arity tuples colliding costs at most a bucket walk.
+// Hashing a tuple deliberately ignores the name strings: every fresh
+// relation that reaches the memo table is hashed (once; its `Map` handle
+// caches the hash), and hashing dimension names would dominate that walk.
+// Equal tuples still hash equal (the contract), and the memo table always
+// confirms candidates with full `Eq`, so same-arity tuples colliding
+// costs at most a bucket walk.
 impl std::hash::Hash for Tuple {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.name.is_some().hash(state);
