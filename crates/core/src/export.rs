@@ -80,7 +80,7 @@ pub fn to_table(report: &PerformanceReport) -> String {
     s
 }
 
-/// The CSV header matching [`to_csv_row`].
+/// The CSV header matching [`to_csv_rows`].
 pub fn csv_header() -> &'static str {
     "op,dataflow,tensor,role,total,reuse,unique,spatial_reuse,temporal_reuse,\
      reuse_factor,avg_util,max_util,latency,ibw,sbw,energy"

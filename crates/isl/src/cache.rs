@@ -33,7 +33,7 @@
 //!   is no approximation, rounding, or hash-collision risk anywhere.
 //!   Property tests (`tests/fastpath.rs`) assert this end to end.
 //! * **Bounding.** The table is cleared wholesale when it exceeds
-//!   [`MAX_ENTRIES`]; correctness never depends on a hit, so eviction is
+//!   `MAX_ENTRIES`; correctness never depends on a hit, so eviction is
 //!   free to be coarse.
 //! * **Counting.** Every lookup (hit or miss) and every closed-form
 //!   counting dispatch bumps one root counter set, the process totals
@@ -727,7 +727,7 @@ pub enum ValExport {
 /// ids — restore is re-parse + re-intern under fresh ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoExport {
-    /// Stable operation name (see [`op_name`]).
+    /// Stable operation name (see `op_name`).
     pub op: String,
     /// Left operand.
     pub lhs: RelExport,
@@ -763,7 +763,7 @@ pub struct ImportReport {
     /// Memo entries restored.
     pub memo: u64,
     /// Entries dropped (unknown op name, unparseable text, table full).
-    /// Rows of a retired operation (see [`RETIRED_OPS`]) are dropped
+    /// Rows of a retired operation (see `RETIRED_OPS`) are dropped
     /// without being counted here or in `memo`.
     pub skipped: u64,
 }

@@ -26,12 +26,12 @@ use crate::basic::{BasicMap, Row};
 use crate::cache::note_fastpath;
 use crate::value::{ceil_div, floor_div, gcd, mod_hat};
 use crate::{Error, Result};
-use std::sync::atomic::Ordering;
 
 /// Hard cap on the number of values a single variable may be enumerated
 /// over before we give up with [`Error::TooComplex`].
 const ENUM_LIMIT: i64 = 4_000_000;
-/// Hard cap on total recursion work.
+/// Hard cap on the total recursion work of one top-level count, all of
+/// it charged on the caller's thread.
 const WORK_LIMIT: u64 = 400_000_000;
 
 /// Which closed-form counting shortcut dispatched. The discriminants
@@ -1736,21 +1736,17 @@ fn count_rec(
     arena: &mut RowArena,
 ) -> Result<u128> {
     let mut t = t;
-    let r = count_rec_inner(&mut t, limit, work, arena, false);
+    let r = count_rec_inner(&mut t, limit, work, arena);
     arena.reclaim(t);
     r
 }
 
-/// [`count_rec`] body. `par` permits one work-stealing split across
-/// threads at this node's enumeration fallback (set only by
-/// [`count_tableau`] for top-level exact counts; recursion below a split
-/// is always serial).
+/// [`count_rec`] body, on a borrowed tableau.
 fn count_rec_inner(
     t: &mut Tableau,
     limit: Option<u128>,
     work: &mut u64,
     arena: &mut RowArena,
-    par: bool,
 ) -> Result<u128> {
     *work += 1;
     if *work > WORK_LIMIT {
@@ -1780,7 +1776,7 @@ fn count_rec_inner(
         }
     }
     if factor > 1 {
-        let inner = count_rec_inner(t, limit, work, arena, par)?;
+        let inner = count_rec_inner(t, limit, work, arena)?;
         return match limit {
             Some(_) => Ok(inner.saturating_mul(factor)),
             None => inner.checked_mul(factor).ok_or(Error::Overflow),
@@ -1868,14 +1864,6 @@ fn count_rec_inner(
             hi as i128 - lo as i128 + 1
         )));
     }
-    if par && limit.is_none() && hi <= i64::MAX - 65 {
-        // (The cursor in the split may run `threads` past `hi`; the guard
-        // keeps its `fetch_add` off the wrapping edge.)
-        let threads = enum_threads();
-        if threads > 1 && hi as i128 - lo as i128 + 1 >= PAR_SPLIT_MIN_WIDTH as i128 {
-            return count_split_parallel(t, var, lo, hi, threads);
-        }
-    }
     let mut total: u128 = 0;
     for v in lo..=hi {
         let sub = t.fix_with(var, v, arena)?;
@@ -1892,75 +1880,6 @@ fn count_rec_inner(
                 return Ok(total);
             }
         }
-    }
-    Ok(total)
-}
-
-/// Minimum enumeration width before the top-level counting split fans
-/// out across threads (narrower splits don't amortize thread spawn).
-const PAR_SPLIT_MIN_WIDTH: u64 = 16;
-
-/// Worker threads for parallel enumeration/counting: the machine's
-/// available parallelism capped at 8, overridable via
-/// `TENET_ISL_THREADS` (useful to force the parallel paths on small
-/// boxes, or to pin them off).
-fn enum_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("TENET_ISL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    })
-}
-
-/// Work-stealing parallel form of the enumeration fallback: workers
-/// claim values of `var` off a shared atomic cursor (granularity 1, so
-/// skewed per-value costs balance), each counting its substituted
-/// subproblem serially with a private arena. Partial totals add with
-/// overflow checks; the first error wins. Each worker carries its own
-/// [`WORK_LIMIT`] budget — a deliberate widening (≤ `threads ×` the
-/// serial budget) in exchange for not contending on a shared counter.
-/// Attached [`crate::CounterHandle`]s propagate to the workers, so
-/// scoped fast-path/dispatch attribution stays exact across the split.
-fn count_split_parallel(t: &Tableau, var: usize, lo: i64, hi: i64, threads: usize) -> Result<u128> {
-    use std::sync::atomic::AtomicI64;
-    let next = AtomicI64::new(lo);
-    let span = (hi as i128 - lo as i128 + 1).min(threads as i128) as usize;
-    let handles = crate::cache::attached_handles();
-    let results: Vec<Result<u128>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..span)
-            .map(|_| {
-                let next = &next;
-                let handles = &handles;
-                s.spawn(move || -> Result<u128> {
-                    let _guards: Vec<_> = handles.iter().map(|h| h.attach()).collect();
-                    let mut arena = RowArena::new();
-                    let mut work = 0u64;
-                    let mut total: u128 = 0;
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v > hi {
-                            return Ok(total);
-                        }
-                        let sub = t.fix_with(var, v, &mut arena)?;
-                        total = total
-                            .checked_add(count_rec(sub, None, &mut work, &mut arena)?)
-                            .ok_or(Error::Overflow)?;
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
-    let mut total: u128 = 0;
-    for r in results {
-        total = total.checked_add(r?).ok_or(Error::Overflow)?;
     }
     Ok(total)
 }
@@ -1983,10 +1902,7 @@ fn count_tableau(mut t: Tableau, limit: Option<u128>) -> Result<u128> {
     }
     let mut work = 0u64;
     let mut arena = RowArena::new();
-    // Exact top-level counts may split their enumeration fallback across
-    // threads; recursion below the split (and every limited probe, which
-    // wants first-point early exit) stays serial.
-    count_rec_inner(&mut t, limit, &mut work, &mut arena, limit.is_none())
+    count_rec_inner(&mut t, limit, &mut work, &mut arena)
 }
 
 /// Whether a basic map contains no integer point.
@@ -2004,141 +1920,6 @@ pub(crate) fn var_range(bm: &BasicMap, col: usize) -> Result<(i64, i64)> {
             "variable {col} has no finite range"
         ))),
     }
-}
-
-/// Returns one point (over the visible dims) of a basic map, or `None`.
-pub(crate) fn basic_sample(bm: &BasicMap) -> Result<Option<Vec<i64>>> {
-    if count_basic_limited(bm, Some(1))? == 0 {
-        return Ok(None);
-    }
-    // The set is non-empty and bounded; enumerate lazily until the first
-    // point is found.
-    let mut found: Option<Vec<i64>> = None;
-    // The sentinel error aborts the walk at the first point; any other
-    // failure mode is also absorbed (the emptiness pre-check above makes
-    // a point's existence certain, matching the previous behavior).
-    let _ = basic_points_visit(bm, &mut |p| {
-        found = Some(p.to_vec());
-        Err(Error::TooComplex("sample found".into()))
-    });
-    Ok(found)
-}
-
-/// Enumerates all points (over the visible dims) of a basic map.
-/// Intended for small sets (simulation, testing); errors out beyond
-/// `limit` points.
-///
-/// With more than one available thread (see [`enum_threads`]) and an
-/// outermost variable of finite width ≥ 2, the walk splits into a
-/// work-stealing scan over that variable's propagated range: workers
-/// claim one value at a time off an atomic cursor and run the ordinary
-/// depth-first enumeration below it; per-value buckets merge back in
-/// ascending order, so the output order matches the serial walk exactly.
-pub(crate) fn basic_points(bm: &BasicMap, limit: usize) -> Result<Vec<Vec<i64>>> {
-    let threads = enum_threads();
-    if threads > 1 {
-        let n_vis = bm.div0();
-        let t = Tableau::from_basic(bm)?;
-        if t.n > 0 {
-            let ranges = t.propagate_bounds()?;
-            if let (Some(lo), Some(hi)) = ranges[0] {
-                // Same wrap guard as the counting split's cursor.
-                if hi as i128 - lo as i128 + 1 >= 2 && hi <= i64::MAX - 65 {
-                    return basic_points_par(&t, n_vis, lo, hi, limit, threads, &ranges);
-                }
-            }
-        }
-    }
-    let mut out: Vec<Vec<i64>> = Vec::new();
-    basic_points_visit(bm, &mut |p| {
-        if out.len() >= limit {
-            return Err(Error::TooComplex(format!(
-                "more than {limit} points during enumeration"
-            )));
-        }
-        out.push(p.to_vec());
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// Parallel body of [`basic_points`]: splits on the outermost variable.
-///
-/// Enumerating from depth 1 with `point[0]` pinned is sound because the
-/// leaf check validates *every* row exactly — a pinned value that
-/// violates some depth-0 bound simply yields no points. The propagated
-/// ranges are implied by the system, so scanning `[lo, hi]` covers every
-/// solution.
-fn basic_points_par(
-    t: &Tableau,
-    n_vis: usize,
-    lo: i64,
-    hi: i64,
-    limit: usize,
-    threads: usize,
-    ranges: &[(Option<i64>, Option<i64>)],
-) -> Result<Vec<Vec<i64>>> {
-    use std::sync::atomic::AtomicI64;
-    let next = AtomicI64::new(lo);
-    let span = (hi as i128 - lo as i128 + 1).min(threads as i128) as usize;
-    type Buckets = Vec<(i64, Vec<Vec<i64>>)>;
-    let results: Vec<Result<Buckets>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..span)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || -> Result<Buckets> {
-                    let mut buckets: Buckets = Vec::new();
-                    let mut point = vec![0i64; t.n];
-                    let mut rng = Some(ranges.to_vec());
-                    let mut mine = 0usize;
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v > hi {
-                            return Ok(buckets);
-                        }
-                        point[0] = v;
-                        let mut pts: Vec<Vec<i64>> = Vec::new();
-                        enum_rec(
-                            t,
-                            1,
-                            &mut point,
-                            &mut |p| {
-                                if mine >= limit {
-                                    return Err(Error::TooComplex(format!(
-                                        "more than {limit} points during enumeration"
-                                    )));
-                                }
-                                mine += 1;
-                                pts.push(p.to_vec());
-                                Ok(())
-                            },
-                            n_vis,
-                            &mut rng,
-                        )?;
-                        if !pts.is_empty() {
-                            buckets.push((v, pts));
-                        }
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
-    let mut all: Buckets = Vec::new();
-    for r in results {
-        all.extend(r?);
-    }
-    all.sort_unstable_by_key(|&(v, _)| v);
-    let mut out: Vec<Vec<i64>> = Vec::new();
-    for (_, mut pts) in all {
-        out.append(&mut pts);
-    }
-    if out.len() > limit {
-        return Err(Error::TooComplex(format!(
-            "more than {limit} points during enumeration"
-        )));
-    }
-    Ok(out)
 }
 
 /// Depth-first visit of every point (over the visible dims) of a basic
@@ -2343,7 +2124,12 @@ mod tests {
     #[test]
     fn points_enumeration() {
         let bm = boxed(&[(0, 2), (1, 2)]);
-        let pts = basic_points(&bm, 100).unwrap();
+        let mut pts = Vec::new();
+        basic_points_visit(&bm, &mut |p| {
+            pts.push(p.to_vec());
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(pts.len(), 6);
         assert!(pts.contains(&vec![0, 1]));
         assert!(pts.contains(&vec![2, 2]));

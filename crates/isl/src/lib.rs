@@ -100,6 +100,9 @@
 //!   these families fall back to the original exact recursive enumerator;
 //!   nothing is approximated. [`fast_path_stats`] exposes dispatch
 //!   counters so CI can assert the shortcuts are actually taken.
+//!   Counting and enumeration run on the caller's thread; parallelism
+//!   belongs to the callers, `tenet_dse::explore_parallel` and the
+//!   serving pools.
 
 #![warn(missing_docs)]
 

@@ -616,22 +616,22 @@ impl Map {
     ///
     /// # Errors
     ///
-    /// Fails when more than `limit` points would be produced.
+    /// Fails when the relation holds more than `limit` distinct pairs.
     pub fn points(&self, limit: usize) -> Result<Vec<Vec<i64>>> {
         let mut all = std::collections::BTreeSet::new();
         for b in &self.rel.basics {
-            for p in count::basic_points(b, limit)? {
-                all.insert(p);
-                if all.len() > limit {
+            count::basic_points_visit(b, &mut |p| {
+                if all.insert(p.to_vec()) && all.len() > limit {
                     return Err(Error::TooComplex(format!("more than {limit} points")));
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(all.into_iter().collect())
     }
 
     /// Merges disjuncts when their union is exactly representable as one
-    /// basic map (see [`crate::coalesce`] patterns). Never changes the
+    /// basic map (see the `coalesce` module's patterns). Never changes the
     /// set of pairs.
     ///
     /// Not memoized: its in-crate callers (`apply_range`, `intersect`)
@@ -692,17 +692,6 @@ impl Map {
             final_space,
             basics,
         )))
-    }
-
-    /// Returns some point of the relation (as `in ++ out` coordinates), or
-    /// `None` if it is empty.
-    pub fn sample(&self) -> Result<Option<Vec<i64>>> {
-        for b in &self.rel.basics {
-            if let Some(p) = count::basic_sample(b)? {
-                return Ok(Some(p));
-            }
-        }
-        Ok(None)
     }
 
     /// Whether the relation is single-valued (a partial function): no

@@ -289,11 +289,6 @@ impl Set {
     pub fn coalesce(&self) -> Set {
         Set::from_map_unchecked(self.as_map().coalesce())
     }
-
-    /// Returns some point of the set, or `None` if it is empty.
-    pub fn sample(&self) -> crate::Result<Option<Vec<i64>>> {
-        self.as_map().sample()
-    }
 }
 
 #[cfg(test)]

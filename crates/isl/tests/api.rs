@@ -100,6 +100,13 @@ fn points_limit_enforced() {
     let s = Set::parse("{ A[i] : 0 <= i < 100 }").unwrap();
     assert!(s.points(10).is_err());
     assert_eq!(s.points(100).unwrap().len(), 100);
+    // Overlapping disjuncts: the limit counts distinct points, so the 20
+    // shared values count once.
+    let u = Set::parse("{ A[i] : 0 <= i < 60 or 40 <= i < 100 }").unwrap();
+    assert_eq!(u.as_map().basics().len(), 2);
+    let pts = u.points(100).unwrap();
+    assert_eq!(pts, (0..100).map(|i| vec![i]).collect::<Vec<_>>());
+    assert!(matches!(u.points(99), Err(Error::TooComplex(_))));
 }
 
 #[test]

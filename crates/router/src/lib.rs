@@ -49,7 +49,7 @@
 //! * [`fault`] — [`fault::FaultTransport`], a seeded fault-injection
 //!   wrapper around any transport (latency spikes, drops, 5xx bursts,
 //!   torn responses, flap windows) for chaos tests and drills.
-//! * [`router`] — proxy path (deadline propagation, bounded jittered
+//! * `router` — proxy path (deadline propagation, bounded jittered
 //!   retries, per-shard circuit breakers, per-client admission control,
 //!   hedging, replication write-through), fan-outs, health prober,
 //!   cascaded drain, served as a [`tenet_server::Tier`] through the

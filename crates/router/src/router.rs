@@ -688,7 +688,7 @@ fn error_body(kind: &str, message: impl Into<String>) -> Arc<Vec<u8>> {
 }
 
 /// The router tier: counts and optionally traces each request, then
-/// answers it through [`handle`].
+/// answers it through `handle`.
 impl Tier for RouterState {
     fn limits(&self) -> Limits {
         let c = &self.config;
