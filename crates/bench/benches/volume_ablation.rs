@@ -18,10 +18,7 @@ fn bench_window(c: &mut Criterion) {
     for w in [1u32, 4, 12] {
         g.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
             b.iter(|| {
-                let opts = AnalysisOptions {
-                    reuse_window: w,
-                    ..Default::default()
-                };
+                let opts = AnalysisOptions { reuse_window: w };
                 let a = Analysis::with_options(&op, &df, &arch, opts).unwrap();
                 a.volumes("B").unwrap()
             })

@@ -69,10 +69,7 @@ fn main() {
             }
         };
         arch.bandwidth = 16.0;
-        let opts = AnalysisOptions {
-            reuse_window: 12,
-            ..Default::default()
-        };
+        let opts = AnalysisOptions { reuse_window: 12 };
         let analysis = match Analysis::with_options(&op, &df, &arch, opts) {
             Ok(a) => a,
             Err(e) => {
@@ -143,10 +140,7 @@ fn main() {
                 continue;
             }
         };
-        let opts = AnalysisOptions {
-            reuse_window: 4,
-            ..Default::default()
-        };
+        let opts = AnalysisOptions { reuse_window: 4 };
         let analysis = Analysis::with_options(&op, &df, &arch, opts).unwrap();
         let lat = analysis.latency().unwrap().total();
         let util = analysis.utilization().unwrap().average;

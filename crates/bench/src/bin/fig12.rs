@@ -67,10 +67,7 @@ fn main() {
         let op = l.op().unwrap();
         let df = dataflows::eyeriss_row_stationary();
         let arch = presets::eyeriss_noc(12, 14, 16.0);
-        let opts = AnalysisOptions {
-            reuse_window: 12,
-            ..Default::default()
-        };
+        let opts = AnalysisOptions { reuse_window: 12 };
         let analysis = Analysis::with_options(&op, &df, &arch, opts).unwrap();
         let report = analysis.report().unwrap();
         let m = evaluate(&op, &conv_mapping(&l), &arch);

@@ -53,7 +53,6 @@ pub fn analyze_fitted(
     let arch = arch_for(df, op, interconnect, bandwidth)?;
     let options = AnalysisOptions {
         reuse_window: window,
-        ..Default::default()
     };
     Analysis::with_options(op, df, &arch, options)?.report()
 }

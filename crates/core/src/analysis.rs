@@ -10,21 +10,12 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use tenet_isl::Map;
 
-/// Options controlling the (rare) non-analytic corners of the model.
+/// Options of the model; the reuse window is the only one. Max
+/// utilization is exact up to 1024 time-stamps and probed above (see
+/// [`Analysis::utilization`]), and every dataflow is checked to keep its
+/// space-stamps inside the PE array.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
-    /// Sweep every time-stamp exactly for the max-utilization metric when
-    /// the stamp count does not exceed this limit; probe otherwise.
-    pub max_util_sweep_limit: u128,
-    /// Width guard for the bucketed max-utilization path: when the
-    /// activity relation holds at most this many spacetime points, the
-    /// exact sweep is a *single* `points()` enumeration bucketed by
-    /// time-stamp instead of a per-stamp `fix` + `card` loop. Above the
-    /// guard the per-stamp loop runs (it never materializes the points).
-    pub max_util_bucket_points: u128,
-    /// Verify that the dataflow keeps every space-stamp inside the PE
-    /// array (cheap, recommended).
-    pub check_bounds: bool,
     /// The reuse time interval of Section IV-D: data can be reused from a
     /// stamp up to `reuse_window` cycles in the past (register-file
     /// residency). `1` is the paper's default for registered links; larger
@@ -35,14 +26,14 @@ pub struct AnalysisOptions {
 
 impl Default for AnalysisOptions {
     fn default() -> Self {
-        AnalysisOptions {
-            max_util_sweep_limit: 1024,
-            max_util_bucket_points: 1 << 18,
-            check_bounds: true,
-            reuse_window: 1,
-        }
+        AnalysisOptions { reuse_window: 1 }
     }
 }
+
+/// The most time-stamps a schedule may have for its max utilization to be
+/// counted exactly, one slice count per stamp (see
+/// [`Analysis::utilization`]).
+const MAX_UTIL_SWEEP_LIMIT: u128 = 1024;
 
 /// Analyzes one (operation, dataflow, architecture) triple.
 ///
@@ -92,8 +83,7 @@ impl<'a> Analysis<'a> {
     /// # Errors
     ///
     /// Fails when the dataflow's space dimensionality does not match the
-    /// PE array, or (with bounds checking on) when some loop instance is
-    /// mapped outside the array.
+    /// PE array, or when some loop instance is mapped outside the array.
     pub fn new(op: &'a TensorOp, df: &'a Dataflow, arch: &'a ArchSpec) -> Result<Analysis<'a>> {
         Analysis::with_options(op, df, arch, AnalysisOptions::default())
     }
@@ -113,7 +103,14 @@ impl<'a> Analysis<'a> {
             )));
         }
         let theta = df.theta(op)?;
-        let analysis = Analysis {
+        if !df.used_pes(op)?.is_subset(&arch.pe_set()?)? {
+            return Err(Error::Invalid(format!(
+                "dataflow `{}` maps instances outside the {:?} PE array",
+                df.name().unwrap_or("<unnamed>"),
+                arch.pe_dims
+            )));
+        }
+        Ok(Analysis {
             op,
             df,
             arch,
@@ -123,19 +120,7 @@ impl<'a> Analysis<'a> {
             vols: Mutex::new(BTreeMap::new()),
             smap: OnceLock::new(),
             tmap: OnceLock::new(),
-        };
-        if analysis.options.check_bounds {
-            let used = analysis.df.used_pes(analysis.op)?;
-            let pe_box = analysis.arch.pe_set()?;
-            if !used.is_subset(&pe_box)? {
-                return Err(Error::Invalid(format!(
-                    "dataflow `{}` maps instances outside the {:?} PE array",
-                    analysis.df.name().unwrap_or("<unnamed>"),
-                    analysis.arch.pe_dims
-                )));
-            }
-        }
-        Ok(analysis)
+        })
     }
 
     /// The dataflow relation Θ (`S -> ST`).
@@ -357,8 +342,12 @@ impl<'a> Analysis<'a> {
         Ok(deltas.subtract(&zero)?)
     }
 
-    /// PE utilization (average exactly; max exactly when the stamp count
-    /// is within the sweep limit, otherwise probed).
+    /// PE utilization. The average is exact. The max is exact when the
+    /// schedule has at most 1024 time-stamps: it is the largest stamp
+    /// slice of the activity relation, from
+    /// [`tenet_isl::Set::max_suffix_slice_card`]. Longer schedules probe up
+    /// to 81 stamps (each time dimension's low, middle and high value) and
+    /// report `max_is_exact: false`.
     pub fn utilization(&self) -> Result<Utilization> {
         if let Some(u) = self.util.get() {
             return Ok(*u);
@@ -376,11 +365,8 @@ impl<'a> Analysis<'a> {
         } else {
             instances as f64 / (pe_count as f64 * n_stamps as f64)
         };
-        let (max, exact) = if n_stamps <= self.options.max_util_sweep_limit {
-            let max_active = match self.max_active_bucketed(&act, ns)? {
-                Some(m) => m,
-                None => self.max_active_swept(&act, &stamps, ns)?,
-            };
+        let (max, exact) = if n_stamps <= MAX_UTIL_SWEEP_LIMIT {
+            let max_active = act.max_suffix_slice_card(ns, MAX_UTIL_SWEEP_LIMIT as usize)?;
             (max_active as f64 / pe_count as f64, true)
         } else {
             // Probe a handful of stamps: per-dimension low/mid/high.
@@ -420,52 +406,6 @@ impl<'a> Analysis<'a> {
             time_stamps: n_stamps,
         };
         Ok(*self.util.get_or_init(|| u))
-    }
-
-    /// Bucketed exact max-active count: one `points()` enumeration of the
-    /// activity relation, bucketed by time-stamp suffix (memoized inside
-    /// the isl layer). Returns `None` when the relation is wider than the
-    /// enumeration guard — the caller then runs the per-stamp loop.
-    fn max_active_bucketed(&self, act: &tenet_isl::Set, ns: usize) -> Result<Option<u128>> {
-        let total = act.card()?;
-        if total > self.options.max_util_bucket_points {
-            return Ok(None);
-        }
-        Ok(Some(act.max_suffix_slice_card(ns, total as usize + 1)?))
-    }
-
-    /// The pre-bucketing reference sweep: fix each time-stamp and count
-    /// the active PEs separately. Exact; kept as the fallback above the
-    /// bucket guard and as the differential reference for the bucketed
-    /// path (`tests/util_equiv.rs` asserts they agree on every preset).
-    fn max_active_swept(
-        &self,
-        act: &tenet_isl::Set,
-        stamps: &tenet_isl::Set,
-        ns: usize,
-    ) -> Result<u128> {
-        let mut max_active = 0u128;
-        for stamp in stamps.points(self.options.max_util_sweep_limit as usize + 1)? {
-            let mut slice = act.clone();
-            for (i, &v) in stamp.iter().enumerate() {
-                slice = slice.fix(ns + i, v);
-            }
-            max_active = max_active.max(slice.card()?);
-        }
-        Ok(max_active)
-    }
-
-    /// Test-only access to the two exact max-active computations, so the
-    /// bucketed path can be differentially checked against the reference
-    /// sweep from outside the crate. Returns `(bucketed, swept)`.
-    #[doc(hidden)]
-    pub fn max_active_both_paths(&self) -> Result<(Option<u128>, u128)> {
-        let ns = self.df.n_space();
-        let act = self.theta.range()?;
-        let stamps = act.project_out(0, ns)?;
-        let bucketed = self.max_active_bucketed(&act, ns)?;
-        let swept = self.max_active_swept(&act, &stamps, ns)?;
-        Ok((bucketed, swept))
     }
 
     fn tensor_names(&self) -> Vec<String> {
@@ -844,6 +784,29 @@ mod tests {
         assert_eq!(l.total(), 6.0);
     }
 
+    /// A serial loop on one PE takes one time-stamp per iteration: the max
+    /// is counted exactly up to 1024 stamps and probed from 1025 on.
+    #[test]
+    fn max_utilization_is_exact_up_to_1024_stamps() {
+        let df = Dataflow::new(["i - i"], ["i"]);
+        let arch = ArchSpec::new("1", [1], Interconnect::Systolic1D, 1.0);
+        for (n, exact) in [(1024, true), (1025, false)] {
+            let op = TensorOp::builder("copy")
+                .dim("i", n)
+                .read("A", ["i"])
+                .write("Y", ["i"])
+                .build()
+                .unwrap();
+            let u = Analysis::new(&op, &df, &arch)
+                .unwrap()
+                .utilization()
+                .unwrap();
+            assert_eq!(u.time_stamps, n as u128);
+            assert_eq!(u.max_is_exact, exact, "{n} stamps");
+            assert_eq!(u.max, 1.0, "{n} stamps");
+        }
+    }
+
     #[test]
     fn volume_identities() {
         let (op, df, arch) = figure3();
@@ -910,7 +873,6 @@ mod tests {
         assert_eq!(narrow.volumes("B").unwrap().temporal_reuse, 0);
         let opts = AnalysisOptions {
             reuse_window: 4, // = extent of j
-            ..Default::default()
         };
         let wide = Analysis::with_options(&op, &df, &arch, opts).unwrap();
         let v = wide.volumes("B").unwrap();

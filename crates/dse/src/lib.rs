@@ -12,16 +12,13 @@ pub mod hardware;
 pub mod space_size;
 
 pub use enumerate::{enumerate_1d, enumerate_2d, enumerate_all};
-pub use search::{
-    explore, explore_parallel, explore_with_stats, pareto, DesignPoint, ExploreStats,
-};
+pub use search::{explore, explore_parallel, pareto, DesignPoint};
 
 /// Latency/bandwidth-driven search over a list of candidate dataflows.
 pub mod search {
     use tenet_core::json::Json;
     use tenet_core::{
-        export, isl_cache, Analysis, ArchSpec, CacheStats, CounterHandle, Dataflow,
-        PerformanceReport, Result, TensorOp,
+        export, isl_cache, Analysis, ArchSpec, Dataflow, PerformanceReport, Result, TensorOp,
     };
 
     /// One evaluated design point.
@@ -78,76 +75,18 @@ pub mod search {
         arch: &ArchSpec,
         candidates: &[Dataflow],
     ) -> Result<Vec<DesignPoint>> {
-        Ok(explore_with_stats(op, arch, candidates)?.0)
-    }
-
-    /// Amortization counters of one [`explore_with_stats`] run.
-    ///
-    /// The cache counters come from a per-run [`CounterHandle`] attached
-    /// for the duration of the run, so they are *exact* even when other
-    /// threads (concurrent explorations, server requests) use the isl
-    /// layer at the same time — only this run's own lookups count.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct ExploreStats {
-        /// Candidates that produced a design point.
-        pub evaluated: usize,
-        /// Candidates rejected (invalid for the op/arch pair).
-        pub skipped: usize,
-        /// isl-cache hits this run's own lookups produced.
-        pub cache_hits: u64,
-        /// isl-cache misses this run's own lookups produced.
-        pub cache_misses: u64,
-    }
-
-    impl ExploreStats {
-        /// Fraction of integer-set operations answered from the memo.
-        pub fn hit_rate(&self) -> f64 {
-            CacheStats {
-                hits: self.cache_hits,
-                misses: self.cache_misses,
-                ..Default::default()
-            }
-            .hit_rate()
-        }
-    }
-
-    /// Like [`explore`], additionally reporting how much relational work
-    /// the shared cache amortized across the candidate sweep.
-    pub fn explore_with_stats(
-        op: &TensorOp,
-        arch: &ArchSpec,
-        candidates: &[Dataflow],
-    ) -> Result<(Vec<DesignPoint>, ExploreStats)> {
-        let handle = CounterHandle::new();
-        let attached = handle.attach();
         let mut out = Vec::new();
-        let mut stats = ExploreStats::default();
         for df in candidates {
-            let analysis = match Analysis::new(op, df, arch) {
-                Ok(a) => a,
-                Err(_) => {
-                    stats.skipped += 1;
-                    continue;
-                }
+            let Ok(report) = Analysis::new(op, df, arch).and_then(|a| a.report()) else {
+                continue;
             };
-            let report = match analysis.report() {
-                Ok(r) => r,
-                Err(_) => {
-                    stats.skipped += 1;
-                    continue;
-                }
-            };
-            stats.evaluated += 1;
             out.push(DesignPoint {
                 dataflow: df.clone(),
                 report,
             });
         }
-        drop(attached);
-        stats.cache_hits = handle.hits();
-        stats.cache_misses = handle.misses();
         out.sort_by(|a, b| a.latency().total_cmp(&b.latency()));
-        Ok((out, stats))
+        Ok(out)
     }
 
     /// Like [`explore`] but fans candidates out over `n_threads` OS
@@ -168,10 +107,9 @@ pub mod search {
         let n_threads = n_threads.max(1).min(candidates.len().max(1));
         let chunk = candidates.len().div_ceil(n_threads);
         let mut out: Vec<DesignPoint> = Vec::with_capacity(candidates.len());
-        // Counter handles attached on the caller's thread (a surrounding
-        // explore_with_stats, a server request's stats scope) must keep
-        // observing the work after it fans out, so re-attach them on
-        // every worker.
+        // Counter handles attached on the caller's thread (a server
+        // request's stats scope) must keep observing the work after it
+        // fans out, so re-attach them on every worker.
         let inherited = isl_cache::attached_handles();
         std::thread::scope(|scope| -> Result<()> {
             let mut handles = Vec::new();

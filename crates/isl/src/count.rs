@@ -492,19 +492,10 @@ impl Tableau {
         Ok(out)
     }
 
-    /// Substitutes `var = val`, folding the column into the constant,
-    /// drawing the row containers from `arena` instead of allocating
-    /// fresh ones — the recursive counter's enumeration loop builds and
-    /// drops one tableau per enumerated value, so the containers cycle
-    /// through the pool instead of the allocator. Fails with
-    /// [`Error::Overflow`] when the folded constant leaves i64.
-    fn fix_with(&self, var: usize, val: i64, arena: &mut RowArena) -> Result<Tableau> {
+    /// Substitutes `var = val`, folding the column into the constant.
+    /// Fails with [`Error::Overflow`] when the folded constant leaves i64.
+    fn fix(&self, var: usize, val: i64) -> Result<Tableau> {
         let n = self.n;
-        let mut t = Tableau {
-            n: n - 1,
-            eqs: arena.take(self.eqs.len()),
-            ineqs: arena.take(self.ineqs.len()),
-        };
         let conv = |r: &Row| -> Result<Row> {
             let mut out = Row::with_capacity(n);
             for (i, &c) in r.iter().enumerate() {
@@ -518,72 +509,11 @@ impl Tableau {
             out[k] = i64::try_from(folded).map_err(|_| Error::Overflow)?;
             Ok(out)
         };
-        for r in &self.eqs {
-            match conv(r) {
-                Ok(row) => t.eqs.push(row),
-                Err(e) => {
-                    arena.reclaim(t);
-                    return Err(e);
-                }
-            }
-        }
-        for r in &self.ineqs {
-            match conv(r) {
-                Ok(row) => t.ineqs.push(row),
-                Err(e) => {
-                    arena.reclaim(t);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(t)
-    }
-}
-
-/// Pool of `Vec<Row>` containers cycled through the recursive counter's
-/// cold path.
-///
-/// Rows up to 16 columns wide store their coefficients inline
-/// ([`crate::row`]), so the only heap traffic of a tableau clone is the
-/// two `Vec<Row>` containers themselves — exactly what `fix`-per-value
-/// enumeration churns. The pool keeps dropped containers (cleared, with
-/// their capacity) for the next clone at the same recursion depth.
-pub(crate) struct RowArena {
-    pool: Vec<Vec<Row>>,
-}
-
-impl RowArena {
-    /// Containers kept across [`RowArena::put`]; beyond this they drop.
-    const MAX_POOLED: usize = 64;
-
-    pub(crate) fn new() -> RowArena {
-        RowArena { pool: Vec::new() }
-    }
-
-    /// An empty container with room for `cap` rows, reusing a pooled
-    /// allocation when one is available.
-    fn take(&mut self, cap: usize) -> Vec<Row> {
-        match self.pool.pop() {
-            Some(mut v) => {
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Returns a container (cleared) to the pool.
-    fn put(&mut self, mut v: Vec<Row>) {
-        if self.pool.len() < Self::MAX_POOLED {
-            v.clear();
-            self.pool.push(v);
-        }
-    }
-
-    /// Returns a finished tableau's containers to the pool.
-    fn reclaim(&mut self, t: Tableau) {
-        self.put(t.eqs);
-        self.put(t.ineqs);
+        Ok(Tableau {
+            n: n - 1,
+            eqs: self.eqs.iter().map(conv).collect::<Result<_>>()?,
+            ineqs: self.ineqs.iter().map(conv).collect::<Result<_>>()?,
+        })
     }
 }
 
@@ -870,14 +800,8 @@ fn components(t: &Tableau) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Extracts the subsystem touching exactly the variables in `vars`,
-/// drawing row containers from `arena`.
-fn subsystem_with(t: &Tableau, vars: &[usize], arena: &mut RowArena) -> Tableau {
-    let mut sub = Tableau {
-        n: vars.len(),
-        eqs: arena.take(0),
-        ineqs: arena.take(0),
-    };
+/// Extracts the subsystem touching exactly the variables in `vars`.
+fn subsystem(t: &Tableau, vars: &[usize]) -> Tableau {
     let conv = |r: &Row| -> Option<Row> {
         // Row belongs to this component iff all its nonzero vars are inside.
         let mut out = Row::zeros(vars.len() + 1);
@@ -893,9 +817,11 @@ fn subsystem_with(t: &Tableau, vars: &[usize], arena: &mut RowArena) -> Tableau 
             None
         }
     };
-    sub.ineqs.extend(t.ineqs.iter().filter_map(conv));
-    sub.eqs.extend(t.eqs.iter().filter_map(conv));
-    sub
+    Tableau {
+        n: vars.len(),
+        eqs: t.eqs.iter().filter_map(conv).collect(),
+        ineqs: t.ineqs.iter().filter_map(conv).collect(),
+    }
 }
 
 /// Counts a single variable's feasible interval directly from the rows.
@@ -1727,27 +1653,8 @@ fn count_multi_slab(
 }
 
 /// Recursively counts a pure-inequality tableau. `limit` allows early exit
-/// (used for emptiness checks). `work` guards total effort. The owned
-/// tableau's row containers return to `arena` when counting finishes.
-fn count_rec(
-    t: Tableau,
-    limit: Option<u128>,
-    work: &mut u64,
-    arena: &mut RowArena,
-) -> Result<u128> {
-    let mut t = t;
-    let r = count_rec_inner(&mut t, limit, work, arena);
-    arena.reclaim(t);
-    r
-}
-
-/// [`count_rec`] body, on a borrowed tableau.
-fn count_rec_inner(
-    t: &mut Tableau,
-    limit: Option<u128>,
-    work: &mut u64,
-    arena: &mut RowArena,
-) -> Result<u128> {
+/// (used for emptiness checks). `work` guards total effort.
+fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u128> {
     *work += 1;
     if *work > WORK_LIMIT {
         return Err(Error::TooComplex("counting work limit exceeded".into()));
@@ -1776,7 +1683,7 @@ fn count_rec_inner(
         }
     }
     if factor > 1 {
-        let inner = count_rec_inner(t, limit, work, arena)?;
+        let inner = count_rec(t, limit, work)?;
         return match limit {
             Some(_) => Ok(inner.saturating_mul(factor)),
             None => inner.checked_mul(factor).ok_or(Error::Overflow),
@@ -1809,8 +1716,7 @@ fn count_rec_inner(
     if groups.len() > 1 {
         let mut prod: u128 = 1;
         for g in &groups {
-            let sub = subsystem_with(t, g, arena);
-            let c = count_rec(sub, limit, work, arena)?;
+            let c = count_rec(&mut subsystem(t, g), limit, work)?;
             if c == 0 {
                 return Ok(0);
             }
@@ -1866,13 +1772,12 @@ fn count_rec_inner(
     }
     let mut total: u128 = 0;
     for v in lo..=hi {
-        let sub = t.fix_with(var, v, arena)?;
+        let mut sub = t.fix(var, v)?;
         total = total
             .checked_add(count_rec(
-                sub,
+                &mut sub,
                 limit.map(|l| l.saturating_sub(total)),
                 work,
-                arena,
             )?)
             .ok_or(Error::Overflow)?;
         if let Some(l) = limit {
@@ -1901,8 +1806,7 @@ fn count_tableau(mut t: Tableau, limit: Option<u128>) -> Result<u128> {
         return Ok(0);
     }
     let mut work = 0u64;
-    let mut arena = RowArena::new();
-    count_rec_inner(&mut t, limit, &mut work, &mut arena)
+    count_rec(&mut t, limit, &mut work)
 }
 
 /// Whether a basic map contains no integer point.

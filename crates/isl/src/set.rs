@@ -155,10 +155,11 @@ impl Set {
 
     /// Exact maximum, over every value of the suffix dims `[split, n)`, of
     /// the number of points sharing that suffix: `max_t |{x : (x ++ t) ∈
-    /// S}|`. One [`Set::points`] enumeration bucketed on the suffix — the
-    /// single-pass replacement for fixing each suffix value and counting
-    /// separately — and memoized, so recomputation over the same set is a
-    /// table hit.
+    /// S}|`. Pins each suffix value and counts its slice (each count
+    /// dispatches to the closed forms), and is memoized, so recomputation
+    /// over the same set is a table hit. The max-utilization metric of
+    /// `tenet_core` is this count over the activity relation, with the
+    /// time-stamp as the suffix.
     ///
     /// ```
     /// use tenet_isl::Set;
@@ -170,9 +171,9 @@ impl Set {
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::TooComplex`] when the set holds more than
-    /// `enum_limit` points, and propagates enumeration failures of
-    /// unbounded sets. The memoized value does not depend on
+    /// Fails with [`Error::TooComplex`] when the set has more than
+    /// `enum_limit` distinct suffix values, and propagates counting
+    /// failures of unbounded sets. The memoized value does not depend on
     /// `enum_limit` (it is exact whenever it exists).
     pub fn max_suffix_slice_card(&self, split: usize, enum_limit: usize) -> Result<u128> {
         if split > self.n_dim() {
@@ -185,72 +186,18 @@ impl Set {
             crate::cache::OpKind::SliceMax,
             self.as_map(),
             split as i128,
-            || self.max_suffix_slice_card_uncached(split, enum_limit),
+            || {
+                let mut max = 0u128;
+                for sp in self.project_out(0, split)?.points(enum_limit)? {
+                    let mut slice = self.clone();
+                    for (i, &v) in sp.iter().enumerate() {
+                        slice = slice.fix(split + i, v);
+                    }
+                    max = max.max(slice.card()?);
+                }
+                Ok(max)
+            },
         )
-    }
-
-    /// Strategy dispatch for [`Set::max_suffix_slice_card`]. Both
-    /// strategies are exact and agree bit-for-bit (property-tested), so
-    /// the choice is purely a cost model: bucketing pays per *point*,
-    /// sweeping pays per *suffix value* (each a closed-form `card`), so
-    /// bucketing wins only while points-per-suffix stays small.
-    fn max_suffix_slice_card_uncached(&self, split: usize, enum_limit: usize) -> Result<u128> {
-        /// Above this many points per suffix value, per-suffix counting
-        /// beats enumerating every point.
-        const BUCKET_MAX_POINTS_PER_SUFFIX: u128 = 16;
-        let total = self.card()?;
-        let suffixes = self.project_out(0, split)?;
-        let suffix_count = suffixes.card()?.max(1);
-        if total <= enum_limit as u128
-            && total <= suffix_count.saturating_mul(BUCKET_MAX_POINTS_PER_SUFFIX)
-        {
-            let mut buckets: std::collections::HashMap<Vec<i64>, u128> =
-                std::collections::HashMap::new();
-            if let [single] = self.map.basics() {
-                // One disjunct: every visible point is visited exactly
-                // once, so the counts can stream through the visitor with
-                // no materialized point list (and a key allocation only
-                // per distinct suffix).
-                crate::count::basic_points_visit(single, &mut |p| {
-                    match buckets.get_mut(&p[split..]) {
-                        Some(c) => *c += 1,
-                        None => {
-                            buckets.insert(p[split..].to_vec(), 1);
-                        }
-                    }
-                    Ok(())
-                })?;
-            } else {
-                // Unions need cross-disjunct dedup: take the sorted,
-                // deduplicated point list.
-                for p in self.points(enum_limit)? {
-                    match buckets.get_mut(&p[split..]) {
-                        Some(c) => *c += 1,
-                        None => {
-                            buckets.insert(p[split..].to_vec(), 1);
-                        }
-                    }
-                }
-            }
-            return Ok(buckets.values().copied().max().unwrap_or(0));
-        }
-        if suffix_count <= enum_limit as u128 {
-            // Sweep: pin each suffix value and count the slice (each
-            // count dispatches to the closed forms; with the memo on,
-            // repeats replay from the table).
-            let mut max = 0u128;
-            for sp in suffixes.points(enum_limit)? {
-                let mut slice = self.clone();
-                for (i, &v) in sp.iter().enumerate() {
-                    slice = slice.fix(split + i, v);
-                }
-                max = max.max(slice.card()?);
-            }
-            return Ok(max);
-        }
-        Err(Error::TooComplex(format!(
-            "max_suffix_slice_card: {total} points and {suffix_count} suffix values both exceed the enumeration limit {enum_limit}"
-        )))
     }
 
     /// Best-known finite bounds `[lo, hi]` of dimension `dim` across all

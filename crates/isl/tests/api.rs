@@ -110,6 +110,18 @@ fn points_limit_enforced() {
 }
 
 #[test]
+fn max_suffix_slice_card_limits_suffix_values() {
+    // Stamp t of 0..5 holds the t + 1 points p of 0..=t.
+    let s = Set::parse("{ A[p, t] : 0 <= t < 5 and 0 <= p <= t }").unwrap();
+    // Asked first: the memo stores the exact answer, never the error.
+    assert!(matches!(
+        s.max_suffix_slice_card(1, 4),
+        Err(Error::TooComplex(_))
+    ));
+    assert_eq!(s.max_suffix_slice_card(1, 5).unwrap(), 5);
+}
+
+#[test]
 fn negative_coordinates() {
     let s = Set::parse("{ A[i, j] : -5 <= i < 0 and -2 <= j <= 2 }").unwrap();
     assert_eq!(s.card().unwrap(), 25);

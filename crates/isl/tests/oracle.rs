@@ -182,7 +182,7 @@ proptest! {
         prop_assert_eq!(warm, oracle, "warm union card for {} ∪ {}", a_text, b_text);
     }
 
-    /// `max_suffix_slice_card` (the bucketed utilization primitive)
+    /// `max_suffix_slice_card` (the max-utilization primitive)
     /// agrees with pinning every suffix value and counting separately.
     #[test]
     fn suffix_slice_max_matches_fix_loop(

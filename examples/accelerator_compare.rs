@@ -25,10 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let df = dataflows::eyeriss_row_stationary();
         let arch = presets::eyeriss_noc(12, 14, 16.0);
-        let opts = AnalysisOptions {
-            reuse_window: 12,
-            ..Default::default()
-        };
+        let opts = AnalysisOptions { reuse_window: 12 };
         let a = Analysis::with_options(&layer, &df, &arch, opts)?;
         let r = a.report()?;
         let sim = simulate(&layer, &df, &arch, &SimOptions::default())?;

@@ -138,10 +138,7 @@ fn figure12_alexnet_conv3_reuse_factors() {
     let op = kernels::conv2d(96, 64, 13, 13, 3, 3).unwrap(); // channel-scaled CONV3
     let df = dataflows::eyeriss_row_stationary();
     let arch = presets::eyeriss_noc(12, 14, 16.0);
-    let opts = AnalysisOptions {
-        reuse_window: 12,
-        ..Default::default()
-    };
+    let opts = AnalysisOptions { reuse_window: 12 };
     let analysis = Analysis::with_options(&op, &df, &arch, opts).unwrap();
     let filter = analysis.volumes("B").unwrap();
     assert!(

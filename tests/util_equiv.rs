@@ -1,11 +1,12 @@
-//! Equivalence of the two exact max-utilization computations: the
-//! bucketed single-enumeration path must match the per-stamp fix+card
-//! reference sweep on every workload preset and on the paper's named
-//! architecture examples — and the reported utilization must be identical
-//! with the memo layer on and off.
+//! The exact max-utilization count (`Set::max_suffix_slice_card` over the
+//! activity relation) must match the ISL-free cycle-level simulator on
+//! every workload preset and on the paper's named architecture examples,
+//! and the reported utilization must be identical with the memo layer on
+//! and off.
 
-use tenet::core::{presets, Analysis, AnalysisOptions, ArchSpec, Dataflow, Interconnect, TensorOp};
+use tenet::core::{presets, Analysis, ArchSpec, Dataflow, Interconnect, TensorOp};
 use tenet::isl::cache;
+use tenet::sim::{simulate, SimOptions};
 use tenet::workloads::{dataflows, kernels};
 
 /// Builds an arch that fits the dataflow's space-stamp dimensionality.
@@ -20,33 +21,40 @@ fn arch_for(df: &Dataflow, pe: i64, pe1d: i64, bw: f64) -> ArchSpec {
     }
 }
 
-/// Asserts bucketed == swept for one triple; returns false when the
-/// dataflow does not apply to the kernel (dimension mismatch).
+/// Asserts the exact max active-PE count equals the simulator's for one
+/// triple, and that the reported max agrees whenever it is exact; returns
+/// false when the dataflow does not apply to the kernel (dimension
+/// mismatch).
 fn check(op: &TensorOp, df: &Dataflow, arch: &ArchSpec) -> bool {
-    // Both paths must run to completion on every preset, so lift the
-    // production guards well above any preset's stamp count.
-    let opts = AnalysisOptions {
-        max_util_sweep_limit: 1 << 20,
-        max_util_bucket_points: 1 << 20,
-        ..Default::default()
-    };
-    let a = match Analysis::with_options(op, df, arch, opts) {
+    let a = match Analysis::new(op, df, arch) {
         Ok(a) => a,
         Err(_) => return false,
     };
-    let (bucketed, swept) = a.max_active_both_paths().unwrap();
     let name = df.name().unwrap_or("<unnamed>");
+    // Counted exactly on every preset, including those past the 1024
+    // stamps up to which `utilization` reports an exact max.
+    let exact = a
+        .theta()
+        .range()
+        .unwrap()
+        .max_suffix_slice_card(df.n_space(), 1 << 20)
+        .unwrap();
+    let sim = simulate(op, df, arch, &SimOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: simulator failed: {e}"));
     assert_eq!(
-        bucketed,
-        Some(swept),
-        "bucketed vs swept max-active diverge for {name}"
+        exact, sim.max_active as u128,
+        "max active PEs diverge from the simulator for {name}"
     );
+    let u = a.utilization().unwrap();
+    if u.max_is_exact {
+        assert_eq!(u.max, sim.max_utilization(), "reported max for {name}");
+    }
     true
 }
 
 /// Every `workloads::` dataflow preset, on its matching kernel.
 #[test]
-fn bucketed_sweep_matches_reference_on_all_presets() {
+fn exact_max_matches_simulator_on_all_presets() {
     let (pe, pe1d) = (4, 16);
     let mut checked = 0;
     let gemm = kernels::gemm(8, 8, 8).unwrap();
@@ -86,7 +94,7 @@ fn bucketed_sweep_matches_reference_on_all_presets() {
 /// 2×2 systolic array and the Eyeriss row-stationary conv on the 12×14
 /// mesh array.
 #[test]
-fn bucketed_sweep_matches_reference_on_paper_archs() {
+fn exact_max_matches_simulator_on_paper_archs() {
     let gemm = kernels::gemm(2, 2, 4).unwrap();
     let figure3 = Dataflow::new(["i", "j"], ["i + j + k"]);
     let arch = ArchSpec::new("2x2", [2, 2], Interconnect::Systolic2D, 4.0);
