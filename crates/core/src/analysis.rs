@@ -8,6 +8,7 @@ use crate::op::{Role, TensorOp};
 use crate::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
+use tenet_isl::value::{ceil_div, floor_div};
 use tenet_isl::Map;
 
 /// Options of the model; the reuse window is the only one. Max
@@ -316,32 +317,6 @@ impl<'a> Analysis<'a> {
             .or_insert(v))
     }
 
-    /// The reuse vectors of a tensor: the set of spacetime deltas
-    /// `(Δpe, Δt)` between pairs of stamps that access the same element.
-    ///
-    /// This is the relation-centric analogue of dependence distances: a
-    /// vector `(0, ..., 0 | Δt)` means pure temporal reuse `Δt` cycles
-    /// apart; `(Δpe | 0)` means same-cycle multicast sharing; the
-    /// Figure 3 systolic GEMM shows `(0,1|1)` and `(1,0|1)` for the
-    /// flowing tensors. Useful for choosing an interconnect that can
-    /// actually carry a dataflow's reuse.
-    pub fn reuse_vectors(&self, tensor: &str) -> Result<tenet_isl::Set> {
-        let adf = self.assignment(tensor)?;
-        // st -> st' sharing an element, restricted to distinct stamps by
-        // dropping the zero vector afterwards.
-        let share = adf.apply_range(&adf.reverse())?;
-        let deltas = share.deltas()?;
-        let zero_text = format!(
-            "{{ [{}] }}",
-            (0..self.df.n_space() + self.df.n_time())
-                .map(|_| "0".to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let zero = tenet_isl::Set::parse(&zero_text)?;
-        Ok(deltas.subtract(&zero)?)
-    }
-
     /// PE utilization. The average is exact. The max is exact when the
     /// schedule has at most 1024 time-stamps: it is the largest stamp
     /// slice of the activity relation, from
@@ -486,25 +461,6 @@ impl<'a> Analysis<'a> {
         })
     }
 
-    /// The schedule's makespan: the lexicographically first and last
-    /// time-stamps of the execution. For the Figure 3 systolic dataflow
-    /// this is `([0], [5])` — the wavefront enters at cycle 0 and drains
-    /// at cycle 5.
-    ///
-    /// # Errors
-    ///
-    /// Propagates integer-set failures (e.g. unbounded stamps).
-    pub fn makespan(&self) -> Result<(Vec<i64>, Vec<i64>)> {
-        let stamps = self.df.time_stamps(self.op)?;
-        let first = stamps
-            .lexmin()?
-            .ok_or_else(|| Error::Invalid("empty schedule has no makespan".into()))?;
-        let last = stamps
-            .lexmax()?
-            .ok_or_else(|| Error::Invalid("empty schedule has no makespan".into()))?;
-        Ok((first, last))
-    }
-
     /// The complete report.
     pub fn report(&self) -> Result<PerformanceReport> {
         let mut tensors = BTreeMap::new();
@@ -575,8 +531,8 @@ fn window_deltas(extents: &[i64], lo: i64, hi: i64, cap: usize) -> Result<Vec<Ve
         let w = weights[d];
         // Maximum ordinal magnitude representable by the inner dims.
         let inner_max = w - 1;
-        let dmin = crate::div_ceil(lo - inner_max, w).max(-(extents[d] - 1));
-        let dmax = crate::div_floor(hi + inner_max, w).min(extents[d] - 1);
+        let dmin = ceil_div(lo - inner_max, w).max(-(extents[d] - 1));
+        let dmax = floor_div(hi + inner_max, w).min(extents[d] - 1);
         for delta in dmin..=dmax {
             cur[d] = delta;
             let sub_lo = (lo - delta * w).max(-inner_max);
@@ -739,34 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn figure3_makespan_is_zero_to_five() {
-        let (op, df, arch) = figure3();
-        let a = Analysis::new(&op, &df, &arch).unwrap();
-        assert_eq!(a.makespan().unwrap(), (vec![0], vec![5]));
-    }
-
-    #[test]
-    fn tiled_makespan_is_multidimensional() {
-        let op = TensorOp::builder("gemm")
-            .dim("i", 16)
-            .dim("j", 16)
-            .dim("k", 4)
-            .read("A", ["i", "k"])
-            .read("B", ["k", "j"])
-            .write("Y", ["i", "j"])
-            .build()
-            .unwrap();
-        let df = Dataflow::new(
-            ["i % 8", "j % 8"],
-            ["floor(i / 8)", "floor(j / 8)", "i % 8 + j % 8 + k"],
-        );
-        let arch = ArchSpec::new("8x8", [8, 8], crate::Interconnect::Systolic2D, 16.0);
-        let a = Analysis::new(&op, &df, &arch).unwrap();
-        // Quotients run 0..2 each; the skewed dim peaks at 7 + 7 + 3.
-        assert_eq!(a.makespan().unwrap(), (vec![0, 0, 0], vec![1, 1, 17]));
-    }
-
-    #[test]
     fn figure3_utilization_and_latency() {
         let (op, df, arch) = figure3();
         let a = Analysis::new(&op, &df, &arch).unwrap();
@@ -830,26 +758,6 @@ mod tests {
         let (op, _, arch) = figure3();
         let df1 = Dataflow::new(["i"], ["j", "k"]);
         assert!(Analysis::new(&op, &df1, &arch).is_err());
-    }
-
-    /// Reuse vectors of the Figure 3 dataflow: Y is stationary (pure
-    /// temporal delta), A flows horizontally, B vertically.
-    #[test]
-    fn figure3_reuse_vectors() {
-        let (op, df, arch) = figure3();
-        let a = Analysis::new(&op, &df, &arch).unwrap();
-        // Y[i,j] lives at PE (i,j) across stamps: deltas (0,0|d), d != 0.
-        let vy = a.reuse_vectors("Y").unwrap();
-        assert!(vy.contains_point(&[0, 0, 1]).unwrap());
-        assert!(!vy.contains_point(&[0, 1, 1]).unwrap());
-        // A[i,k] is shared along j at time distance j' - j: (0,1|1) holds.
-        let va = a.reuse_vectors("A").unwrap();
-        assert!(va.contains_point(&[0, 1, 1]).unwrap());
-        assert!(!va.contains_point(&[1, 0, 1]).unwrap());
-        // B[k,j] flows along i: (1,0|1).
-        let vb = a.reuse_vectors("B").unwrap();
-        assert!(vb.contains_point(&[1, 0, 1]).unwrap());
-        assert!(!vb.contains_point(&[0, 1, 1]).unwrap());
     }
 
     /// The reuse window (Section IV-D's time interval) exposes reuse that

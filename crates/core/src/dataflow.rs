@@ -129,15 +129,7 @@ impl Dataflow {
     /// instances may occupy the same (PE | T) spacetime-stamp, because a
     /// PE performs one MAC per cycle (Section II-A).
     pub fn is_injective(&self, op: &TensorOp) -> Result<bool> {
-        let theta = self.theta(op)?;
-        // conflicts = Θ . Θ⁻¹ relates instances sharing a spacetime-stamp;
-        // injectivity <=> conflicts ⊆ identity.
-        let conflicts = theta.apply_range(&theta.reverse())?;
-        let id = Map::identity(
-            conflicts.space().input.clone(),
-            conflicts.space().output.clone(),
-        )?;
-        Ok(conflicts.is_subset(&id)?)
+        Ok(self.theta(op)?.is_injective()?)
     }
 }
 

@@ -38,23 +38,3 @@ impl From<tenet_isl::Error> for Error {
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Floor division helper shared by the window expansion.
-pub(crate) fn div_floor(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-/// Ceiling division helper shared by the window expansion.
-pub(crate) fn div_ceil(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) == (b < 0)) {
-        q + 1
-    } else {
-        q
-    }
-}

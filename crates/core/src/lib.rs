@@ -53,7 +53,6 @@ mod validate;
 pub use analysis::{Analysis, AnalysisOptions};
 pub use arch::{presets, ArchSpec, EnergyModel, Interconnect};
 pub use dataflow::Dataflow;
-pub(crate) use error::{div_ceil, div_floor};
 pub use error::{Error, Result};
 pub use metrics::{
     Bandwidth, Energy, Latency, PerformanceReport, ReuseClass, TensorMetrics, Utilization,

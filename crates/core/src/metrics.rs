@@ -181,14 +181,4 @@ impl PerformanceReport {
             .map(|t| t.volumes.unique)
             .sum()
     }
-
-    /// Sum of `TotalVolume` over all tensors.
-    pub fn total_volume(&self) -> u128 {
-        self.tensors.values().map(|t| t.volumes.total).sum()
-    }
-
-    /// Overall latency in cycles.
-    pub fn latency_cycles(&self) -> f64 {
-        self.latency.total()
-    }
 }

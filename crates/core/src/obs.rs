@@ -10,7 +10,7 @@
 //!   recording entirely — the untraced hot path pays nothing.
 //! * While a request is handled, a [`TraceScope`] is active on the
 //!   handling thread; any layer underneath (dedup, the ISL substrate,
-//!   the DSE chunk loop) can attach [`Span`]s to the innermost active
+//!   the DSE handler) can attach [`Span`]s to the innermost active
 //!   scope via [`add_span`]/[`add_event`] without threading a context
 //!   through every signature. Scopes nest: a router thread dispatching
 //!   into an in-process worker core holds two scopes, and each tier's
@@ -27,7 +27,7 @@
 //! to the record's total, the contract behind the
 //! `X-Tenet-Server-Timing` response header ([`TraceStore::finish`] adds
 //! the tier's unattributed time as its own phase) — or informational
-//! **events** (retries, breaker trips, DSE chunk progress) that annotate
+//! **events** (retries, breaker trips, DSE sweep progress) that annotate
 //! the timeline without participating in the sum.
 
 use crate::json::Json;
@@ -253,12 +253,6 @@ pub fn add_span(name: &str, start: Instant, dur: Duration, detail: impl Into<Str
 /// active scope. A no-op when no scope is active.
 pub fn add_event(name: &str, detail: impl Into<String>) {
     push_span(name, None, Duration::ZERO, detail.into(), false);
-}
-
-/// Adds an informational (non-phase) interval to the innermost active
-/// scope. A no-op when no scope is active.
-pub fn add_info_span(name: &str, start: Instant, dur: Duration, detail: impl Into<String>) {
-    push_span(name, Some(start), dur, detail.into(), false);
 }
 
 /// Edge timings measured before a tier's trace scope exists — the
@@ -737,7 +731,7 @@ mod tests {
                     phase: true,
                 },
                 Span {
-                    name: "dse_chunk".into(),
+                    name: "dse_sweep".into(),
                     start_us: 600,
                     dur_us: 0,
                     detail: "1/4".into(),

@@ -100,8 +100,9 @@ fn array_shapes(budget: i64, include_1d: bool) -> Vec<Vec<i64>> {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures other than per-candidate validity
-/// rejections (which are skipped by the underlying search).
+/// Propagates enumeration failures and a panicking search worker. Every
+/// candidate whose analysis fails is skipped, whatever the error (see
+/// [`explore_parallel`]).
 ///
 /// ```
 /// use tenet_dse::hardware::{co_explore, HardwareSpace};
@@ -138,7 +139,7 @@ pub fn co_explore(op: &TensorOp, space: &HardwareSpace) -> Result<Vec<HardwarePo
                     shape.get(1).copied().unwrap_or(1)
                 );
                 let arch = ArchSpec::new(&name, shape.clone(), ic.clone(), bw);
-                let points = explore_parallel(op, &arch, &candidates, space.threads)?;
+                let (points, _) = explore_parallel(op, &arch, &candidates, space.threads, None)?;
                 if let Some(best) = points.first() {
                     out.push(HardwarePoint {
                         arch,

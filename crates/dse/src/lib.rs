@@ -16,9 +16,11 @@ pub use search::{explore, explore_parallel, pareto, DesignPoint};
 
 /// Latency/bandwidth-driven search over a list of candidate dataflows.
 pub mod search {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
     use tenet_core::json::Json;
     use tenet_core::{
-        export, isl_cache, Analysis, ArchSpec, Dataflow, PerformanceReport, Result, TensorOp,
+        export, isl_cache, Analysis, ArchSpec, Dataflow, Error, PerformanceReport, Result, TensorOp,
     };
 
     /// One evaluated design point.
@@ -62,74 +64,86 @@ pub mod search {
     }
 
     /// Evaluates every candidate that is valid for (`op`, `arch`),
-    /// returning the points sorted by latency. Invalid candidates
-    /// (out-of-bounds space-stamps, dimension mismatches) are skipped —
-    /// enumeration intentionally over-generates.
+    /// returning the points sorted by latency, ties in candidate order:
+    /// [`explore_parallel`] on one thread with no deadline.
     ///
     /// All candidates for one operation share their access maps (and most
     /// of their intermediate relations), so evaluation leans heavily on
     /// the process-wide [`isl_cache`] memo: the first candidate pays for
     /// the shared relational work, later ones mostly hit the cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`explore_parallel`]: only a panicking worker.
     pub fn explore(
         op: &TensorOp,
         arch: &ArchSpec,
         candidates: &[Dataflow],
     ) -> Result<Vec<DesignPoint>> {
-        let mut out = Vec::new();
-        for df in candidates {
-            let Ok(report) = Analysis::new(op, df, arch).and_then(|a| a.report()) else {
-                continue;
-            };
-            out.push(DesignPoint {
-                dataflow: df.clone(),
-                report,
-            });
-        }
-        out.sort_by(|a, b| a.latency().total_cmp(&b.latency()));
-        Ok(out)
+        explore_parallel(op, arch, candidates, 1, None).map(|(points, _)| points)
     }
 
-    /// Like [`explore`] but fans candidates out over `n_threads` OS
-    /// threads (the analysis of one dataflow is independent of every
-    /// other). Results are identical to [`explore`] — same points, same
-    /// latency-sorted order.
+    /// Evaluates the candidates on `n_threads` OS threads (the analysis
+    /// of one dataflow is independent of every other), which claim them
+    /// one at a time in order and claim none once `deadline` has passed.
+    /// Returns the valid points sorted by latency, ties in candidate
+    /// order, and how many candidates were tried: all of them unless the
+    /// deadline cut the sweep short.
+    ///
+    /// Every candidate whose analysis fails is skipped, whatever the
+    /// error: enumeration intentionally over-generates, so most failures
+    /// are validity rejections (out-of-bounds space-stamps, dimension
+    /// mismatches).
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures other than per-candidate validity
-    /// rejections.
+    /// Only when a worker thread panics.
     pub fn explore_parallel(
         op: &TensorOp,
         arch: &ArchSpec,
         candidates: &[Dataflow],
         n_threads: usize,
-    ) -> Result<Vec<DesignPoint>> {
+        deadline: Option<Instant>,
+    ) -> Result<(Vec<DesignPoint>, usize)> {
         let n_threads = n_threads.max(1).min(candidates.len().max(1));
-        let chunk = candidates.len().div_ceil(n_threads);
-        let mut out: Vec<DesignPoint> = Vec::with_capacity(candidates.len());
+        // The next unclaimed candidate. Relaxed: it hands out indices and
+        // publishes no other data.
+        let cursor = AtomicUsize::new(0);
         // Counter handles attached on the caller's thread (a server
         // request's stats scope) must keep observing the work after it
         // fans out, so re-attach them on every worker.
         let inherited = isl_cache::attached_handles();
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            for slice in candidates.chunks(chunk.max(1)) {
-                let inherited = inherited.clone();
-                handles.push(scope.spawn(move || {
-                    let _attached: Vec<_> = inherited.iter().map(|h| h.attach()).collect();
-                    explore(op, arch, slice)
-                }));
+        let worker = || {
+            let _attached: Vec<_> = inherited.iter().map(|h| h.attach()).collect();
+            let mut points = Vec::new();
+            let mut tried = 0;
+            while deadline.is_none_or(|d| Instant::now() < d) {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(df) = candidates.get(i) else { break };
+                tried += 1;
+                if let Ok(report) = Analysis::new(op, df, arch).and_then(|a| a.report()) {
+                    let dataflow = df.clone();
+                    points.push((i, DesignPoint { dataflow, report }));
+                }
             }
+            (points, tried)
+        };
+        let mut ranked = Vec::new();
+        let mut tried = 0;
+        std::thread::scope(|scope| -> Result<()> {
+            let handles: Vec<_> = (0..n_threads).map(|_| scope.spawn(worker)).collect();
             for h in handles {
-                let points = h
+                let (points, n) = h
                     .join()
-                    .map_err(|_| tenet_core::Error::Invalid("worker panicked".into()))??;
-                out.extend(points);
+                    .map_err(|_| Error::Invalid("worker panicked".into()))?;
+                ranked.extend(points);
+                tried += n;
             }
             Ok(())
         })?;
-        out.sort_by(|a, b| a.latency().total_cmp(&b.latency()));
-        Ok(out)
+        ranked
+            .sort_unstable_by(|(i, a), (j, b)| a.latency().total_cmp(&b.latency()).then(i.cmp(j)));
+        Ok((ranked.into_iter().map(|(_, p)| p).collect(), tried))
     }
 
     /// The latency/scratchpad-bandwidth Pareto frontier of a set of
@@ -182,6 +196,7 @@ mod tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
+    use std::time::{Duration, Instant};
     use tenet_core::{ArchSpec, Interconnect, TensorOp};
 
     fn gemm() -> TensorOp {
@@ -202,10 +217,14 @@ mod parallel_tests {
         let arch = ArchSpec::new("4x4", [4, 4], Interconnect::Systolic2D, 16.0);
         let candidates = enumerate_2d(&op, 4).unwrap();
         let seq = explore(&op, &arch, &candidates).unwrap();
-        for threads in [1, 3, 8, 64] {
-            let par = explore_parallel(&op, &arch, &candidates, threads).unwrap();
+        let generous = Some(Instant::now() + Duration::from_secs(3600));
+        for (threads, deadline) in [(1, generous), (3, None), (8, generous), (64, None)] {
+            let (par, tried) =
+                explore_parallel(&op, &arch, &candidates, threads, deadline).unwrap();
+            assert_eq!(tried, candidates.len(), "{threads} threads");
             assert_eq!(par.len(), seq.len(), "{threads} threads");
             for (a, b) in par.iter().zip(seq.iter()) {
+                assert_eq!(a.dataflow, b.dataflow, "{threads} threads");
                 assert_eq!(a.latency(), b.latency(), "{threads} threads");
                 assert_eq!(a.sbw(), b.sbw(), "{threads} threads");
             }
@@ -216,7 +235,19 @@ mod parallel_tests {
     fn parallel_explore_handles_empty_candidate_list() {
         let op = gemm();
         let arch = ArchSpec::new("4x4", [4, 4], Interconnect::Systolic2D, 16.0);
-        let points = explore_parallel(&op, &arch, &[], 4).unwrap();
+        let (points, tried) = explore_parallel(&op, &arch, &[], 4, None).unwrap();
         assert!(points.is_empty());
+        assert_eq!(tried, 0);
+    }
+
+    #[test]
+    fn a_past_deadline_tries_no_candidate() {
+        let op = gemm();
+        let arch = ArchSpec::new("4x4", [4, 4], Interconnect::Systolic2D, 16.0);
+        let candidates = enumerate_2d(&op, 4).unwrap();
+        let past = Some(Instant::now());
+        let (points, tried) = explore_parallel(&op, &arch, &candidates, 2, past).unwrap();
+        assert!(points.is_empty());
+        assert_eq!(tried, 0);
     }
 }

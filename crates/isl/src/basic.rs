@@ -620,19 +620,6 @@ impl BasicMap {
         }
     }
 
-    /// Renames the space without touching constraints.
-    pub fn with_space(mut self, space: impl Into<Arc<Space>>) -> Result<BasicMap> {
-        let space = space.into();
-        if !self.space.is_compatible(&space) {
-            return Err(Error::SpaceMismatch(format!(
-                "cannot rename {} to {}",
-                self.space, space
-            )));
-        }
-        self.space = space;
-        Ok(self)
-    }
-
     /// Builds the identity relation over `tuple` (same arity on both sides).
     pub fn identity(input: Tuple, output: Tuple) -> Result<BasicMap> {
         if input.len() != output.len() {

@@ -82,10 +82,6 @@ pub(crate) enum OpKind {
     Project,
     /// [`Map::union`]
     Union,
-    /// [`Map::intersect_domain`]
-    IntersectDomain,
-    /// [`Map::intersect_range`]
-    IntersectRange,
     /// [`Map::card`]
     Card,
     /// [`Map::is_empty`]
@@ -662,8 +658,6 @@ fn op_name(op: OpKind) -> &'static str {
         OpKind::Subtract => "subtract",
         OpKind::Project => "project",
         OpKind::Union => "union",
-        OpKind::IntersectDomain => "intersect_domain",
-        OpKind::IntersectRange => "intersect_range",
         OpKind::Card => "card",
         OpKind::Empty => "empty",
         OpKind::Fix => "fix",
@@ -675,7 +669,7 @@ fn op_name(op: OpKind) -> &'static str {
 /// written before an operation retired still carry its rows; [`import`]
 /// drops them without counting them as skipped, since an old file is not
 /// damaged by holding them.
-const RETIRED_OPS: [&str; 1] = ["coalesce"];
+const RETIRED_OPS: [&str; 3] = ["coalesce", "intersect_domain", "intersect_range"];
 
 fn op_from_name(name: &str) -> Option<OpKind> {
     Some(match name {
@@ -685,8 +679,6 @@ fn op_from_name(name: &str) -> Option<OpKind> {
         "subtract" => OpKind::Subtract,
         "project" => OpKind::Project,
         "union" => OpKind::Union,
-        "intersect_domain" => OpKind::IntersectDomain,
-        "intersect_range" => OpKind::IntersectRange,
         "card" => OpKind::Card,
         "empty" => OpKind::Empty,
         "fix" => OpKind::Fix,
@@ -1307,36 +1299,46 @@ mod tests {
     }
 
     #[test]
-    fn import_drops_retired_coalesce_rows_uncounted() {
+    fn import_drops_retired_rows_uncounted() {
         let _guard = test_lock();
         set_enabled(true);
-        clear();
         let text = "{ K[i] -> L[i] : 0 <= i < 4 or 4 <= i < 9 }";
-        let rel = |text: &str| RelExport {
+        let rel = |text: &str, set: bool| RelExport {
             text: text.into(),
-            set: false,
+            set,
         };
-        let snap = CacheExport {
-            parsed_map: Vec::new(),
-            parsed_set: Vec::new(),
-            memo: vec![MemoExport {
-                op: "coalesce".into(),
-                lhs: rel(text),
-                rhs: None,
-                extra: 0,
-                value: ValExport::Map(rel("{ K[i] -> L[i] : 0 <= i < 9 }")),
-            }],
-        };
-        let report = import(&snap);
-        assert_eq!(report.skipped, 0, "a retired row is not a skip: {report:?}");
-        assert_eq!(report.memo, 0, "a retired row is not restored: {report:?}");
-        let lhs = Map::parse(text).unwrap();
-        let t = ctx().tables.lock().unwrap();
-        let keyed = interned(&t, &lhs).is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
-        assert!(
-            !keyed,
-            "no memo entry is keyed by the retired row's operand"
-        );
+        for op in RETIRED_OPS {
+            clear();
+            // The retired intersections took a set operand; `coalesce` none.
+            let rhs = (op != "coalesce").then(|| rel("{ [i] : 0 <= i < 9 }", true));
+            let snap = CacheExport {
+                parsed_map: Vec::new(),
+                parsed_set: Vec::new(),
+                memo: vec![MemoExport {
+                    op: op.into(),
+                    lhs: rel(text, false),
+                    rhs,
+                    extra: 0,
+                    value: ValExport::Map(rel("{ K[i] -> L[i] : 0 <= i < 9 }", false)),
+                }],
+            };
+            let report = import(&snap);
+            assert_eq!(
+                report.skipped, 0,
+                "{op}: a retired row is not a skip: {report:?}"
+            );
+            assert_eq!(
+                report.memo, 0,
+                "{op}: a retired row is not restored: {report:?}"
+            );
+            let lhs = Map::parse(text).unwrap();
+            let t = ctx().tables.lock().unwrap();
+            let keyed = interned(&t, &lhs).is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
+            assert!(
+                !keyed,
+                "{op}: no memo entry is keyed by the retired row's operand"
+            );
+        }
     }
 
     #[test]

@@ -112,8 +112,6 @@ mod coalesce;
 mod count;
 mod error;
 mod fmt;
-mod gist;
-mod lexopt;
 mod map;
 mod parse;
 mod project;

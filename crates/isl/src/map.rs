@@ -434,60 +434,6 @@ impl Map {
         self.reverse().range()
     }
 
-    /// Reinterprets the relation as a set over the concatenated
-    /// `in ++ out` dimensions (ISL's `wrap`).
-    pub fn wrap(&self) -> Set {
-        let mut dims = self.rel.space.input.dims.clone();
-        dims.extend(self.rel.space.output.dims.iter().cloned());
-        let space = Arc::new(Space::set(Tuple { name: None, dims }));
-        Set::from_map_unchecked(self.respaced(space))
-    }
-
-    /// Restricts the domain to `set`.
-    pub fn intersect_domain(&self, set: &Set) -> Result<Map> {
-        if set.n_dim() != self.n_in() {
-            return Err(Error::SpaceMismatch(format!(
-                "intersect_domain: set has {} dims, domain has {}",
-                set.n_dim(),
-                self.n_in()
-            )));
-        }
-        cache::memo_map(OpKind::IntersectDomain, self, Some(set.as_map()), 0, || {
-            let var_map: Vec<usize> = (0..self.n_in()).collect();
-            self.intersect_with_mapped(set, &var_map)
-        })
-    }
-
-    /// Restricts the range to `set`.
-    pub fn intersect_range(&self, set: &Set) -> Result<Map> {
-        if set.n_dim() != self.n_out() {
-            return Err(Error::SpaceMismatch(format!(
-                "intersect_range: set has {} dims, range has {}",
-                set.n_dim(),
-                self.n_out()
-            )));
-        }
-        cache::memo_map(OpKind::IntersectRange, self, Some(set.as_map()), 0, || {
-            let var_map: Vec<usize> = (self.n_in()..self.n_in() + self.n_out()).collect();
-            self.intersect_with_mapped(set, &var_map)
-        })
-    }
-
-    fn intersect_with_mapped(&self, set: &Set, var_map: &[usize]) -> Result<Map> {
-        let mut basics = Vec::new();
-        for a in &self.rel.basics {
-            for b in set.as_map().basics() {
-                let mut nb = a.clone();
-                nb.import_constraints(b, var_map)?;
-                if nb.simplify() {
-                    nb.drop_unused_divs();
-                    basics.push(nb);
-                }
-            }
-        }
-        Ok(Map::from_parts(self.rel.space.clone(), basics))
-    }
-
     /// Fixes input dimension `dim` to `val`.
     pub fn fix_in(&self, dim: usize, val: i64) -> Map {
         self.fix_col(dim, val)
@@ -644,82 +590,6 @@ impl Map {
         crate::coalesce::coalesce_map(self.clone())
     }
 
-    /// The difference set `{ out - in : (in, out) ∈ self }` (ISL's
-    /// `deltas`); input and output arities must match. Useful for
-    /// dependence-distance and reuse-vector analysis.
-    pub fn deltas(&self) -> Result<Set> {
-        let n = self.n_in();
-        if n != self.n_out() {
-            return Err(Error::SpaceMismatch(
-                "deltas requires equal input/output arities".into(),
-            ));
-        }
-        let d_dims: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
-        let mut x_dims: Vec<String> = (0..n).map(|i| format!("_x{i}")).collect();
-        let mut y_dims: Vec<String> = (0..n).map(|i| format!("_y{i}")).collect();
-        let mut out_dims = d_dims;
-        out_dims.append(&mut x_dims);
-        out_dims.append(&mut y_dims);
-        let space = Arc::new(Space::set(Tuple {
-            name: None,
-            dims: out_dims,
-        }));
-        let mut basics = Vec::new();
-        for b in &self.rel.basics {
-            let mut comb = BasicMap::universe(space.clone());
-            // map's in dims -> x block (cols n..2n); out dims -> y block.
-            let var_map: Vec<usize> = (n..2 * n).chain(2 * n..3 * n).collect();
-            comb.import_constraints(b, &var_map)?;
-            for i in 0..n {
-                let mut eq = comb.zero_row();
-                eq[i] = 1; // d_i
-                eq[n + i] = 1; // + x_i
-                eq[2 * n + i] = -1; // - y_i
-                comb.add_eq(eq); // d = y - x
-            }
-            let targets: Vec<usize> = (n..3 * n).collect();
-            basics.extend(crate::project::eliminate_vars(comb, targets)?);
-        }
-        let final_space = Arc::new(Space::set(Tuple {
-            name: None,
-            dims: (0..n).map(|i| format!("d{i}")).collect(),
-        }));
-        for b in basics.iter_mut() {
-            b.space = final_space.clone();
-        }
-        basics.dedup();
-        Ok(Set::from_map_unchecked(Map::from_parts(
-            final_space,
-            basics,
-        )))
-    }
-
-    /// Whether the relation is single-valued (a partial function): no
-    /// input relates to two different outputs. TENET dataflows must be
-    /// single-valued — every loop instance executes on exactly one
-    /// spacetime-stamp.
-    ///
-    /// ```
-    /// use tenet_isl::Map;
-    /// let f = Map::parse("{ S[i] -> T[i + 1] : 0 <= i < 4 }")?;
-    /// assert!(f.is_single_valued()?);
-    /// let r = Map::parse("{ S[i] -> T[j] : 0 <= i < 4 and 0 <= j < 2 }")?;
-    /// assert!(!r.is_single_valued()?);
-    /// # Ok::<(), tenet_isl::Error>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of the underlying composition and subset
-    /// tests.
-    pub fn is_single_valued(&self) -> Result<bool> {
-        // { o1 -> o2 : exists i, (i -> o1) in M and (i -> o2) in M } is
-        // contained in the identity.
-        let pairs = self.reverse().apply_range(self)?;
-        let id = Map::identity(pairs.space().input.clone(), pairs.space().output.clone())?;
-        pairs.is_subset(&id)
-    }
-
     /// Whether the relation is injective: no two inputs share an output
     /// (one MAC per PE per cycle, Section II-A of the paper).
     ///
@@ -733,44 +603,6 @@ impl Map {
         let pairs = self.apply_range(&self.reverse())?;
         let id = Map::identity(pairs.space().input.clone(), pairs.space().output.clone())?;
         pairs.is_subset(&id)
-    }
-
-    /// Whether the relation is a bijection between its domain and range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of [`Map::is_single_valued`] and
-    /// [`Map::is_injective`].
-    pub fn is_bijective(&self) -> Result<bool> {
-        Ok(self.is_single_valued()? && self.is_injective()?)
-    }
-
-    /// Renames the space (arities must match).
-    pub fn with_space(&self, space: impl Into<Arc<Space>>) -> Result<Map> {
-        let space = space.into();
-        if !self.rel.space.is_compatible(&space) {
-            return Err(Error::SpaceMismatch(format!(
-                "cannot rename {} to {}",
-                self.rel.space, space
-            )));
-        }
-        Ok(self.respaced(space))
-    }
-
-    /// The same constraints over `space`, which has as many columns (the
-    /// caller checks).
-    pub(crate) fn respaced(&self, space: Arc<Space>) -> Map {
-        let basics = self
-            .rel
-            .basics
-            .iter()
-            .map(|b| {
-                let mut nb = b.clone();
-                nb.space = space.clone();
-                nb
-            })
-            .collect();
-        Map::from_parts(space, basics)
     }
 }
 
@@ -1185,12 +1017,6 @@ mod tests {
         assert_eq!(dom.card().unwrap(), 3);
         let rng = a.range().unwrap();
         assert_eq!(rng.card().unwrap(), 3);
-    }
-
-    #[test]
-    fn wrap_counts_pairs() {
-        let a = Map::parse("{ A[i] -> B[j] : 0 <= i < 2 and 0 <= j < 3 }").unwrap();
-        assert_eq!(a.wrap().card().unwrap(), 6);
     }
 
     #[test]

@@ -217,17 +217,6 @@ impl Set {
         }
         bounds.ok_or_else(|| Error::Unbounded("empty set has no bounds".into()))
     }
-
-    /// Interprets this set over `in ++ out` dims back as a map
-    /// (inverse of [`Map::wrap`]); `n_in` leading dims become the domain.
-    pub fn unwrap_map(&self, n_in: usize, space: Space) -> Result<Map> {
-        if space.n_in() != n_in || space.n_in() + space.n_out() != self.n_dim() {
-            return Err(Error::SpaceMismatch(
-                "unwrap: space arities do not match set dimensionality".into(),
-            ));
-        }
-        Ok(self.map.respaced(std::sync::Arc::new(space)))
-    }
 }
 
 impl Set {

@@ -56,11 +56,6 @@ impl Tuple {
         self.dims.is_empty()
     }
 
-    /// Index of a dimension by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.dims.iter().position(|d| d == name)
-    }
-
     /// Structural compatibility: same arity (names may differ).
     pub fn is_compatible(&self, other: &Tuple) -> bool {
         self.dims.len() == other.dims.len()

@@ -1,10 +1,7 @@
-//! Exact integer arithmetic helpers.
-//!
-//! All coefficients in this crate are `i64`; intermediate products are
-//! computed in `i128` and checked on the way back so that overflow is
-//! reported as [`crate::Error::Overflow`] instead of wrapping silently.
-
-use crate::{Error, Result};
+//! Exact integer arithmetic helpers over the crate's `i64` coefficients:
+//! the greatest common divisor, floor and ceiling division, and the floor
+//! and symmetric moduli. Rust's `/` and `%` truncate toward zero; the
+//! counting and projection code needs the rounded forms for either sign.
 
 /// Greatest common divisor (always non-negative; `gcd(0, 0) == 0`).
 ///
@@ -20,15 +17,6 @@ pub fn gcd(a: i64, b: i64) -> i64 {
         b = t;
     }
     a as i64
-}
-
-/// Least common multiple, checked against overflow.
-pub fn lcm(a: i64, b: i64) -> Result<i64> {
-    if a == 0 || b == 0 {
-        return Ok(0);
-    }
-    let g = gcd(a, b);
-    mul(a / g, b)
 }
 
 /// Floor division: `floor_div(7, 2) == 3`, `floor_div(-7, 2) == -4`.
@@ -84,22 +72,6 @@ pub fn mod_hat(a: i64, m: i64) -> i64 {
     }
 }
 
-/// Checked multiplication.
-pub fn mul(a: i64, b: i64) -> Result<i64> {
-    a.checked_mul(b).ok_or(Error::Overflow)
-}
-
-/// Checked addition.
-pub fn add(a: i64, b: i64) -> Result<i64> {
-    a.checked_add(b).ok_or(Error::Overflow)
-}
-
-/// Checked fused multiply-add: `a*b + c*d`, computed through `i128`.
-pub fn mul_add2(a: i64, b: i64, c: i64, d: i64) -> Result<i64> {
-    let v = (a as i128) * (b as i128) + (c as i128) * (d as i128);
-    i64::try_from(v).map_err(|_| Error::Overflow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,11 +109,5 @@ mod tests {
                 assert_eq!(mod_floor(a - r, m), 0);
             }
         }
-    }
-
-    #[test]
-    fn checked_ops() {
-        assert!(mul(i64::MAX, 2).is_err());
-        assert_eq!(mul_add2(3, 4, 5, 6).unwrap(), 42);
     }
 }

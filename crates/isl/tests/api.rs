@@ -1,7 +1,7 @@
 //! API-surface tests: error paths, helpers, and behaviours not already
 //! covered by the module unit tests or the property suite.
 
-use tenet_isl::{Error, Map, Set, Space, Tuple};
+use tenet_isl::{Error, Map, Set, Tuple};
 
 #[test]
 fn dim_bounds_across_union() {
@@ -36,52 +36,11 @@ fn union_space_mismatch() {
 }
 
 #[test]
-fn intersect_domain_and_range() {
-    let m = Map::parse("{ A[i] -> B[j] : 0 <= i < 10 and 0 <= j < 10 }").unwrap();
-    let dom = Set::parse("{ A[i] : 2 <= i < 4 }").unwrap();
-    let rng = Set::parse("{ B[j] : 5 <= j < 6 }").unwrap();
-    let r = m
-        .intersect_domain(&dom)
-        .unwrap()
-        .intersect_range(&rng)
-        .unwrap();
-    assert_eq!(r.card().unwrap(), 2);
-    assert!(r.contains_point(&[2, 5]).unwrap());
-    assert!(!r.contains_point(&[4, 5]).unwrap());
-}
-
-#[test]
 fn fix_in_and_out() {
     let m = Map::parse("{ A[i] -> B[j] : 0 <= i < 3 and 0 <= j <= i }").unwrap();
     assert_eq!(m.fix_in(0, 2).card().unwrap(), 3);
     assert_eq!(m.fix_out(0, 0).card().unwrap(), 3);
     assert_eq!(m.fix_in(0, 9).card().unwrap(), 0);
-}
-
-#[test]
-fn wrap_unwrap_roundtrip() {
-    let m = Map::parse("{ A[i] -> B[j] : 0 <= i < 3 and 0 <= j < 2 }").unwrap();
-    let w = m.wrap();
-    assert_eq!(w.n_dim(), 2);
-    let space = Space::map(Tuple::new("A", ["i"]), Tuple::new("B", ["j"]));
-    let back = w.unwrap_map(1, space).unwrap();
-    assert!(m.is_equal(&back).unwrap());
-}
-
-#[test]
-fn with_space_renames() {
-    let m = Map::parse("{ A[i] -> B[j] : j = i and 0 <= i < 2 }").unwrap();
-    let space = Space::map(Tuple::new("X", ["a"]), Tuple::new("Y", ["b"]));
-    let r = m.with_space(space).unwrap();
-    assert_eq!(r.space().input.name.as_deref(), Some("X"));
-    assert_eq!(r.card().unwrap(), 2);
-}
-
-#[test]
-fn with_space_arity_checked() {
-    let m = Map::parse("{ A[i] -> B[j] }").unwrap();
-    let bad = Space::map(Tuple::new("X", ["a", "b"]), Tuple::new("Y", ["c"]));
-    assert!(m.with_space(bad).is_err());
 }
 
 #[test]

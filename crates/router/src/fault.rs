@@ -14,21 +14,12 @@
 //! cascades) always pass through, mirroring real incidents where the
 //! serving path degrades long before the management plane does.
 
+use crate::ring::mix;
 use crate::transport::{ForwardError, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tenet_server::{error_json, Call};
-
-/// splitmix64 finalizer: the same cheap, well-mixed hash the consistent
-/// ring uses for vnode placement, reused here to turn `(seed, call
-/// index, fault kind)` into an independent uniform draw.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// A seeded, deterministic description of what to break and how often.
 /// All rates are per-mille (‰) of data-path calls; `Default` injects

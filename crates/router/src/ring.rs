@@ -28,9 +28,11 @@ pub struct HashRing {
     members: BTreeSet<usize>,
 }
 
-/// SplitMix64 finalizer — the fixed mix placing `(worker, replica)` on
-/// the circle.
-fn mix(x: u64) -> u64 {
+/// The splitmix64 finalizer: a fixed, well-mixed hash. It places
+/// `(worker, replica)` on the circle and is the seeded source of the
+/// router's health-probe and retry-backoff jitter and of the fault plans'
+/// injection draws, so all of them replay without wall-clock entropy.
+pub(crate) fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

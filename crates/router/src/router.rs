@@ -2,7 +2,7 @@
 //! hedging, fan-out endpoints, health probing, and cascaded drain,
 //! served through the worker's [`Listener`].
 
-use crate::ring::HashRing;
+use crate::ring::{mix, HashRing};
 use crate::transport::{ForwardError, LocalTransport, Transport};
 use crate::upstream::HttpTransport;
 use std::collections::{HashMap, HashSet};
@@ -672,15 +672,6 @@ fn health_loop(state: &Arc<RouterState>) {
             slept += step;
         }
     }
-}
-
-/// The splitmix64 finalizer: deterministic jitter and backoff draws
-/// without wall-clock entropy (reproducible under test).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn error_body(kind: &str, message: impl Into<String>) -> Arc<Vec<u8>> {

@@ -524,8 +524,8 @@ fn select_fields(point: Json, fields: &[String]) -> Json {
 }
 
 /// `POST /v1/dse` — enumerate candidate dataflows under hardware
-/// constraints, evaluate them in parallel, return the ranked points and
-/// the latency/SBW Pareto frontier.
+/// constraints, evaluate them in parallel until the deadline, return the
+/// ranked points and the latency/SBW Pareto frontier.
 fn dse(req: &Json, state: &WorkerCore, deadline: Option<Instant>) -> Reply {
     let problem = match load_problem(req) {
         Ok(p) => p,
@@ -580,47 +580,20 @@ fn dse(req: &Json, state: &WorkerCore, deadline: Option<Instant>) -> Reply {
         Ok(c) => c,
         Err(e) => return Reply::analysis(format!("enumeration failed: {e}")),
     };
-    // With a deadline, the sweep runs in small chunks so expiry is
-    // observed between chunks: `explore_parallel` itself has no
-    // cancellation, so the chunk size bounds the overshoot past the
-    // deadline. Without one, a single call keeps the happy path
-    // identical to the deadline-free service.
-    let mut truncated = false;
-    let points = match deadline {
-        None => match explore_parallel(&problem.kernel, arch, &candidates, threads) {
-            Ok(p) => p,
+    let (points, tried) =
+        match explore_parallel(&problem.kernel, arch, &candidates, threads, deadline) {
+            Ok(r) => r,
             Err(e) => return Reply::analysis(format!("exploration failed: {e}")),
-        },
-        Some(dl) => {
-            let chunk_size = (threads * 2).max(1);
-            let total_chunks = candidates.len().div_ceil(chunk_size.max(1));
-            let mut points = Vec::new();
-            let mut chunks_done = 0usize;
-            for chunk in candidates.chunks(chunk_size) {
-                if Instant::now() >= dl {
-                    truncated = true;
-                    break;
-                }
-                match explore_parallel(&problem.kernel, arch, chunk, threads) {
-                    Ok(mut p) => points.append(&mut p),
-                    Err(e) => return Reply::analysis(format!("exploration failed: {e}")),
-                }
-                chunks_done += 1;
-                // Chunk progress lands on the request's trace timeline,
-                // making "where did the DSE sweep stop" answerable.
-                if tenet_core::obs::is_active() {
-                    tenet_core::obs::add_event(
-                        "dse_chunk",
-                        format!("{chunks_done}/{total_chunks}"),
-                    );
-                }
-            }
-            if truncated && chunks_done == 0 {
-                return Reply::deadline_exceeded();
-            }
-            points
-        }
-    };
+        };
+    // Under a deadline, how far the sweep got lands on the request's
+    // trace timeline.
+    if deadline.is_some() && tenet_core::obs::is_active() {
+        tenet_core::obs::add_event("dse_sweep", format!("{tried}/{}", candidates.len()));
+    }
+    let truncated = tried < candidates.len();
+    if truncated && tried == 0 {
+        return Reply::deadline_exceeded();
+    }
     let frontier = pareto(&points);
     let project = |p: &tenet_dse::DesignPoint| match &fields {
         Some(f) => select_fields(p.to_json(), f),

@@ -370,6 +370,54 @@ fn dse_pagination_and_field_filtering() {
     handle.shutdown();
 }
 
+/// A deadline that never expires changes nothing: the ranked points and
+/// the frontier equal the deadline-free answer, whether the deadline
+/// comes in the body or in the header. Each request gets a fresh server,
+/// so no answer can be a dedup replay of another (the header is not part
+/// of the dedup key).
+#[test]
+fn dse_ranking_is_the_same_under_a_generous_deadline() {
+    let body = |deadline_ms: Option<u64>| {
+        let mut fields = vec![
+            ("problem", Json::from(GEMM_PROBLEM)),
+            ("pe", Json::from(4u64)),
+            ("threads", Json::from(1u64)),
+            ("limit", Json::from(1000u64)),
+        ];
+        if let Some(ms) = deadline_ms {
+            fields.push(("deadline_ms", Json::from(ms)));
+        }
+        Json::obj(fields).to_string()
+    };
+    let sweep = |body: &str, headers: &[(&str, &str)]| -> (String, String) {
+        let (addr, handle) = start();
+        let (status, _, bytes) = post_with_headers(addr, "/v1/dse", body, headers);
+        handle.shutdown();
+        let text = String::from_utf8_lossy(&bytes).to_string();
+        assert_eq!(status, 200, "{text}");
+        assert!(!text.contains("\"truncated\""), "{text}");
+        let v = Json::parse(&text).unwrap();
+        let part = |key: &str| v.get(key).expect(key).to_string();
+        (part("points"), part("pareto"))
+    };
+    let free = sweep(&body(None), &[]);
+    let points: Vec<f64> = Json::parse(&free.0)
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|p| p.get("latency").and_then(Json::as_f64).unwrap())
+        .collect();
+    assert!(points.len() >= 3, "too few points to rank: {points:?}");
+    assert!(
+        points.windows(2).all(|w| w[0] <= w[1]),
+        "ranked by latency: {points:?}"
+    );
+    assert_eq!(sweep(&body(Some(600_000)), &[]), free, "body deadline");
+    let header = [("X-Tenet-Deadline-Ms", "600000")];
+    assert_eq!(sweep(&body(None), &header), free, "header deadline");
+}
+
 #[test]
 fn pipelined_requests_on_one_connection() {
     let (addr, handle) = start();
