@@ -712,7 +712,7 @@ pub fn route(args: &Args) -> CmdResult {
                 // it needs headroom over the router's connection-pool
                 // bound: probes and stats fan-outs must never queue
                 // behind parked proxy sockets.
-                threads: config.upstream_connections + 2,
+                threads: tenet_router::UPSTREAM_CONNECTIONS + 2,
                 ..Default::default()
             })
             .map_err(|e| CmdError::input(format!("cannot spawn worker: {e}")))?;

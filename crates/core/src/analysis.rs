@@ -137,66 +137,16 @@ impl<'a> Analysis<'a> {
         Ok(self.theta.reverse().apply_range(&asf)?)
     }
 
-    /// Text of the spacetime-stamp map for the given offsets and time
-    /// delta (Definition 4), with an exact-increment time constraint.
-    fn spacetime_map_text(&self, offsets: &[Vec<i64>], dt: i64) -> String {
-        let ns = self.df.n_space();
-        let nt = self.df.n_time();
-        let in_dims: Vec<String> = (0..ns)
+    /// Text of the spacetime-stamp map (Definition 4) that moves a stamp
+    /// by each space offset in `offsets` and each time-stamp delta in
+    /// `deltas`: one disjunct per pair, every one a pure translation
+    /// (`t' = t + Δ`), which `apply_range` composes by substitution, with
+    /// no projection at all.
+    fn spacetime_map_text(&self, offsets: &[Vec<i64>], deltas: &[Vec<i64>]) -> String {
+        let in_dims: Vec<String> = (0..self.df.n_space())
             .map(|i| format!("p{i}"))
-            .chain((0..nt).map(|i| format!("t{i}")))
+            .chain((0..self.df.n_time()).map(|i| format!("t{i}")))
             .collect();
-        let mut disjuncts = Vec::new();
-        for off in offsets {
-            let mut out_exprs: Vec<String> = Vec::new();
-            for (i, o) in off.iter().enumerate() {
-                match *o {
-                    0 => out_exprs.push(format!("p{i}")),
-                    v if v > 0 => out_exprs.push(format!("p{i} + {v}")),
-                    v => out_exprs.push(format!("p{i} - {}", -v)),
-                }
-            }
-            for i in 0..nt {
-                if i + 1 == nt && dt != 0 {
-                    out_exprs.push(format!("t{i} + {dt}"));
-                } else {
-                    out_exprs.push(format!("t{i}"));
-                }
-            }
-            disjuncts.push(format!(
-                "ST[{}] -> ST[{}]",
-                in_dims.join(", "),
-                out_exprs.join(", ")
-            ));
-        }
-        format!("{{ {} }}", disjuncts.join("; "))
-    }
-
-    /// Text of a *windowed* spacetime-stamp map: time distance measured as
-    /// the difference of the stamps' mixed-radix ordinals (the cycle
-    /// number in a rectangular schedule), constrained to
-    /// `lo <= ord(t') - ord(t) <= hi`.
-    ///
-    /// The window is expanded into the explicit set of constant delta
-    /// vectors whose ordinal lies in the range: every disjunct is then a
-    /// pure translation (`t' = t + Δ`), which `apply_range` composes by
-    /// substitution, with no projection at all. (A single ordinal
-    /// inequality with mixed-radix weights is equivalent but forces the
-    /// projector into range splits.)
-    fn windowed_map_text(
-        &self,
-        offsets: &[Vec<i64>],
-        lo: i64,
-        hi: i64,
-        extents: &[i64],
-    ) -> Result<String> {
-        let ns = self.df.n_space();
-        let nt = self.df.n_time();
-        let in_dims: Vec<String> = (0..ns)
-            .map(|i| format!("p{i}"))
-            .chain((0..nt).map(|i| format!("t{i}")))
-            .collect();
-        let deltas = window_deltas(extents, lo, hi, 2000)?;
         let shift = |base: &str, i: usize, v: i64| -> String {
             match v {
                 0 => format!("{base}{i}"),
@@ -206,14 +156,13 @@ impl<'a> Analysis<'a> {
         };
         let mut disjuncts = Vec::new();
         for off in offsets {
-            for delta in &deltas {
-                let mut out_exprs: Vec<String> = Vec::new();
-                for (i, o) in off.iter().enumerate() {
-                    out_exprs.push(shift("p", i, *o));
-                }
-                for (i, d) in delta.iter().enumerate() {
-                    out_exprs.push(shift("t", i, *d));
-                }
+            for delta in deltas {
+                let mut out_exprs: Vec<String> = off
+                    .iter()
+                    .enumerate()
+                    .map(|(i, o)| shift("p", i, *o))
+                    .collect();
+                out_exprs.extend(delta.iter().enumerate().map(|(i, d)| shift("t", i, *d)));
                 disjuncts.push(format!(
                     "ST[{}] -> ST[{}]",
                     in_dims.join(", "),
@@ -221,7 +170,25 @@ impl<'a> Analysis<'a> {
                 ));
             }
         }
-        Ok(format!("{{ {} }}", disjuncts.join("; ")))
+        format!("{{ {} }}", disjuncts.join("; "))
+    }
+
+    /// The time-stamp deltas of a spacetime map whose stamps lie `lo..=hi`
+    /// cycles apart: the single delta `[0, …, 0, lo]` when `single`, else
+    /// every delta whose mixed-radix ordinal (the cycle number in a
+    /// rectangular schedule) lies in the window. Expanding the window into
+    /// constant deltas keeps every disjunct a translation; a single
+    /// ordinal inequality with mixed-radix weights is equivalent but
+    /// forces the projector into range splits.
+    fn time_deltas(&self, lo: i64, hi: i64, single: bool) -> Result<Vec<Vec<i64>>> {
+        if single {
+            let mut delta = vec![0; self.df.n_time()];
+            if let Some(last) = delta.last_mut() {
+                *last = lo;
+            }
+            return Ok(vec![delta]);
+        }
+        window_deltas(&self.time_extents()?, lo, hi, 2000)
     }
 
     /// The extents of the time-stamp dimensions (for ordinal windows).
@@ -247,12 +214,8 @@ impl<'a> Analysis<'a> {
         }
         let offsets = self.arch.interconnect.offsets(self.df.n_space())?;
         let dt = self.arch.interconnect.time_delta();
-        let m = if dt == 0 || self.df.n_time() == 1 {
-            Map::parse(&self.spacetime_map_text(&offsets, dt))?
-        } else {
-            let extents = self.time_extents()?;
-            Map::parse(&self.windowed_map_text(&offsets, dt, dt, &extents)?)?
-        };
+        let deltas = self.time_deltas(dt, dt, dt == 0 || self.df.n_time() == 1)?;
+        let m = Map::parse(&self.spacetime_map_text(&offsets, &deltas))?;
         Ok(self.smap.get_or_init(|| m).clone())
     }
 
@@ -264,13 +227,8 @@ impl<'a> Analysis<'a> {
         }
         let zero = vec![vec![0i64; self.df.n_space()]];
         let w = self.options.reuse_window.max(1) as i64;
-        let m = if self.df.n_time() == 1 && w == 1 {
-            // Single time dim, unit window: a plain offset map.
-            Map::parse(&self.spacetime_map_text(&zero, 1))?
-        } else {
-            let extents = self.time_extents()?;
-            Map::parse(&self.windowed_map_text(&zero, 1, w, &extents)?)?
-        };
+        let deltas = self.time_deltas(1, w, self.df.n_time() == 1 && w == 1)?;
+        let m = Map::parse(&self.spacetime_map_text(&zero, &deltas))?;
         Ok(self.tmap.get_or_init(|| m).clone())
     }
 

@@ -10,31 +10,34 @@
 //!
 //! # Design
 //!
-//! * **Interning.** Every [`Map`] that participates in a memoized
-//!   operation is interned: the map is the key of a hash table mapping to
-//!   a small integer id. Interning makes the memo keys compact (`(op, id,
-//!   id, extra)`) and — because the table compares keys with full
-//!   structural equality, never by hash alone — collision-proof. A `Map`
-//!   is a reference-counted handle carrying its structural hash, computed
-//!   once per value, so interning a first-seen map files its handle (a
-//!   count bump, no copy), and a lookup whose operand is the interned
+//! * **Pooling.** Every [`Map`] that participates in a memoized operation
+//!   goes through one pool, a hash set of handles: a map equal to a
+//!   pooled one resolves to the pooled handle, and a first-seen map is
+//!   filed as it is (a count bump, no copy). The set compares with full
+//!   structural equality, never by hash alone, so it is collision-proof.
+//!   A `Map` is a reference-counted handle carrying its structural hash,
+//!   computed once per value, so a lookup whose operand is the pooled
 //!   value itself finds it by pointer, with no structural walk.
 //!   Operands, map-valued results and parse results all go through the
-//!   one intern table, so each map the memo holds is held once: a result
-//!   that later comes back as an operand is the interned value.
-//! * **Memoization.** Results are stored under `(op kind, interned
-//!   operand ids, extra operand)`; a map-valued result is stored as its
-//!   intern entry's handle. A hit returns the stored handle, not a copy,
-//!   and a fresh map result or parse result drops its spare capacity
-//!   before it is shared, since it will be held for the table's life.
+//!   pool, so each map the memo holds is held once: a result that later
+//!   comes back as an operand is the pooled value.
+//! * **Memoization.** Results are stored under `(op kind, pooled operand
+//!   handles, extra operand)`; a map-valued result is stored as its
+//!   pooled handle. A hit returns the stored handle, not a copy, and a
+//!   fresh map result or parse result drops its spare capacity before it
+//!   is shared, since it will be held for the table's life.
+//! * **Admission.** One rule (`admits`) decides which operations go
+//!   through the memo: `union`, `reverse` and `fix` on small relations
+//!   skip it, since redoing them costs less than a table round trip.
 //! * **Exactness.** The cache can only return a value that was computed
 //!   by the very operation being memoized on structurally identical
 //!   operands, so cached and uncached results are *bit-identical* — there
 //!   is no approximation, rounding, or hash-collision risk anywhere.
 //!   Property tests (`tests/fastpath.rs`) assert this end to end.
-//! * **Bounding.** The table is cleared wholesale when it exceeds
+//! * **Bounding.** The tables are cleared wholesale when one exceeds
 //!   `MAX_ENTRIES`; correctness never depends on a hit, so eviction is
-//!   free to be coarse.
+//!   free to be coarse. An entry owns the handles of its operands and
+//!   result, so a store that lands after a clear files a valid entry.
 //! * **Counting.** Every lookup (hit or miss) and every closed-form
 //!   counting dispatch bumps one root counter set, the process totals
 //!   that [`stats`] and [`crate::fast_path_stats`] read, plus every
@@ -42,20 +45,20 @@
 //!   scope below the root with the same counters. Only handles time cold
 //!   computes, so an unattached lookup reads no clock.
 //! * **Concurrency.** One global mutex guards the tables. The lock is
-//!   held only for lookups, interning and insertions, never while
+//!   held only for lookups, pooling and insertions, never while
 //!   computing a missed operation or a fresh map's first hash, so
 //!   parallel DSE threads serialize on microseconds, not on the
 //!   Presburger math or a structural walk. Concurrent misses of the same
-//!   key may compute the value twice; both compute the same value, and
-//!   the second insert is a no-op.
+//!   key may compute the value twice; both compute the same value, so
+//!   the second store changes nothing.
 //!
 //! Disable globally with [`set_enabled`] or the `TENET_ISL_CACHE=off`
 //! environment variable (checked once, at first use).
 
 use crate::map::Map;
-use crate::Result;
+use crate::{BasicMap, Result};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -65,7 +68,7 @@ const MAX_ENTRIES: usize = 1 << 17;
 
 /// Which memoized operation produced a cache entry.
 ///
-/// Only operations whose repeats outweigh the bytes of their interned
+/// Only operations whose repeats outweigh the bytes of their pooled
 /// operands are listed. [`Map::coalesce`] is not: its in-crate callers
 /// are memoized themselves, so its lookups almost always missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,28 +95,72 @@ pub(crate) enum OpKind {
     SliceMax,
 }
 
+/// A memoized result.
 #[derive(Clone)]
-enum CachedVal {
+pub(crate) enum CachedVal {
     Map(Map),
     Count(u128),
     Bool(bool),
 }
 
+/// A result type [`memo`] can store: a relation, a count or a truth
+/// value. `from_cached` takes the value back out of an entry of its own
+/// kind.
+pub(crate) trait Memoized: Sized {
+    fn into_cached(self) -> CachedVal;
+    fn from_cached(v: CachedVal) -> Option<Self>;
+}
+
+impl Memoized for Map {
+    fn into_cached(self) -> CachedVal {
+        CachedVal::Map(self)
+    }
+    fn from_cached(v: CachedVal) -> Option<Map> {
+        match v {
+            CachedVal::Map(m) => Some(m),
+            _ => None,
+        }
+    }
+}
+
+impl Memoized for u128 {
+    fn into_cached(self) -> CachedVal {
+        CachedVal::Count(self)
+    }
+    fn from_cached(v: CachedVal) -> Option<u128> {
+        match v {
+            CachedVal::Count(n) => Some(n),
+            _ => None,
+        }
+    }
+}
+
+impl Memoized for bool {
+    fn into_cached(self) -> CachedVal {
+        CachedVal::Bool(self)
+    }
+    fn from_cached(v: CachedVal) -> Option<bool> {
+        match v {
+            CachedVal::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+}
+
+/// A memo key: the operation, its pooled operands (the right one absent
+/// for unary operations) and its packed extra operand.
+type Key = (OpKind, Map, Option<Map>, i128);
+
 #[derive(Default)]
 struct Tables {
-    /// Interned maps, bucketed by their structural hash, which callers
-    /// compute (once per value) outside the global mutex, so the locked
-    /// section only does bucket lookups and equality checks, by pointer
-    /// when the operand is the interned value. Buckets hold every interned
-    /// map with that hash; equality disambiguates, so collisions stay
-    /// safe. Memo values and parse results are handles on these values.
-    ids: HashMap<u64, Vec<(Map, u64)>>,
-    /// Count of interned maps across all buckets.
-    n_interned: usize,
-    next_id: u64,
-    /// Memo: (op, lhs id, rhs id or MAX, extra) -> result.
-    memo: HashMap<(OpKind, u64, u64, i128), CachedVal>,
-    /// Parse memos: source text -> interned parsed map, one table per
+    /// Pooled maps: every memo operand, map-valued memo result and parse
+    /// result, each held once. Callers hash a map (once per value)
+    /// outside the global mutex, so the locked section only probes the
+    /// set, and compares by pointer when the map is the pooled value.
+    pool: HashSet<Map>,
+    /// Memo: (op, pooled lhs, pooled rhs, extra) -> result.
+    memo: HashMap<Key, CachedVal>,
+    /// Parse memos: source text -> pooled parsed map, one table per
     /// entry point (`Map::parse` vs `Set::parse` — each accepts texts the
     /// other rejects, so a hit must never cross them; separate tables
     /// also allow allocation-free borrowed lookups). Parsing is
@@ -121,23 +168,39 @@ struct Tables {
     /// layer (spacetime maps, windows) recur verbatim.
     parsed_map: HashMap<String, Map>,
     parsed_set: HashMap<String, Map>,
-    /// Bumped whenever the tables are cleared. Stores capture the
-    /// generation at lookup time and are dropped if eviction intervened,
-    /// so a result can never be filed under a reused intern id.
-    generation: u64,
 }
 
 impl Tables {
-    /// Drops every interned map, memo entry and parse result, and bumps
-    /// the generation so in-flight stores are discarded.
+    /// Drops every pooled map, memo entry and parse result.
     fn reset(&mut self) {
         self.memo.clear();
-        self.ids.clear();
-        self.n_interned = 0;
+        self.pool.clear();
         self.parsed_map.clear();
         self.parsed_set.clear();
-        self.next_id = 0;
-        self.generation += 1;
+    }
+
+    /// The pooled handle equal to `m`, filing `m` when no equal map is
+    /// pooled yet. Caller has hashed `m` before taking the lock, so a
+    /// fresh map's one structural walk runs outside it.
+    fn pool(&mut self, m: &Map) -> Map {
+        if let Some(pooled) = self.pool.get(m) {
+            return pooled.clone();
+        }
+        self.pool.insert(m.clone());
+        m.clone()
+    }
+
+    /// `key` and `val` with each relation in them replaced by its pooled
+    /// handle, ready to be filed. A store pools its key again, not only
+    /// at lookup, so an entry holds pooled handles even when a clear
+    /// emptied the pool in between.
+    fn pooled(&mut self, (op, a, b, extra): Key, val: CachedVal) -> (Key, CachedVal) {
+        let key = (op, self.pool(&a), b.map(|b| self.pool(&b)), extra);
+        let val = match val {
+            CachedVal::Map(m) => CachedVal::Map(self.pool(&m)),
+            v => v,
+        };
+        (key, val)
     }
 }
 
@@ -389,8 +452,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored.
     pub entries: u64,
-    /// Distinct interned relations: memo operands, map-valued memo
-    /// results and parse results, each counted once.
+    /// Distinct pooled relations: memo operands, map-valued memo results
+    /// and parse results, each counted once.
     pub interned: u64,
 }
 
@@ -414,48 +477,18 @@ pub fn stats() -> CacheStats {
         hits: ROOT.hits.load(Ordering::Relaxed),
         misses: ROOT.misses.load(Ordering::Relaxed),
         entries: t.memo.len() as u64,
-        interned: t.n_interned as u64,
+        interned: t.pool.len() as u64,
     }
 }
 
-/// Clears all cached results and interned relations (counters survive).
+/// Clears all cached results and pooled relations (counters survive).
 pub fn clear() {
     ctx().tables.lock().expect("isl cache poisoned").reset();
-}
-
-/// Resets the root hit/miss counters (entries and fast-path counts
-/// survive).
-pub fn reset_stats() {
-    ROOT.hits.store(0, Ordering::Relaxed);
-    ROOT.misses.store(0, Ordering::Relaxed);
 }
 
 /// Globally enables or disables memoization (e.g. for A/B measurements).
 pub fn set_enabled(on: bool) {
     ctx().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Whether memoization is currently enabled.
-pub fn enabled() -> bool {
-    ctx().enabled.load(Ordering::Relaxed)
-}
-
-/// Resolves `m` to its intern entry (shared handle and id), filing a
-/// handle on it under a fresh id when no equal map is interned yet (if
-/// one is, that entry wins). Caller holds the lock and has hashed `m`
-/// before taking it, so a fresh map's one structural walk runs outside
-/// the lock and this reads the hash the handle caches.
-fn intern<'t>(t: &'t mut Tables, m: &Map) -> &'t (Map, u64) {
-    let bucket = t.ids.entry(m.structural_hash()).or_default();
-    match bucket.iter().position(|(k, _)| k == m) {
-        Some(i) => &bucket[i],
-        None => {
-            bucket.push((m.clone(), t.next_id));
-            t.next_id += 1;
-            t.n_interned += 1;
-            &bucket[bucket.len() - 1]
-        }
-    }
 }
 
 /// Readies a fresh map result for the tables, outside the lock: drops its
@@ -469,7 +502,7 @@ fn ready_to_share(mut m: Map) -> Map {
 
 fn evict_if_full(t: &mut Tables) {
     if t.memo.len() > MAX_ENTRIES
-        || t.n_interned > MAX_ENTRIES
+        || t.pool.len() > MAX_ENTRIES
         || t.parsed_map.len() > MAX_ENTRIES
         || t.parsed_set.len() > MAX_ENTRIES
     {
@@ -477,66 +510,26 @@ fn evict_if_full(t: &mut Tables) {
     }
 }
 
-const NO_RHS: u64 = u64::MAX;
+/// Constraint rows, summed over the operands, below which [`admits`]
+/// turns `union`, `reverse` and `fix` away.
+const ADMIT_MIN_ROWS: usize = 32;
 
-/// A pending store slot: the interned operand ids plus the table
-/// generation they belong to.
-struct Slot {
-    ia: u64,
-    ib: u64,
-    generation: u64,
-    hit: Option<CachedVal>,
-}
-
-fn lookup(op: OpKind, a: &Map, b: Option<&Map>, extra: i128) -> Option<Slot> {
-    let c = ctx();
-    if !c.enabled.load(Ordering::Relaxed) {
-        return None;
+/// The admission rule: whether `op` on these operands goes through the
+/// memo. `union`, `reverse` and `fix` do only when their operands hold
+/// at least `ADMIT_MIN_ROWS` constraint rows: on smaller relations the
+/// operation (a few vector pushes, a column swap) costs less than
+/// hashing and pooling its operands, while on bulky ones the duplicate
+/// scan and disjunct copies carry real weight, and sweeps that re-pin
+/// the same stamps (max-utilization probing, DSE re-evaluation) get the
+/// stored result back. Every other operation is admitted.
+fn admits(op: OpKind, a: &Map, b: Option<&Map>) -> bool {
+    let rows = |m: &Map| -> usize { m.basics().iter().map(BasicMap::constraint_count).sum() };
+    match op {
+        OpKind::Union | OpKind::Reverse | OpKind::Fix => {
+            rows(a) + b.map_or(0, rows) >= ADMIT_MIN_ROWS
+        }
+        _ => true,
     }
-    // Structural hashes are computed before taking the lock.
-    a.structural_hash();
-    if let Some(b) = b {
-        b.structural_hash();
-    }
-    // Interning a first-seen operand files its handle, so one short
-    // locked section resolves the whole lookup.
-    let mut t = c.tables.lock().expect("isl cache poisoned");
-    evict_if_full(&mut t);
-    let ia = intern(&mut t, a).1;
-    let ib = b.map_or(NO_RHS, |b| intern(&mut t, b).1);
-    let hit = t.memo.get(&(op, ia, ib, extra)).cloned();
-    let generation = t.generation;
-    drop(t);
-    record(hit.is_some());
-    Some(Slot {
-        ia,
-        ib,
-        generation,
-        hit,
-    })
-}
-
-/// Files `val` under the slot's key and returns the value as filed: a
-/// map value (readied by [`ready_to_share`]) is filed as its intern
-/// entry, whose handle comes back, so its later use as an operand is the
-/// interned value itself.
-fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) -> CachedVal {
-    let c = ctx();
-    let mut t = c.tables.lock().expect("isl cache poisoned");
-    // An eviction between lookup and store invalidates the captured ids
-    // (they may have been reassigned to different relations — note that
-    // `compute` itself can trigger eviction through nested memoized ops);
-    // dropping the write is always safe: the memo is an accelerator,
-    // never a source of truth.
-    if t.generation != slot.generation {
-        return val;
-    }
-    let val = match val {
-        CachedVal::Map(m) => CachedVal::Map(intern(&mut t, &m).0.clone()),
-        v => v,
-    };
-    t.memo.insert((op, slot.ia, slot.ib, extra), val.clone());
-    val
 }
 
 /// Memoizes parsing by source text. `compute` runs without the lock held.
@@ -560,10 +553,8 @@ pub(crate) fn memo_parse(
         return Ok(m);
     }
     let fresh = ready_to_share(timed_compute(compute)?);
-    // The parsed map is stored as its intern entry. No generation check:
-    // the key is the text, not ids.
     let mut t = c.tables.lock().expect("isl cache poisoned");
-    let shared = intern(&mut t, &fresh).0.clone();
+    let shared = t.pool(&fresh);
     let table = if as_set {
         &mut t.parsed_set
     } else {
@@ -573,73 +564,52 @@ pub(crate) fn memo_parse(
     Ok(shared)
 }
 
-/// Memoizes a map-valued operation. `compute` runs without the lock held.
-pub(crate) fn memo_map(
+/// Memoizes `op` on `a` (and `b`, for binary operations) with the packed
+/// `extra` operand. `compute` runs without the lock held; an operation
+/// that [`admits`] turns away runs it directly, uncounted and untimed.
+/// A map result comes back as its pooled handle, so its later use as an
+/// operand is the pooled value itself.
+pub(crate) fn memo<T: Memoized>(
     op: OpKind,
     a: &Map,
     b: Option<&Map>,
     extra: i128,
-    compute: impl FnOnce() -> Result<Map>,
-) -> Result<Map> {
-    let slot = lookup(op, a, b, extra);
-    if let Some(Slot {
-        hit: Some(CachedVal::Map(m)),
-        ..
-    }) = slot
-    {
-        return Ok(m);
+    compute: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    if !admits(op, a, b) {
+        return compute();
     }
-    let result = timed_compute(compute)?;
-    let Some(slot) = slot else {
-        return Ok(result);
+    let c = ctx();
+    if !c.enabled.load(Ordering::Relaxed) {
+        return timed_compute(compute);
+    }
+    // Structural hashes are computed before taking the lock.
+    a.structural_hash();
+    if let Some(b) = b {
+        b.structural_hash();
+    }
+    // Pooling a first-seen operand files its handle, so one short locked
+    // section resolves the whole lookup.
+    let (key, hit) = {
+        let mut t = c.tables.lock().expect("isl cache poisoned");
+        evict_if_full(&mut t);
+        let key = (op, t.pool(a), b.map(|b| t.pool(b)), extra);
+        let hit = t.memo.get(&key).cloned();
+        (key, hit)
     };
-    match store(op, &slot, extra, CachedVal::Map(ready_to_share(result))) {
-        CachedVal::Map(m) => Ok(m),
-        _ => unreachable!("a map value is filed as a map"),
+    record(hit.is_some());
+    if let Some(v) = hit.and_then(T::from_cached) {
+        return Ok(v);
     }
-}
-
-/// Memoizes a count-valued operation.
-pub(crate) fn memo_count(
-    op: OpKind,
-    a: &Map,
-    extra: i128,
-    compute: impl FnOnce() -> Result<u128>,
-) -> Result<u128> {
-    let slot = lookup(op, a, None, extra);
-    if let Some(Slot {
-        hit: Some(CachedVal::Count(n)),
-        ..
-    }) = &slot
-    {
-        return Ok(*n);
-    }
-    let result = timed_compute(compute)?;
-    if let Some(slot) = slot {
-        store(op, &slot, extra, CachedVal::Count(result));
-    }
-    Ok(result)
-}
-
-/// Memoizes a boolean-valued operation.
-pub(crate) fn memo_bool(
-    op: OpKind,
-    a: &Map,
-    compute: impl FnOnce() -> Result<bool>,
-) -> Result<bool> {
-    let slot = lookup(op, a, None, 0);
-    if let Some(Slot {
-        hit: Some(CachedVal::Bool(v)),
-        ..
-    }) = &slot
-    {
-        return Ok(*v);
-    }
-    let result = timed_compute(compute)?;
-    if let Some(slot) = slot {
-        store(op, &slot, 0, CachedVal::Bool(result));
-    }
-    Ok(result)
+    let fresh = match timed_compute(compute)?.into_cached() {
+        CachedVal::Map(m) => CachedVal::Map(ready_to_share(m)),
+        v => v,
+    };
+    let mut t = c.tables.lock().expect("isl cache poisoned");
+    let (key, filed) = t.pooled(key, fresh);
+    t.memo.insert(key, filed.clone());
+    drop(t);
+    Ok(T::from_cached(filed).expect("pooling keeps a value's kind"))
 }
 
 // ---------------------------------------------------------------------------
@@ -715,8 +685,8 @@ pub enum ValExport {
     Bool(bool),
 }
 
-/// One memo entry in portable form: operand *texts*, never raw intern
-/// ids — restore is re-parse + re-intern under fresh ids.
+/// One memo entry in portable form: operand *texts*, not handles —
+/// restore is re-parse + re-pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoExport {
     /// Stable operation name (see `op_name`).
@@ -770,12 +740,6 @@ pub struct ImportReport {
 pub fn export() -> CacheExport {
     let c = ctx();
     let t = c.tables.lock().expect("isl cache poisoned");
-    let mut by_id: HashMap<u64, &Map> = HashMap::with_capacity(t.n_interned);
-    for bucket in t.ids.values() {
-        for (m, id) in bucket {
-            by_id.insert(*id, m);
-        }
-    }
     let rel = |m: &Map| -> Option<RelExport> {
         let set = set_shaped(m);
         if m.basics().is_empty() && !set {
@@ -786,42 +750,26 @@ pub fn export() -> CacheExport {
             set,
         })
     };
-    let mut memo = Vec::with_capacity(t.memo.len());
-    for (&(op, ia, ib, extra), val) in &t.memo {
-        // Operand ids always resolve: the memo and intern tables are read
-        // under the same lock acquisition, and every store went through
-        // interning. A panic here means export lost its consistency.
-        let Some(lhs) = rel(by_id.get(&ia).expect("memo lhs interned")) else {
-            continue;
-        };
-        let rhs = if ib == NO_RHS {
-            None
-        } else {
-            match rel(by_id.get(&ib).expect("memo rhs interned")) {
-                Some(r) => Some(r),
-                None => continue,
-            }
-        };
-        let value = match val {
-            CachedVal::Map(m) => match rel(m) {
-                Some(r) => ValExport::Map(r),
-                None => continue,
+    let entry = |((op, a, b, extra), val): (&Key, &CachedVal)| {
+        Some(MemoExport {
+            op: op_name(*op).to_string(),
+            lhs: rel(a)?,
+            rhs: match b {
+                Some(b) => Some(rel(b)?),
+                None => None,
             },
-            CachedVal::Count(n) => ValExport::Count(*n),
-            CachedVal::Bool(b) => ValExport::Bool(*b),
-        };
-        memo.push(MemoExport {
-            op: op_name(op).to_string(),
-            lhs,
-            rhs,
-            extra,
-            value,
-        });
-    }
+            extra: *extra,
+            value: match val {
+                CachedVal::Map(m) => ValExport::Map(rel(m)?),
+                CachedVal::Count(n) => ValExport::Count(*n),
+                CachedVal::Bool(b) => ValExport::Bool(*b),
+            },
+        })
+    };
     CacheExport {
         parsed_map: t.parsed_map.keys().cloned().collect(),
         parsed_set: t.parsed_set.keys().cloned().collect(),
-        memo,
+        memo: t.memo.iter().filter_map(entry).collect(),
     }
 }
 
@@ -837,7 +785,7 @@ fn reparse(r: &RelExport) -> Option<Map> {
 }
 
 /// Imports a previously [`export`]ed image: re-parse every text and
-/// re-intern under fresh ids, map-valued results included. Unknown ops
+/// re-pool it, map-valued results included. Unknown ops
 /// and unparseable texts are skipped (counted), never fatal — the memo is
 /// an accelerator, not a source of truth. Rows of retired operations are
 /// dropped uncounted. No-op when the cache is disabled.
@@ -860,7 +808,7 @@ pub fn import(snap: &CacheExport) -> ImportReport {
         }
     }
     // Parse all memo operands/values outside the lock, deduplicating
-    // repeated texts, then intern + insert in one locked pass.
+    // repeated texts, then pool + insert in one locked pass.
     let mut parsed: HashMap<(String, bool), Option<Map>> = HashMap::new();
     let mut resolve = |r: &RelExport| -> Option<Map> {
         parsed
@@ -868,7 +816,7 @@ pub fn import(snap: &CacheExport) -> ImportReport {
             .or_insert_with(|| reparse(r))
             .clone()
     };
-    let mut ready: Vec<(OpKind, Map, Option<Map>, i128, CachedVal)> = Vec::new();
+    let mut ready: Vec<(Key, CachedVal)> = Vec::new();
     for e in snap.memo.iter() {
         if RETIRED_OPS.contains(&e.op.as_str()) {
             continue;
@@ -884,7 +832,7 @@ pub fn import(snap: &CacheExport) -> ImportReport {
                 ValExport::Count(n) => CachedVal::Count(*n),
                 ValExport::Bool(b) => CachedVal::Bool(*b),
             };
-            Some((op, lhs, rhs, e.extra, val))
+            Some(((op, lhs, rhs, e.extra), val))
         });
         match prepared {
             Some(p) => ready.push(p),
@@ -892,18 +840,13 @@ pub fn import(snap: &CacheExport) -> ImportReport {
         }
     }
     let mut t = c.tables.lock().expect("isl cache poisoned");
-    for (op, lhs, rhs, extra, val) in ready {
-        if t.memo.len() >= MAX_ENTRIES || t.n_interned >= MAX_ENTRIES {
+    for (key, val) in ready {
+        if t.memo.len() >= MAX_ENTRIES || t.pool.len() >= MAX_ENTRIES {
             report.skipped += 1;
             continue;
         }
-        let ia = intern(&mut t, &lhs).1;
-        let ib = rhs.map_or(NO_RHS, |r| intern(&mut t, &r).1);
-        let val = match val {
-            CachedVal::Map(m) => CachedVal::Map(intern(&mut t, &m).0.clone()),
-            v => v,
-        };
-        t.memo.entry((op, ia, ib, extra)).or_insert(val);
+        let (key, val) = t.pooled(key, val);
+        t.memo.entry(key).or_insert(val);
         report.memo += 1;
     }
     report
@@ -919,12 +862,16 @@ mod tests {
         LOCK.get_or_init(|| Mutex::new(())).lock().unwrap()
     }
 
-    /// The intern entry (shared handle and id) of `m`, if it has one.
-    fn interned<'t>(t: &'t Tables, m: &Map) -> Option<&'t (Map, u64)> {
-        t.ids
-            .get(&m.structural_hash())?
-            .iter()
-            .find(|(k, _)| k == m)
+    /// The pooled handle equal to `m`.
+    fn pooled<'t>(t: &'t Tables, m: &Map) -> &'t Map {
+        t.pool.get(m).expect("pooled")
+    }
+
+    /// The memo entry (key as filed, value) of a unary `op` on `m`.
+    fn entry<'t>(t: &'t Tables, op: OpKind, m: &Map) -> (&'t Key, &'t CachedVal) {
+        t.memo
+            .get_key_value(&(op, m.clone(), None, 0))
+            .expect("memoized")
     }
 
     #[test]
@@ -933,17 +880,18 @@ mod tests {
         let m = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
         set_enabled(true);
         clear();
-        reset_stats();
+        let handle = CounterHandle::new();
+        let _attached = handle.attach();
         let a = m.card().unwrap();
-        let s1 = stats();
+        assert_eq!(
+            (handle.misses(), handle.hits()),
+            (1, 0),
+            "first call misses"
+        );
         let b = m.card().unwrap();
-        let s2 = stats();
+        assert_eq!((handle.misses(), handle.hits()), (1, 1), "second call hits");
         assert_eq!(a, b);
         assert_eq!(a, 63);
-        assert!(
-            s2.hits > s1.hits,
-            "second card call must hit: {s1:?} {s2:?}"
-        );
     }
 
     #[test]
@@ -952,12 +900,18 @@ mod tests {
         let m = Map::parse("{ S[i] -> T[i] : 0 <= i < 5 }").unwrap();
         set_enabled(false);
         clear();
-        reset_stats();
-        let _ = m.card().unwrap();
-        let _ = m.card().unwrap();
-        let s = stats();
-        assert_eq!(s.hits + s.misses, 0, "disabled cache must not count");
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            let _ = m.card().unwrap();
+            let _ = m.card().unwrap();
+        }
         set_enabled(true);
+        assert_eq!(
+            (handle.misses(), handle.hits()),
+            (0, 0),
+            "disabled cache must not count"
+        );
     }
 
     #[test]
@@ -1071,18 +1025,17 @@ mod tests {
         assert_eq!(report.memo as usize, snap.memo.len());
         // Replaying the same source texts and operations must hit: parse
         // is deterministic, so re-parsed operands are structurally
-        // identical to the re-interned snapshot operands.
-        reset_stats();
-        let m2 = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
-        assert_eq!(m2.card().unwrap(), 63);
-        let s2 = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
-        assert!(!s2.as_map().is_empty().unwrap());
-        let st = stats();
-        assert_eq!(
-            st.misses, 0,
-            "replay after restore must be all-warm: {st:?}"
-        );
-        assert_eq!(st.hits, 4, "parse x2 + card + empty: {st:?}");
+        // identical to the re-pooled snapshot operands.
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            let m2 = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
+            assert_eq!(m2.card().unwrap(), 63);
+            let s2 = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
+            assert!(!s2.as_map().is_empty().unwrap());
+        }
+        assert_eq!(handle.misses(), 0, "replay after restore must be all-warm");
+        assert_eq!(handle.hits(), 4, "parse x2 + card + empty");
     }
 
     #[test]
@@ -1092,8 +1045,7 @@ mod tests {
         clear();
         // Writers keep repopulating while a clearer wipes the tables
         // wholesale; every export must be a coherent point-in-time view
-        // (operand ids resolve — export panics if not — and importing it
-        // into a cleared context drops nothing).
+        // (importing it into a cleared context drops nothing).
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
             let stop = Arc::clone(&stop);
@@ -1154,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_results_share_the_intern_entry() {
+    fn memoized_results_share_the_pooled_handle() {
         let _guard = test_lock();
         set_enabled(true);
         clear();
@@ -1165,23 +1117,23 @@ mod tests {
         assert_eq!(r.card().unwrap(), 13);
         {
             let t = ctx().tables.lock().unwrap();
-            let entry = |m: &Map| interned(&t, m).expect("interned");
-            let key = (OpKind::ApplyRange, entry(&a).1, entry(&b).1, 0);
+            let key = (OpKind::ApplyRange, a.clone(), Some(b.clone()), 0);
             let Some(CachedVal::Map(memoized)) = t.memo.get(&key) else {
                 panic!("apply_range result memoized");
             };
-            let (shared, id) = entry(&r);
+            let shared = pooled(&t, &r);
             assert!(
                 Map::same_value(memoized, shared),
-                "the memo value and the operand entry are one allocation"
+                "the memo value and the pool entry are one allocation"
             );
             assert!(
                 Map::same_value(memoized, &r),
                 "the computing call returns the stored allocation"
             );
+            let ((_, operand, ..), _) = entry(&t, OpKind::Card, &r);
             assert!(
-                t.memo.contains_key(&(OpKind::Card, *id, NO_RHS, 0)),
-                "card is keyed by the shared entry's id"
+                Map::same_value(operand, shared),
+                "card is keyed by the pooled handle"
             );
             assert!(
                 Map::same_value(&t.parsed_map[text], &a),
@@ -1199,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_maps_hash_equal_and_intern_once() {
+    fn equal_maps_hash_equal_and_pool_once() {
         let _guard = test_lock();
         let text = "{ P[i] -> Q[j] : 0 <= i < 4 and 0 <= j < 3 or 4 <= i < 9 and 0 <= j < 3 }";
         // With the memo off, each parse builds its own value.
@@ -1245,11 +1197,12 @@ mod tests {
             "equal maps share one card entry; the one-constant change misses"
         );
         let t = ctx().tables.lock().unwrap();
-        let id = |m: &Map| interned(&t, m).expect("interned").1;
-        assert_eq!(id(&x), id(&y));
-        assert_eq!(id(&x), id(&rebuilt));
-        assert_eq!(id(&direct), id(&merged));
-        assert_ne!(id(&direct), id(&other));
+        // Each card entry is keyed by the one pooled handle of its class.
+        let key = |m: &Map| &entry(&t, OpKind::Card, m).0 .1;
+        for (m, class) in [(&x, &x), (&y, &x), (&rebuilt, &x), (&merged, &direct)] {
+            assert!(Map::same_value(key(m), pooled(&t, class)));
+        }
+        assert!(!Map::same_value(pooled(&t, &direct), pooled(&t, &other)));
     }
 
     #[test]
@@ -1267,12 +1220,7 @@ mod tests {
         let r = a.apply_range(&b).unwrap();
         assert_eq!(r.basics().len(), 3);
         let t = ctx().tables.lock().unwrap();
-        let key = (
-            OpKind::ApplyRange,
-            interned(&t, &a).unwrap().1,
-            interned(&t, &b).unwrap().1,
-            0,
-        );
+        let key = (OpKind::ApplyRange, a.clone(), Some(b.clone()), 0);
         let Some(CachedVal::Map(composed)) = t.memo.get(&key) else {
             panic!("apply_range result memoized");
         };
@@ -1333,12 +1281,44 @@ mod tests {
             );
             let lhs = Map::parse(text).unwrap();
             let t = ctx().tables.lock().unwrap();
-            let keyed = interned(&t, &lhs).is_some_and(|&(_, id)| t.memo.keys().any(|k| k.1 == id));
+            let keyed = t.memo.keys().any(|k| k.1 == lhs);
             assert!(
                 !keyed,
                 "{op}: no memo entry is keyed by the retired row's operand"
             );
         }
+    }
+
+    #[test]
+    fn a_store_after_a_clear_in_its_compute_is_kept() {
+        let _guard = test_lock();
+        set_enabled(true);
+        let m = Map::parse("{ G[i] -> H[i] : 0 <= i < 17 }").unwrap();
+        // An extra operand no real operation uses, so no other test's card
+        // lookup reaches this entry.
+        let key_extra = -7;
+        let handle = CounterHandle::new();
+        let _attached = handle.attach();
+        let first = memo(OpKind::Card, &m, None, key_extra, || {
+            clear();
+            Ok(17u128)
+        });
+        let second = memo(OpKind::Card, &m, None, key_extra, || Ok(0u128));
+        assert_eq!((first.unwrap(), second.unwrap()), (17, 17));
+        assert_eq!(
+            (handle.misses(), handle.hits()),
+            (1, 1),
+            "the store that followed the clear is hit"
+        );
+        let t = ctx().tables.lock().unwrap();
+        let ((_, operand, ..), _) = t
+            .memo
+            .get_key_value(&(OpKind::Card, m.clone(), None, key_extra))
+            .expect("kept");
+        assert!(
+            Map::same_value(operand, pooled(&t, &m)),
+            "the entry is keyed by the re-pooled handle"
+        );
     }
 
     #[test]

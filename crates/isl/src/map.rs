@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// A `Map` is a handle on one immutable, reference-counted value, as
 /// libisl's `isl_map` is: `clone()` bumps a count, and the memo
-/// ([`crate::cache`]) returns, stores and interns handles, never copies.
+/// ([`crate::cache`]) returns, stores and pools handles, never copies.
 /// Operations build a result from owned parts and never edit a shared
 /// value; an edit of an existing map takes its parts, moved out of a
 /// uniquely held value or copied once out of a shared one. Equal maps
@@ -194,13 +194,7 @@ impl Map {
     /// Set-union of two relations over compatible spaces.
     pub fn union(&self, other: &Map) -> Result<Map> {
         self.check_compatible(other, "union")?;
-        // Unioning small relations is a couple of vector pushes; only
-        // unions with real bulk (quadratic duplicate scan) go through the
-        // memo — same policy as `reverse`.
-        if self.memo_weight() + other.memo_weight() < 32 {
-            return self.union_uncached(other);
-        }
-        cache::memo_map(OpKind::Union, self, Some(other), 0, || {
+        cache::memo(OpKind::Union, self, Some(other), 0, || {
             self.union_uncached(other)
         })
     }
@@ -222,7 +216,7 @@ impl Map {
     /// Intersection of two relations over compatible spaces.
     pub fn intersect(&self, other: &Map) -> Result<Map> {
         self.check_compatible(other, "intersect")?;
-        cache::memo_map(OpKind::Intersect, self, Some(other), 0, || {
+        cache::memo(OpKind::Intersect, self, Some(other), 0, || {
             self.intersect_uncached(other)
         })
     }
@@ -249,7 +243,7 @@ impl Map {
     /// Exact set difference `self \ other`.
     pub fn subtract(&self, other: &Map) -> Result<Map> {
         self.check_compatible(other, "subtract")?;
-        cache::memo_map(OpKind::Subtract, self, Some(other), 0, || {
+        cache::memo(OpKind::Subtract, self, Some(other), 0, || {
             self.subtract_uncached(other)
         })
     }
@@ -269,26 +263,15 @@ impl Map {
         Ok(Map::from_parts(self.rel.space.clone(), pieces))
     }
 
-    /// Total stored constraint rows — the cost proxy deciding whether an
-    /// operation on this relation is worth a memo-table round trip.
-    fn memo_weight(&self) -> usize {
-        self.rel.basics.iter().map(BasicMap::constraint_count).sum()
-    }
-
     /// The reversed relation (`out -> in`).
     pub fn reverse(&self) -> Map {
-        let compute = || {
+        cache::memo(OpKind::Reverse, self, None, 0, || {
             Ok(Map::from_parts(
                 Arc::new(self.rel.space.reversed()),
                 self.rel.basics.iter().map(BasicMap::reverse).collect(),
             ))
-        };
-        // Reversing is a straight column swap: for small relations doing it
-        // beats hashing it. Only unions with real bulk go through the memo.
-        if self.memo_weight() < 32 {
-            return compute().expect("reverse cannot fail");
-        }
-        cache::memo_map(OpKind::Reverse, self, None, 0, compute).expect("reverse cannot fail")
+        })
+        .expect("reverse cannot fail")
     }
 
     /// Relation composition `other ∘ self`: `{ x -> z : ∃y. self(x)=y ∧
@@ -300,7 +283,7 @@ impl Map {
                 self.rel.space.output, other.rel.space.input
             )));
         }
-        cache::memo_map(OpKind::ApplyRange, self, Some(other), 0, || {
+        cache::memo(OpKind::ApplyRange, self, Some(other), 0, || {
             self.apply_range_uncached(other)
         })
     }
@@ -373,7 +356,7 @@ impl Map {
     /// Projects away output dimensions `[first, first + n)`.
     pub fn project_out_out(&self, first: usize, n: usize) -> Result<Map> {
         match Self::pack_project_extra(true, first, n) {
-            Some(extra) => cache::memo_map(OpKind::Project, self, None, extra, || {
+            Some(extra) => cache::memo(OpKind::Project, self, None, extra, || {
                 self.project_out_out_uncached(first, n)
             }),
             None => self.project_out_out_uncached(first, n),
@@ -400,7 +383,7 @@ impl Map {
     /// Projects away input dimensions `[first, first + n)`.
     pub fn project_out_in(&self, first: usize, n: usize) -> Result<Map> {
         match Self::pack_project_extra(false, first, n) {
-            Some(extra) => cache::memo_map(OpKind::Project, self, None, extra, || {
+            Some(extra) => cache::memo(OpKind::Project, self, None, extra, || {
                 self.project_out_in_uncached(first, n)
             }),
             None => self.project_out_in_uncached(first, n),
@@ -455,19 +438,11 @@ impl Map {
     }
 
     fn fix_col(&self, col: usize, val: i64) -> Map {
-        let compute = || Ok(self.fix_col_uncached(col, val));
-        // Like `reverse`: pinning a dimension of a small relation is a
-        // couple of row pushes — only bulky unions (whose disjunct clones
-        // carry real weight) go through the memo. Sweeps that re-pin the
-        // same stamps (max-utilization probing, DSE re-evaluation) then
-        // get the stored result back from the table.
-        if self.memo_weight() < 32 {
-            return self.fix_col_uncached(col, val);
-        }
         match Self::pack_fix_extra(col, val) {
-            Some(extra) => {
-                cache::memo_map(OpKind::Fix, self, None, extra, compute).expect("fix cannot fail")
-            }
+            Some(extra) => cache::memo(OpKind::Fix, self, None, extra, || {
+                Ok(self.fix_col_uncached(col, val))
+            })
+            .expect("fix cannot fail"),
             None => self.fix_col_uncached(col, val),
         }
     }
@@ -496,7 +471,7 @@ impl Map {
     ///
     /// Fails with [`Error::Unbounded`] if the relation is not bounded.
     pub fn card(&self) -> Result<u128> {
-        cache::memo_count(OpKind::Card, self, 0, || self.card_uncached())
+        cache::memo(OpKind::Card, self, None, 0, || self.card_uncached())
     }
 
     fn card_uncached(&self) -> Result<u128> {
@@ -525,7 +500,7 @@ impl Map {
 
     /// Whether the relation contains no pairs.
     pub fn is_empty(&self) -> Result<bool> {
-        cache::memo_bool(OpKind::Empty, self, || self.is_empty_uncached())
+        cache::memo(OpKind::Empty, self, None, 0, || self.is_empty_uncached())
     }
 
     fn is_empty_uncached(&self) -> Result<bool> {
@@ -584,8 +559,8 @@ impl Map {
     /// are memoized themselves, so a repeat rarely reaches it. When it
     /// was memoized, 60 of its 6,534 lookups on a traced run of the
     /// benchmark's `dse_conv` sweep hit, while its pre-coalesce operands,
-    /// interned only for those keys, held about half of the memo's
-    /// interned bytes.
+    /// held by the memo only for those keys, made up about half of the
+    /// bytes of the relations it held.
     pub fn coalesce(&self) -> Map {
         crate::coalesce::coalesce_map(self.clone())
     }

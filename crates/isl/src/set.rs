@@ -182,9 +182,10 @@ impl Set {
                 self.n_dim()
             )));
         }
-        crate::cache::memo_count(
+        crate::cache::memo(
             crate::cache::OpKind::SliceMax,
             self.as_map(),
+            None,
             split as i128,
             || {
                 let mut max = 0u128;

@@ -89,6 +89,7 @@ pub mod upstream;
 pub use fault::{FaultPlan, FaultTransport};
 pub use router::{
     Router, RouterConfig, RouterState, RouterStats, Shard, SpawnedRouter, WorkerSpec,
+    UPSTREAM_CONNECTIONS, VNODES,
 };
 /// The router's remote control: the worker's handle type.
 pub use tenet_server::ServerHandle as RouterHandle;

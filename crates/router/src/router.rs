@@ -36,6 +36,25 @@ const WARMED_KEYS_CAP: usize = 65_536;
 /// cache must not turn one eviction into an unbounded background storm.
 const WARM_SHIP_MAX: usize = 4096;
 
+/// How long a proxied call may wait for the owning shard's answer (cold
+/// `/v1/dse` sweeps compute before writing anything).
+const UPSTREAM_READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Maximum connections (idle + in flight) the router keeps open to each
+/// HTTP worker. Load-bearing: the worker parks one thread per keep-alive
+/// connection, so this must stay below the worker's thread count or
+/// parked proxy sockets starve fresh connections — including health
+/// probes, which would evict a healthy worker. Spawners size worker
+/// pools at `UPSTREAM_CONNECTIONS + 2`.
+pub const UPSTREAM_CONNECTIONS: usize = 4;
+
+/// Virtual nodes per worker on the hash ring.
+pub const VNODES: usize = 64;
+
+/// Admission control's token-bucket burst capacity, in seconds of
+/// [`RouterConfig::admission_rps`].
+const ADMISSION_BURST_SECS: u64 = 2;
+
 /// Router configuration. Defaults match [`tenet_server::ServerConfig`]'s
 /// posture: loopback, small host, every knob overridable by tests.
 #[derive(Debug, Clone)]
@@ -54,22 +73,10 @@ pub struct RouterConfig {
     pub read_timeout: Duration,
     /// Per-connection write timeout (client side and upstream side).
     pub write_timeout: Duration,
-    /// How long a proxied call may wait for the owning shard's answer
-    /// (cold `/v1/dse` sweeps compute before writing anything).
-    pub upstream_read_timeout: Duration,
     /// Maximum request-body size in bytes (`413` beyond).
     pub max_body: usize,
     /// Maximum header-block size in bytes (`431` beyond).
     pub max_header: usize,
-    /// Maximum connections (idle + in flight) the router keeps open to
-    /// each HTTP worker. Load-bearing: the worker parks one thread per
-    /// keep-alive connection, so this must stay below the worker's
-    /// thread count or parked proxy sockets starve fresh connections —
-    /// including health probes, which would evict a healthy worker.
-    /// Spawners size worker pools at `upstream_connections + 2`.
-    pub upstream_connections: usize,
-    /// Virtual nodes per worker on the hash ring.
-    pub vnodes: usize,
     /// Liveness-probe period; `Duration::ZERO` disables the prober
     /// (failures are then detected only on proxied traffic).
     pub health_interval: Duration,
@@ -100,8 +107,6 @@ pub struct RouterConfig {
     /// `X-Tenet-Client` or the peer IP) applied to proxied data paths
     /// before they reach the backlog. `0` disables admission control.
     pub admission_rps: u64,
-    /// Token-bucket burst capacity; `0` means `2 × admission_rps`.
-    pub admission_burst: u64,
     /// Capacity of the router's trace rings (recent + slow); `0`
     /// disables router-tier request tracing entirely.
     pub trace_buffer: usize,
@@ -122,18 +127,14 @@ impl Default for RouterConfig {
             queue_capacity: 128,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            upstream_read_timeout: Duration::from_secs(60),
             max_body: 1 << 20,
             max_header: 16 * 1024,
-            upstream_connections: 4,
-            vnodes: 64,
             health_interval: Duration::from_millis(250),
             replication: 2,
             hedge_after: Duration::from_millis(25),
             max_retries: 2,
             breaker_threshold: 2,
             admission_rps: 0,
-            admission_burst: 0,
             trace_buffer: 256,
             slow_ms: 100,
         }
@@ -520,13 +521,13 @@ impl Router {
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
         for spec in specs {
             transports.push(match spec {
-                WorkerSpec::Http(addr) => Box::new(resolve_http(&addr, &config)?),
+                WorkerSpec::Http(addr) => Box::new(resolve_http(&addr)?),
                 WorkerSpec::Local(core) => Box::new(LocalTransport::new(core)),
                 WorkerSpec::Custom(t) => t,
             });
         }
         for addr in &config.workers {
-            transports.push(Box::new(resolve_http(addr, &config)?));
+            transports.push(Box::new(resolve_http(addr)?));
         }
         if transports.is_empty() {
             return Err(std::io::Error::new(
@@ -535,7 +536,7 @@ impl Router {
             ));
         }
         let mut shards = Vec::with_capacity(transports.len());
-        let mut ring = HashRing::new(config.vnodes);
+        let mut ring = HashRing::new(VNODES);
         for (index, transport) in transports.into_iter().enumerate() {
             shards.push(Arc::new(Shard::new(index, transport)));
             ring.add(index);
@@ -643,14 +644,14 @@ impl Router {
 }
 
 /// Resolves one `host:port` worker spec into its pooled HTTP transport.
-fn resolve_http(spec: &str, config: &RouterConfig) -> std::io::Result<HttpTransport> {
+fn resolve_http(spec: &str) -> std::io::Result<HttpTransport> {
     let addr = spec.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             format!("worker address `{spec}` resolves to nothing"),
         )
     })?;
-    Ok(HttpTransport::new(addr, config.upstream_connections))
+    Ok(HttpTransport::new(addr, UPSTREAM_CONNECTIONS))
 }
 
 /// The prober thread: one [`RouterState::health_pass`] per
@@ -802,11 +803,7 @@ fn admission_reject(
     if rps == 0 {
         return None;
     }
-    let burst = match state.config.admission_burst {
-        0 => rps.saturating_mul(2),
-        b => b,
-    }
-    .max(1) as f64;
+    let burst = rps.saturating_mul(ADMISSION_BURST_SECS) as f64;
     let key = req.client.clone().unwrap_or_else(|| peer.ip().to_string());
     let now = Instant::now();
     let mut buckets = state.admission.lock().expect("admission poisoned");
@@ -1055,7 +1052,7 @@ fn backoff_sleep(rng: &mut u64, backoff_us: &mut u64, deadline: Option<Instant>)
 fn sync_call(state: &Arc<RouterState>, worker: usize, call: &Call) -> Dispatch {
     match state.shards[worker].transport.call(
         call,
-        state.config.upstream_read_timeout,
+        UPSTREAM_READ_TIMEOUT,
         state.config.write_timeout,
     ) {
         Ok((status, bytes)) => Dispatch::Reply(worker, status, bytes),
@@ -1081,7 +1078,6 @@ fn submit_call(
     let body = call.body.to_vec();
     let canon = call.canon.map(str::to_string);
     let (deadline, trace_id) = (call.deadline, call.trace_id);
-    let read_timeout = state.config.upstream_read_timeout;
     let write_timeout = state.config.write_timeout;
     state.submit_aux(Box::new(move || {
         let call = Call {
@@ -1090,7 +1086,9 @@ fn submit_call(
             trace_id,
             ..Call::new(&method, &path, &body)
         };
-        let res = shard.transport.call(&call, read_timeout, write_timeout);
+        let res = shard
+            .transport
+            .call(&call, UPSTREAM_READ_TIMEOUT, write_timeout);
         // The receiver may be long gone (the hedge race was already
         // decided, or the deadline expired); a loser's response is
         // silently discarded here.

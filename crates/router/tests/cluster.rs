@@ -32,7 +32,7 @@ use tenet_core::json::Json;
 use tenet_router::ring::HashRing;
 use tenet_router::{
     FaultPlan, FaultTransport, ForwardError, LocalTransport, Router, RouterConfig, SpawnedRouter,
-    Transport, WorkerSpec,
+    Transport, WorkerSpec, UPSTREAM_CONNECTIONS, VNODES,
 };
 use tenet_server::http::read_response;
 use tenet_server::{
@@ -94,7 +94,7 @@ impl Cluster {
         // Worker threads must exceed the router's per-worker connection
         // bound: parked keep-alive proxy sockets each hold a worker
         // thread, and probes/stats must never queue behind them.
-        let worker_threads = RouterConfig::default().upstream_connections + 2;
+        let worker_threads = UPSTREAM_CONNECTIONS + 2;
         let workers: Vec<Option<SpawnedServer>> = (0..n)
             .map(|_| {
                 Some(
@@ -880,7 +880,6 @@ fn hedged_request_races_the_replica_and_discards_the_loser() {
         hedge_after: HEDGE_AFTER,
         ..Default::default()
     };
-    let vnodes = config.vnodes;
     let specs = vec![
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&slow)))),
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&fast)))),
@@ -891,7 +890,7 @@ fn hedged_request_races_the_replica_and_discards_the_loser() {
     // Pick keys by who owns them, on the same ring the router builds, so
     // the test controls which shard gets hedged.
     let ring = {
-        let mut r = HashRing::new(vnodes);
+        let mut r = HashRing::new(VNODES);
         r.add(0);
         r.add(1);
         r
@@ -995,7 +994,7 @@ fn health_prober_evicts_and_revives() {
     // it, restoring the original key affinity.
     let reborn = Server::spawn(ServerConfig {
         addr: victim_addr.to_string(),
-        threads: RouterConfig::default().upstream_connections + 2,
+        threads: UPSTREAM_CONNECTIONS + 2,
         ..Default::default()
     })
     .expect("rebind the victim's port");
@@ -1160,9 +1159,8 @@ fn chaos_without_breakers_leaks_5xx() {
         c.health_interval = Duration::ZERO;
     });
     let addr = router.addr();
-    let vnodes = RouterConfig::default().vnodes;
     let ring = {
-        let mut r = HashRing::new(vnodes);
+        let mut r = HashRing::new(VNODES);
         for w in 0..3 {
             r.add(w);
         }
@@ -1302,7 +1300,6 @@ fn hedge_timer_never_fires_past_the_deadline() {
         hedge_after: HEDGE_AFTER,
         ..Default::default()
     };
-    let vnodes = config.vnodes;
     let specs = vec![
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&slow)))),
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&fast)))),
@@ -1310,7 +1307,7 @@ fn hedge_timer_never_fires_past_the_deadline() {
     let router = Router::spawn_with_workers(config, specs).expect("spawn router");
     let addr = router.addr();
     let ring = {
-        let mut r = HashRing::new(vnodes);
+        let mut r = HashRing::new(VNODES);
         r.add(0);
         r.add(1);
         r
@@ -1587,7 +1584,6 @@ fn hedged_trace_attributes_the_request_to_exactly_one_winner() {
         hedge_after: HEDGE_AFTER,
         ..Default::default()
     };
-    let vnodes = config.vnodes;
     let specs = vec![
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&slow)))),
         WorkerSpec::Custom(Box::new(SharedMock(Arc::clone(&fast)))),
@@ -1595,7 +1591,7 @@ fn hedged_trace_attributes_the_request_to_exactly_one_winner() {
     let router = Router::spawn_with_workers(config, specs).expect("spawn router");
     let addr = router.addr();
     let ring = {
-        let mut r = HashRing::new(vnodes);
+        let mut r = HashRing::new(VNODES);
         r.add(0);
         r.add(1);
         r
@@ -1681,9 +1677,8 @@ fn chaos_retry_trace_shows_the_breaker_trip_and_phases_sum_to_total() {
         c.health_interval = Duration::ZERO;
     });
     let addr = router.addr();
-    let vnodes = RouterConfig::default().vnodes;
     let ring = {
-        let mut r = HashRing::new(vnodes);
+        let mut r = HashRing::new(VNODES);
         for w in 0..3 {
             r.add(w);
         }

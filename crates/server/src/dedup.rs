@@ -80,6 +80,28 @@ struct Inner {
     tick: u64,
 }
 
+impl Inner {
+    /// Stores `resp` under `key` with a fresh tick, first evicting the
+    /// least recently touched entry when the cache is full and `key` is
+    /// not in it. The eviction is an O(n) scan, but only on
+    /// insert-at-capacity, and capacity is modest.
+    fn insert(&mut self, capacity: usize, key: String, resp: CachedResponse) {
+        if self.cache.len() >= capacity && !self.cache.contains_key(&key) {
+            if let Some(victim) = self
+                .cache
+                .iter()
+                .min_by_key(|(_, (_, tick))| *tick)
+                .map(|(k, _)| k.clone())
+            {
+                self.cache.remove(&victim);
+            }
+        }
+        let tick = self.tick;
+        self.tick += 1;
+        self.cache.insert(key, (resp, tick));
+    }
+}
+
 /// The dedup map. One instance per server.
 pub struct Dedup {
     inner: Mutex<Inner>,
@@ -186,21 +208,7 @@ impl Dedup {
         let key = token.key.take().expect("token already consumed");
         let mut inner = self.inner.lock().expect("dedup poisoned");
         inner.inflight.remove(&key);
-        if inner.cache.len() >= self.capacity && !inner.cache.contains_key(&key) {
-            // Evict the least recently touched entry. O(n) scan, but only
-            // on insert-at-capacity, and capacity is modest.
-            if let Some(victim) = inner
-                .cache
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| k.clone())
-            {
-                inner.cache.remove(&victim);
-            }
-        }
-        let tick = inner.tick;
-        inner.tick += 1;
-        inner.cache.insert(key, (resp, tick));
+        inner.insert(self.capacity, key, resp);
         drop(inner);
         self.published.notify_all();
     }
@@ -217,19 +225,7 @@ impl Dedup {
     pub fn insert(&self, key: &str, resp: CachedResponse) {
         let mut inner = self.inner.lock().expect("dedup poisoned");
         if !inner.cache.contains_key(key) {
-            if inner.cache.len() >= self.capacity {
-                if let Some(victim) = inner
-                    .cache
-                    .iter()
-                    .min_by_key(|(_, (_, tick))| *tick)
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.cache.remove(&victim);
-                }
-            }
-            let tick = inner.tick;
-            inner.tick += 1;
-            inner.cache.insert(key.to_string(), (resp, tick));
+            inner.insert(self.capacity, key.to_string(), resp);
             self.warms.fetch_add(1, Ordering::Relaxed);
         }
         drop(inner);

@@ -114,7 +114,7 @@ pub fn route(
             Err(r) => *r,
         },
         ("POST", "/v1/dse") => match decode_body(body) {
-            Ok(req) => dse(&req, state, deadline),
+            Ok(req) => dse(&req, deadline),
             Err(r) => *r,
         },
         ("POST", "/v1/warm") => match decode_body(body) {
@@ -459,6 +459,10 @@ fn snapshot_save(state: &WorkerCore) -> Reply {
     }
 }
 
+/// Upper bound on the `threads` a single `/v1/dse` request may ask
+/// `explore_parallel` for.
+const DSE_THREAD_CAP: usize = 8;
+
 /// The keys a `/v1/dse` point object carries; the `fields` filter
 /// selects a subset of these.
 const POINT_FIELDS: [&str; 4] = ["dataflow", "latency", "sbw", "report"];
@@ -526,7 +530,7 @@ fn select_fields(point: Json, fields: &[String]) -> Json {
 /// `POST /v1/dse` — enumerate candidate dataflows under hardware
 /// constraints, evaluate them in parallel until the deadline, return the
 /// ranked points and the latency/SBW Pareto frontier.
-fn dse(req: &Json, state: &WorkerCore, deadline: Option<Instant>) -> Reply {
+fn dse(req: &Json, deadline: Option<Instant>) -> Reply {
     let problem = match load_problem(req) {
         Ok(p) => p,
         Err(r) => return *r,
@@ -563,9 +567,9 @@ fn dse(req: &Json, state: &WorkerCore, deadline: Option<Instant>) -> Reply {
         Err(r) => return *r,
     };
     let threads = match opt_u64(req, "threads") {
-        Ok(Some(t)) if t >= 1 => (t as usize).min(state.config.dse_thread_cap),
+        Ok(Some(t)) if t >= 1 => (t as usize).min(DSE_THREAD_CAP),
         Ok(Some(_)) => return Reply::bad_request("usage", "`threads` must be >= 1"),
-        Ok(None) => state.config.dse_thread_cap.min(4),
+        Ok(None) => DSE_THREAD_CAP.min(4),
         Err(r) => return *r,
     };
     let deadline = match effective_deadline(req, deadline) {

@@ -101,11 +101,6 @@ pub struct ServerConfig {
     pub max_body: usize,
     /// Maximum header-block size in bytes (`431` beyond).
     pub max_header: usize,
-    /// Response-LRU capacity (entries).
-    pub cache_capacity: usize,
-    /// Upper bound on the `threads` a single `/v1/dse` request may ask
-    /// `explore_parallel` for.
-    pub dse_thread_cap: usize,
     /// Capacity of each per-process trace ring (recent + slow); `0`
     /// disables request tracing entirely.
     pub trace_buffer: usize,
@@ -135,8 +130,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             max_body: 1 << 20,     // 1 MiB
             max_header: 16 * 1024, // 16 KiB
-            cache_capacity: 1024,
-            dse_thread_cap: 8,
             trace_buffer: 256,
             slow_ms: 100,
             snapshot_file: None,

@@ -94,7 +94,14 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Stops admissions, lets workers drain the backlog, and joins them.
     pub fn shutdown(self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
+        // Set under the queue lock: an idle worker checks the flag under
+        // that lock and then waits, so without it the flag and the wakeup
+        // can both land between its check and its wait, and it sleeps
+        // forever.
+        {
+            let _queue = self.shared.queue.lock().expect("pool queue poisoned");
+            self.shared.shutting_down.store(true, Ordering::Release);
+        }
         self.shared.work_ready.notify_all();
         for w in self.workers {
             let _ = w.join();
@@ -131,6 +138,31 @@ fn worker_loop<T>(shared: &Shared<T>, handler: &(impl Fn(T) + ?Sized)) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn shutdown_always_wakes_idle_workers() {
+        // Shutting down right after start-up races the flag and the wakeup
+        // against workers on their way into the wait. Unless the flag is
+        // set under the queue lock, this loop hangs within about a
+        // thousand rounds.
+        const ROUNDS: usize = 10_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cycler = std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let pool = WorkerPool::new("t", 2, 4, |_: usize| {});
+                if round % 2 == 0 {
+                    pool.try_submit(round).unwrap();
+                }
+                pool.shutdown();
+                tx.send(round).unwrap();
+            }
+        });
+        for round in 0..ROUNDS {
+            let done = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert_eq!(done, Ok(round), "shutdown of round {round} never joined");
+        }
+        cycler.join().unwrap();
+    }
 
     #[test]
     fn all_submitted_jobs_run_before_shutdown_returns() {

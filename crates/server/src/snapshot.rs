@@ -1,5 +1,5 @@
 //! Warm-state snapshots: a versioned, checksummed serialization of one
-//! worker's cache state — the ISL memo context (interned relations +
+//! worker's cache state — the ISL memo context (parsed relations +
 //! memo entries, in canonical `fmt` text form) and the response LRU.
 //!
 //! A freshly (re)started shard serves every key cold; with a snapshot it
@@ -16,8 +16,8 @@
 //! byte of state is restored. A bad file is rejected with a clear
 //! [`SnapshotError`] and the worker starts cold — never crashed.
 //!
-//! Restore is *re-parse + re-intern*: the ISL section carries relation
-//! texts, never raw intern ids, so a snapshot is valid across process
+//! Restore is *re-parse + re-pool*: the ISL section carries relation
+//! texts, never in-memory handles, so a snapshot is valid across process
 //! restarts and (within one format version) across builds.
 
 use crate::dedup::CachedResponse;

@@ -22,6 +22,9 @@ use std::time::Instant;
 use tenet_core::obs::{self, EdgeTimings, TraceRecord, TraceStore};
 use tenet_core::CounterHandle;
 
+/// Response-LRU capacity (entries).
+const RESPONSE_CACHE_CAPACITY: usize = 1024;
+
 /// One request as it enters a tier: what the client asked for, plus the
 /// context earlier hops attached to it. The same borrowed value goes
 /// into [`WorkerCore::handle`] and into every router transport, so a new
@@ -91,7 +94,7 @@ impl WorkerCore {
     /// [`Server`](crate::Server)'s job; a core used purely in-process
     /// never touches a socket.
     pub fn new(config: ServerConfig) -> Arc<WorkerCore> {
-        let dedup = Dedup::new(config.cache_capacity);
+        let dedup = Dedup::new(RESPONSE_CACHE_CAPACITY);
         let traces = TraceStore::new(config.trace_buffer, config.slow_ms.saturating_mul(1_000));
         Arc::new(WorkerCore {
             config,
