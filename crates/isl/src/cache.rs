@@ -724,7 +724,8 @@ pub struct ImportReport {
     pub parsed: u64,
     /// Memo entries restored.
     pub memo: u64,
-    /// Entries dropped (unknown op name, unparseable text, table full).
+    /// Entries dropped (unknown op name, unparseable text, a value of the
+    /// wrong kind for its operation, table full).
     /// Rows of a retired operation (see `RETIRED_OPS`) are dropped
     /// without being counted here or in `memo`.
     pub skipped: u64,
@@ -785,10 +786,11 @@ fn reparse(r: &RelExport) -> Option<Map> {
 }
 
 /// Imports a previously [`export`]ed image: re-parse every text and
-/// re-pool it, map-valued results included. Unknown ops
-/// and unparseable texts are skipped (counted), never fatal — the memo is
-/// an accelerator, not a source of truth. Rows of retired operations are
-/// dropped uncounted. No-op when the cache is disabled.
+/// re-pool it, map-valued results included. Unknown ops, unparseable
+/// texts and values of the wrong kind for their operation are skipped
+/// (counted), never fatal — the memo is an accelerator, not a source of
+/// truth. Rows of retired operations are dropped uncounted. No-op when
+/// the cache is disabled.
 pub fn import(snap: &CacheExport) -> ImportReport {
     let c = ctx();
     let mut report = ImportReport::default();
@@ -827,10 +829,14 @@ pub fn import(snap: &CacheExport) -> ImportReport {
                 Some(r) => Some(resolve(r)?),
                 None => None,
             };
-            let val = match &e.value {
-                ValExport::Map(r) => CachedVal::Map(resolve(r)?),
-                ValExport::Count(n) => CachedVal::Count(*n),
-                ValExport::Bool(b) => CachedVal::Bool(*b),
+            // A row must hold the kind of value its operation returns: a
+            // mismatch would count as a hit and then be recomputed.
+            let val = match (op, &e.value) {
+                (OpKind::Card | OpKind::SliceMax, ValExport::Count(n)) => CachedVal::Count(*n),
+                (OpKind::Empty, ValExport::Bool(b)) => CachedVal::Bool(*b),
+                (OpKind::Card | OpKind::SliceMax | OpKind::Empty, _) => return None,
+                (_, ValExport::Map(r)) => CachedVal::Map(resolve(r)?),
+                (_, ValExport::Count(_) | ValExport::Bool(_)) => return None,
             };
             Some(((op, lhs, rhs, e.extra), val))
         });
@@ -1103,6 +1109,45 @@ mod tests {
         assert_eq!(report.parsed, 1);
         assert_eq!(report.skipped, 2, "bad text + unknown op: {report:?}");
         assert_eq!(report.memo, 0);
+    }
+
+    #[test]
+    fn import_skips_a_value_of_the_wrong_kind() {
+        let _guard = test_lock();
+        set_enabled(true);
+        clear();
+        let text = "{ M[i] : 0 <= i < 23 }";
+        let snap = CacheExport {
+            parsed_map: Vec::new(),
+            parsed_set: Vec::new(),
+            memo: vec![MemoExport {
+                op: "card".into(),
+                lhs: RelExport {
+                    text: text.into(),
+                    set: true,
+                },
+                rhs: None,
+                extra: 0,
+                value: ValExport::Bool(true),
+            }],
+        };
+        let report = import(&snap);
+        assert_eq!(
+            (report.parsed, report.memo, report.skipped),
+            (0, 0, 1),
+            "a card row holding a bool is skipped: {report:?}"
+        );
+        let s = crate::Set::parse(text).unwrap();
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            assert_eq!(s.card().unwrap(), 23);
+        }
+        assert_eq!(
+            (handle.hits(), handle.misses()),
+            (0, 1),
+            "the skipped row is no hit"
+        );
     }
 
     #[test]

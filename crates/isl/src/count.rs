@@ -20,6 +20,14 @@
 //! [`FastPathKind::Slab`]. Each dispatch bumps the root counter set and
 //! every attached [`crate::CounterHandle`] (see [`crate::cache`]).
 //!
+//! Every derived variable bound comes from one interval rule, [`tighten`]:
+//! a row `a·x + rest >= 0` bounds `x` by `a·x >= -max(rest)`. [`scan_rows`]
+//! applies it to single-variable rows, and [`propagate`] sweeps it over
+//! wider rows for [`count_fast`] and [`Tableau::propagate_bounds`]. Its
+//! invariant: every product and sum is checked, a maximum whose sum leaves
+//! i128 implies nothing, and every stored bound lies within ±2^63, so a
+//! bound times an i64 coefficient always fits in i128.
+//!
 //! Every path is exact; property tests compare against brute force.
 
 use crate::basic::{BasicMap, Row};
@@ -111,17 +119,17 @@ impl Tableau {
     /// column indices; div columns become trailing variables with bracket
     /// constraints. The rows are copied once, straight into the tableau
     /// (the layout `[vis | divs | const]` is already shared).
-    pub(crate) fn from_basic(bm: &BasicMap) -> Result<Tableau> {
-        Ok(Self::assemble(bm, bm.eqs.to_vec(), bm.ineqs.to_vec()))
+    pub(crate) fn from_basic(bm: &BasicMap) -> Tableau {
+        Self::assemble(bm, bm.eqs.to_vec(), bm.ineqs.to_vec())
     }
 
     /// Like [`Tableau::from_basic`] but consumes the basic map, moving its
     /// rows into the tableau without any copy. Used by the counting entry
     /// points whose callers own their (often freshly subtracted) pieces.
-    pub(crate) fn from_basic_owned(mut bm: BasicMap) -> Result<Tableau> {
+    pub(crate) fn from_basic_owned(mut bm: BasicMap) -> Tableau {
         let eqs = std::mem::take(&mut bm.eqs);
         let ineqs = std::mem::take(&mut bm.ineqs);
-        Ok(Self::assemble(&bm, eqs, ineqs))
+        Self::assemble(&bm, eqs, ineqs)
     }
 
     fn assemble(bm: &BasicMap, eqs: Vec<Row>, mut ineqs: Vec<Row>) -> Tableau {
@@ -370,16 +378,15 @@ impl Tableau {
     /// bounds are derived by pairwise Fourier–Motzkin combination and
     /// propagation resumes — this closes systems like
     /// `0 <= o - d <= 5 and 0 <= o + 5d <= 35` that have no direct
-    /// one-variable rows.
-    fn propagate_bounds(&self) -> Result<Vec<(Option<i64>, Option<i64>)>> {
-        let mut rows = self.ineqs.clone();
+    /// one-variable rows. An empty interval marks every variable empty.
+    fn propagate_bounds(&self) -> Vec<Interval> {
         let n = self.n;
         // Derivation: for every variable, combine each (lower, upper) row
         // pair; keep combinations that mention exactly one variable.
         let mut derived: Vec<Row> = Vec::new();
         for v in 0..n {
-            let lowers: Vec<&Row> = rows.iter().filter(|r| r[v] > 0).collect();
-            let uppers: Vec<&Row> = rows.iter().filter(|r| r[v] < 0).collect();
+            let lowers: Vec<&Row> = self.ineqs.iter().filter(|r| r[v] > 0).collect();
+            let uppers: Vec<&Row> = self.ineqs.iter().filter(|r| r[v] < 0).collect();
             if lowers.len() * uppers.len() > 64 {
                 continue;
             }
@@ -403,98 +410,24 @@ impl Tableau {
                         continue;
                     }
                     let nonzero = (0..n).filter(|&j| row[j] != 0).count();
-                    if nonzero == 1 && !rows.contains(&row) && !derived.contains(&row) {
+                    if nonzero == 1 && !self.ineqs.contains(&row) && !derived.contains(&row) {
                         derived.push(row);
                     }
                 }
             }
         }
-        rows.extend(derived);
-        let mut lo: Vec<Option<i128>> = vec![None; n];
-        let mut hi: Vec<Option<i128>> = vec![None; n];
-        for _round in 0..64 {
-            let mut changed = false;
-            for r in &rows {
-                for j in 0..n {
-                    let aj = r[j];
-                    if aj == 0 {
-                        continue;
-                    }
-                    // a_j x_j >= -c - sum_{i != j} a_i x_i; a universally
-                    // valid implied bound uses the *maximum* of the sum.
-                    let mut rest_max: i128 = r[n] as i128;
-                    let mut bounded = true;
-                    for i in 0..n {
-                        if i == j || r[i] == 0 {
-                            continue;
-                        }
-                        let term = if r[i] > 0 {
-                            hi[i].map(|v| r[i] as i128 * v)
-                        } else {
-                            lo[i].map(|v| r[i] as i128 * v)
-                        };
-                        match term {
-                            Some(t) => rest_max += t,
-                            None => {
-                                bounded = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !bounded {
-                        continue;
-                    }
-                    // a_j x_j >= -(c + rest_max)
-                    let rhs = -rest_max;
-                    if aj > 0 {
-                        let b = cd128(rhs, aj as i128);
-                        if lo[j].is_none_or(|cur| b > cur) {
-                            lo[j] = Some(b);
-                            changed = true;
-                        }
-                    } else {
-                        let b = fd128(rhs, aj as i128);
-                        if hi[j].is_none_or(|cur| b < cur) {
-                            hi[j] = Some(b);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-            // Detect emptiness early.
-            for j in 0..n {
-                if let (Some(l), Some(h)) = (lo[j], hi[j]) {
-                    if l > h {
-                        return Ok(vec![(Some(1), Some(0)); n]);
-                    }
-                }
-            }
+        let rows: Vec<&Row> = self.ineqs.iter().chain(&derived).collect();
+        let mut bounds: Vec<Interval> = vec![(None, None); n];
+        if propagate(&rows, &mut bounds, 64) {
+            bounds
+        } else {
+            vec![(Some(1), Some(0)); n]
         }
-        let clamp = |v: Option<i128>| -> Result<Option<i64>> {
-            match v {
-                None => Ok(None),
-                Some(x) => {
-                    if x > i64::MAX as i128 || x < i64::MIN as i128 {
-                        Ok(None)
-                    } else {
-                        Ok(Some(x as i64))
-                    }
-                }
-            }
-        };
-        let mut out = Vec::with_capacity(n);
-        for j in 0..n {
-            out.push((clamp(lo[j])?, clamp(hi[j])?));
-        }
-        Ok(out)
     }
 
     /// Substitutes `var = val`, folding the column into the constant.
     /// Fails with [`Error::Overflow`] when the folded constant leaves i64.
-    fn fix(&self, var: usize, val: i64) -> Result<Tableau> {
+    fn fix(&self, var: usize, val: i128) -> Result<Tableau> {
         let n = self.n;
         let conv = |r: &Row| -> Result<Row> {
             let mut out = Row::with_capacity(n);
@@ -505,8 +438,11 @@ impl Tableau {
                 out.push(c);
             }
             let k = out.len() - 1;
-            let folded = (out[k] as i128) + (r[var] as i128) * (val as i128);
-            out[k] = i64::try_from(folded).map_err(|_| Error::Overflow)?;
+            out[k] = (r[var] as i128)
+                .checked_mul(val)
+                .and_then(|v| v.checked_add(out[k] as i128))
+                .and_then(|v| i64::try_from(v).ok())
+                .ok_or(Error::Overflow)?;
             Ok(out)
         };
         Ok(Tableau {
@@ -564,62 +500,124 @@ fn floor_sum(n: i128, m: i128, mut a: i128, mut b: i128) -> Option<i128> {
     Some(ans)
 }
 
-/// Per-variable `(lo, hi)` interval bounds, read off single-variable rows.
-/// Held as i128 so bounds derived from i64-extreme rows (e.g. `x >= 2^63`
-/// after negating an `i64::MIN` constant) stay exact; each stored bound has
-/// magnitude at most `2^63`, so interval widths fit comfortably.
-type VarBounds = Vec<(Option<i128>, Option<i128>)>;
+/// One variable's `(lo, hi)` bounds, `None` where a side is open. Held as
+/// i128 so bounds derived from i64-extreme rows (e.g. `x >= 2^63` after
+/// negating an `i64::MIN` constant) stay exact; [`tighten`] keeps each
+/// stored bound within ±2^63, so interval widths and bound-times-
+/// coefficient products fit in i128.
+type Interval = (Option<i128>, Option<i128>);
 
-/// Per-variable interval bounds read off single-variable rows only.
-/// Returns `(lo, hi)` options and the indices of rows touching 2+ vars.
-fn scan_rows(t: &Tableau) -> Option<(VarBounds, Vec<usize>)> {
-    let n = t.n;
-    let mut bounds: VarBounds = vec![(None, None); n];
-    let mut wide: Vec<usize> = Vec::new();
-    for (idx, r) in t.ineqs.iter().enumerate() {
-        let rs = r.as_slice();
-        let mut var = usize::MAX;
-        let mut multi = false;
-        for (j, &c) in rs[..n].iter().enumerate() {
-            if c != 0 {
-                if var == usize::MAX {
-                    var = j;
-                } else {
-                    multi = true;
-                    break;
+/// Whether some interval of `bounds` is empty.
+fn any_empty(bounds: &[Interval]) -> bool {
+    bounds
+        .iter()
+        .any(|b| matches!(*b, (Some(l), Some(h)) if l > h))
+}
+
+/// The interval rule: a row `a·x + rest >= 0` (`a != 0`) implies
+/// `a·x >= -rest_max`, where `rest_max` is the maximum of `rest`, its
+/// constant included. Tightens `x`'s interval `b` by that bound and
+/// returns whether it changed. A bound beyond ±2^63 is not stored: it is
+/// implied, so leaving it out loses nothing.
+fn tighten(a: i64, rest_max: i128, b: &mut Interval) -> bool {
+    let Some(rhs) = rest_max.checked_neg() else {
+        return false;
+    };
+    let a = a as i128;
+    let (bound, side) = if a > 0 {
+        (cd128(rhs, a), &mut b.0)
+    } else {
+        (fd128(rhs, a), &mut b.1)
+    };
+    let tighter = side.is_none_or(|cur| if a > 0 { bound > cur } else { bound < cur });
+    if tighter && bound.unsigned_abs() <= 1 << 63 {
+        *side = Some(bound);
+        return true;
+    }
+    false
+}
+
+/// Maximum of row `r` over `bounds` with variable `skip` left out: its
+/// constant plus each other term at the bound that maximizes it. `None`
+/// when that bound is open or the checked sum leaves i128; the row then
+/// implies nothing about `skip`.
+fn rest_max(r: &[i64], skip: usize, bounds: &[Interval]) -> Option<i128> {
+    let n = bounds.len();
+    let mut sum = r[n] as i128;
+    for (i, (&a, &(lo, hi))) in r[..n].iter().zip(bounds).enumerate() {
+        if i == skip || a == 0 {
+            continue;
+        }
+        let x = if a > 0 { hi? } else { lo? };
+        sum = sum.checked_add((a as i128).checked_mul(x)?)?;
+    }
+    Some(sum)
+}
+
+/// Interval propagation: sweeps `rows` (`row >= 0`) up to `rounds` times,
+/// tightening every variable a row mentions by [`tighten`] with the row's
+/// [`rest_max`] over the current `bounds`, and stops once a sweep changes
+/// nothing. Returns `false` as soon as a sweep leaves an interval empty.
+/// Derived bounds are implied, so adopting them never changes the set.
+fn propagate(rows: &[&Row], bounds: &mut [Interval], rounds: usize) -> bool {
+    for _ in 0..rounds {
+        let mut changed = false;
+        for r in rows {
+            for (j, &a) in r[..bounds.len()].iter().enumerate() {
+                if a != 0 {
+                    if let Some(rest) = rest_max(r, j, bounds) {
+                        changed |= tighten(a, rest, &mut bounds[j]);
+                    }
                 }
             }
         }
-        if multi {
-            // Always finish the scan: truncating here would hand the caller
-            // an incomplete `bounds`/`wide` picture and silently drop
-            // constraints from the slab analysis. Parallel-direction
-            // checking in `count_fast` rejects unsuitable systems cheaply
-            // regardless of how many wide rows there are.
-            wide.push(idx);
-            continue;
+        if any_empty(bounds) {
+            return false;
         }
-        if var == usize::MAX {
-            // Constant row: infeasible if negative.
-            if rs[n] < 0 {
-                return None;
-            }
-            continue;
+        if !changed {
+            break;
         }
-        let a = rs[var] as i128;
-        let c = rs[n] as i128;
-        if a > 0 {
-            let b = cd128(-c, a);
-            let cur = &mut bounds[var].0;
-            if cur.is_none_or(|v| b > v) {
-                *cur = Some(b);
+    }
+    true
+}
+
+/// Checked `(min, max)` of the linear form `Σ a·x` over a box, given one
+/// `(a, lo, hi)` per variable.
+fn form_range(terms: impl Iterator<Item = (i128, i128, i128)>) -> Result<(i128, i128)> {
+    let (mut min, mut max) = (0i128, 0i128);
+    for (a, lo, hi) in terms {
+        let (at_min, at_max) = if a > 0 { (lo, hi) } else { (hi, lo) };
+        min = a
+            .checked_mul(at_min)
+            .and_then(|t| min.checked_add(t))
+            .ok_or(Error::Overflow)?;
+        max = a
+            .checked_mul(at_max)
+            .and_then(|t| max.checked_add(t))
+            .ok_or(Error::Overflow)?;
+    }
+    Ok((min, max))
+}
+
+/// Per-variable interval bounds read off single-variable rows only.
+/// Returns `(lo, hi)` options and the rows touching 2+ vars, or `None`
+/// when a constant row is negative.
+fn scan_rows(t: &Tableau) -> Option<(Vec<Interval>, Vec<&Row>)> {
+    let n = t.n;
+    let mut bounds: Vec<Interval> = vec![(None, None); n];
+    let mut wide: Vec<&Row> = Vec::new();
+    for r in &t.ineqs {
+        // Always finish the scan: truncating it would hand the caller an
+        // incomplete `bounds`/`wide` picture and silently drop constraints
+        // from the slab analysis.
+        let mut vars = (0..n).filter(|&j| r[j] != 0);
+        match (vars.next(), vars.next()) {
+            (Some(v), None) => {
+                tighten(r[v], r[n] as i128, &mut bounds[v]);
             }
-        } else {
-            let b = fd128(-c, a);
-            let cur = &mut bounds[var].1;
-            if cur.is_none_or(|v| b < v) {
-                *cur = Some(b);
-            }
+            (Some(_), Some(_)) => wide.push(r),
+            (None, _) if r[n] < 0 => return None,
+            (None, _) => {}
         }
     }
     Some((bounds, wide))
@@ -627,8 +625,8 @@ fn scan_rows(t: &Tableau) -> Option<(VarBounds, Vec<usize>)> {
 
 /// Counts an axis-aligned box given per-variable bounds. `limit` (the
 /// emptiness-probe mode) makes one-sided/free variables saturate instead
-/// of erroring, mirroring [`count_single`].
-fn count_box(bounds: &[(Option<i128>, Option<i128>)], limit: Option<u128>) -> Result<u128> {
+/// of erroring.
+fn count_box(bounds: &[Interval], limit: Option<u128>) -> Result<u128> {
     let mut prod: u128 = 1;
     for &(lo, hi) in bounds {
         let w = match (lo, hi) {
@@ -758,23 +756,25 @@ fn cd128(a: i128, b: i128) -> i128 {
     }
 }
 
+/// Union-find root of `x`, compressing the path behind it.
+fn find(parent: &mut [usize], x: usize) -> usize {
+    let mut r = x;
+    while parent[r] != r {
+        r = parent[r];
+    }
+    let mut c = x;
+    while parent[c] != c {
+        let next = parent[c];
+        parent[c] = r;
+        c = next;
+    }
+    r
+}
+
 /// Union-find over variables connected by shared constraints.
 fn components(t: &Tableau) -> Vec<Vec<usize>> {
     let n = t.n;
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != c {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
-    }
     for r in t.ineqs.iter().chain(t.eqs.iter()) {
         let mut first: Option<usize> = None;
         for (j, &coef) in r.iter().enumerate().take(n) {
@@ -824,42 +824,6 @@ fn subsystem(t: &Tableau, vars: &[usize]) -> Tableau {
     }
 }
 
-/// Counts a single variable's feasible interval directly from the rows.
-/// `limit` being set means the caller only needs a lower bound (emptiness
-/// checks), so unbounded-but-satisfiable intervals saturate to the limit.
-fn count_single(t: &Tableau, limit: Option<u128>) -> Result<u128> {
-    debug_assert_eq!(t.n, 1);
-    // Bounds in i128 (no sentinels): negating an i64::MIN constant is
-    // representable, and an absent side stays distinguishable from a row
-    // that genuinely pins the extreme value.
-    let mut lo: Option<i128> = None;
-    let mut hi: Option<i128> = None;
-    for r in &t.ineqs {
-        let a = r[0] as i128;
-        let c = r[1] as i128;
-        if a > 0 {
-            let b = cd128(-c, a);
-            if lo.is_none_or(|v| b > v) {
-                lo = Some(b);
-            }
-        } else if a < 0 {
-            let b = fd128(-c, a);
-            if hi.is_none_or(|v| b < v) {
-                hi = Some(b);
-            }
-        } else if c < 0 {
-            return Ok(0);
-        }
-    }
-    match (lo, hi) {
-        (Some(l), Some(h)) => Ok(if h < l { 0 } else { (h - l + 1) as u128 }),
-        _ => match limit {
-            Some(l) => Ok(l.max(1)),
-            None => Err(Error::Unbounded("cannot count a one-sided interval".into())),
-        },
-    }
-}
-
 /// Closed form for an arbitrary two-variable projection whose inner
 /// variable has (after merging parallel rows) exactly one lower and one
 /// upper bound — any integer coefficients, not just ±1.
@@ -880,7 +844,10 @@ fn count_single(t: &Tableau, limit: Option<u128>) -> Result<u128> {
 /// range width. Returns `Ok(None)` when the structure does not match
 /// (several irreducible bounds on both orientations) and
 /// [`Error::Overflow`] when the total exceeds the checked-i128 range.
-fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Result<Option<u128>> {
+///
+/// `ranges` is [`Tableau::propagate_bounds`] output, which already holds
+/// the bounds of every x-only row.
+fn count_pair_series(t: &Tableau, ranges: &[Interval]) -> Result<Option<u128>> {
     debug_assert_eq!(t.n, 2);
     if !t.eqs.is_empty() {
         return Ok(None);
@@ -892,11 +859,9 @@ fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Resu
         // the strongest constant — smaller c is tighter for `… + c ≥ 0`.
         let mut lowers: Vec<(i128, i128, i128)> = Vec::new(); // (a_x, b_y>0, c)
         let mut uppers: Vec<(i128, i128, i128)> = Vec::new(); // (a_x, b_y<0, c)
-        let mut x_rows = Vec::new();
         for r in &t.ineqs {
             let (a, b, c) = (r[x] as i128, r[y] as i128, r[2] as i128);
             if b == 0 {
-                x_rows.push(r);
                 continue;
             }
             let side = if b > 0 { &mut lowers } else { &mut uppers };
@@ -908,22 +873,9 @@ fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Resu
         if lowers.len() != 1 || uppers.len() != 1 {
             continue;
         }
-        let (mut xlo, mut xhi) = match ranges[x] {
-            (Some(l), Some(h)) => (l as i128, h as i128),
-            _ => continue,
+        let (Some(mut xlo), Some(mut xhi)) = ranges[x] else {
+            continue;
         };
-        // Tighten the x range with x-only rows (i128: `-c` must not wrap).
-        for r in &x_rows {
-            let a = r[x] as i128;
-            let c = r[2] as i128;
-            if a > 0 {
-                xlo = xlo.max(cd128(-c, a));
-            } else if a < 0 {
-                xhi = xhi.min(fd128(-c, a));
-            } else if c < 0 {
-                return Ok(Some(0));
-            }
-        }
         let (al, p, cl) = lowers[0];
         let (au, nq, cu) = uppers[0];
         let q = -nq;
@@ -998,11 +950,7 @@ const PAIR_CHAIN_CELL_LIMIT: u128 = 1 << 18;
 /// variable to its derived range is sound because derived bounds are
 /// implied. Returns `Ok(None)` — fall back to recursion — on any wider
 /// row, a cycle, an unbounded variable, or a too-large table.
-fn count_pair_chain(
-    t: &Tableau,
-    ranges: &[(Option<i64>, Option<i64>)],
-    work: &mut u64,
-) -> Result<Option<u128>> {
+fn count_pair_chain(t: &Tableau, ranges: &[Interval], work: &mut u64) -> Result<Option<u128>> {
     if !t.eqs.is_empty() {
         return Ok(None);
     }
@@ -1026,14 +974,6 @@ fn count_pair_chain(
     }
     // Acyclicity check (union-find over distinct pairs).
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        parent[x] = r;
-        r
-    }
     for &(a, b, _) in &edges {
         let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
         if ra == rb {
@@ -1042,7 +982,7 @@ fn count_pair_chain(
         parent[ra] = rb;
     }
     // Every edge variable needs a finite range within the table budget.
-    let mut lo = vec![0i64; n];
+    let mut lo = vec![0i128; n];
     let mut width = vec![0usize; n]; // 0 = not on any edge
     let mut cells: u128 = 0;
     for &(a, b, _) in &edges {
@@ -1053,7 +993,7 @@ fn count_pair_chain(
             let (Some(l), Some(h)) = ranges[v] else {
                 return Ok(None);
             };
-            let w = h as i128 - l as i128 + 1;
+            let w = h - l + 1;
             debug_assert!(w >= 1, "caller rejected empty ranges");
             cells += w as u128;
             if cells > PAIR_CHAIN_CELL_LIMIT {
@@ -1074,10 +1014,11 @@ fn count_pair_chain(
         adj[b].push((a, ei));
     }
     // Interval a row pins `child` to, given `pval` for the other
-    // variable; intersected into (clo, chi).
-    let pin = |r: &Row, child: usize, other: usize, pval: i64, clo: &mut i128, chi: &mut i128| {
+    // variable; intersected into (clo, chi). `|pval| <= 2^63`, so the
+    // folded constant stays far inside i128.
+    let pin = |r: &Row, child: usize, other: usize, pval: i128, clo: &mut i128, chi: &mut i128| {
         let ac = r[child] as i128;
-        let c = (r[other] as i128) * (pval as i128) + (r[n] as i128);
+        let c = (r[other] as i128) * pval + (r[n] as i128);
         if ac > 0 {
             *clo = (*clo).max(cd128(-c, ac));
         } else {
@@ -1123,16 +1064,16 @@ fn count_pair_chain(
                     if *fv == 0 {
                         continue;
                     }
-                    let pval = lo[v] + i as i64;
-                    let (mut clo, mut chi) = (lo[u] as i128, lo[u] as i128 + width[u] as i128 - 1);
+                    let pval = lo[v] + i as i128;
+                    let (mut clo, mut chi) = (lo[u], lo[u] + width[u] as i128 - 1);
                     for &ri in rows {
                         pin(&t.ineqs[ri], u, v, pval, &mut clo, &mut chi);
                     }
                     let s = if clo > chi {
                         0
                     } else {
-                        let a = (clo - lo[u] as i128) as usize;
-                        let b = (chi - lo[u] as i128) as usize;
+                        let a = (clo - lo[u]) as usize;
+                        let b = (chi - lo[u]) as usize;
                         prefix[b + 1] - prefix[a]
                     };
                     *fv = fv.checked_mul(s).ok_or(Error::Overflow)?;
@@ -1161,7 +1102,7 @@ fn count_pair_chain(
             return Ok(None);
         };
         total = total
-            .checked_mul((h as i128 - l as i128 + 1) as u128)
+            .checked_mul((h - l + 1) as u128)
             .ok_or(Error::Overflow)?;
     }
     note_fastpath(FastPathKind::PairChain);
@@ -1194,8 +1135,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     // counter.
     let n = t.n;
     let mut groups: Vec<SlabGroup> = Vec::new();
-    for &wi in &wide {
-        let r = t.ineqs[wi].as_slice();
+    for r in &wide {
         let mut matched = false;
         for g in groups.iter_mut() {
             if r[..n] == g.dir[..] {
@@ -1233,57 +1173,9 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     }
     // Derive bounds implied by the slab rows for variables the box leaves
     // open (e.g. the triangle `0 <= x, 0 <= y, x + y <= 3` bounds x and y
-    // only through the wide row). Two passes propagate chains; derived
-    // bounds are implied, so adding them never changes the set.
-    for _ in 0..2 {
-        for &wi in &wide {
-            let r = t.ineqs[wi].as_slice();
-            for v in 0..n {
-                let av = r[v];
-                if av == 0 {
-                    continue;
-                }
-                // max over the box of (c + Σ_{i≠v} aᵢ·xᵢ).
-                let mut rest_max: i128 = r[n] as i128;
-                let mut bounded = true;
-                for i in 0..n {
-                    if i == v || r[i] == 0 {
-                        continue;
-                    }
-                    let term = if r[i] > 0 {
-                        bounds[i].1.map(|h| r[i] as i128 * h)
-                    } else {
-                        bounds[i].0.map(|l| r[i] as i128 * l)
-                    };
-                    match term {
-                        Some(x) => rest_max += x,
-                        None => {
-                            bounded = false;
-                            break;
-                        }
-                    }
-                }
-                if !bounded {
-                    continue;
-                }
-                // The row implies av·x_v >= -rest_max for feasible points.
-                // Derived bounds are optional tightenings, so only adopt
-                // ones inside the i64 envelope — keeping the invariant that
-                // every stored bound has magnitude <= 2^63.
-                if av > 0 {
-                    let b = cd128(-rest_max, av as i128);
-                    if i64::try_from(b).is_ok() && bounds[v].0.is_none_or(|cur| b > cur) {
-                        bounds[v].0 = Some(b);
-                    }
-                } else {
-                    let b = fd128(-rest_max, av as i128);
-                    if i64::try_from(b).is_ok() && bounds[v].1.is_none_or(|cur| b < cur) {
-                        bounds[v].1 = Some(b);
-                    }
-                }
-            }
-        }
-    }
+    // only through the wide row). Two passes propagate chains; an
+    // emptied interval is left for `count_multi_slab` to report.
+    propagate(&wide, &mut bounds, 2);
     count_multi_slab(&bounds, &groups, limit, work)
 }
 
@@ -1328,7 +1220,7 @@ const MAX_SLAB_GROUPS: usize = 6;
 /// variables, enumeration too wide, extreme coefficients) — the caller
 /// then falls back to the recursive counter.
 fn count_multi_slab(
-    bounds: &[(Option<i128>, Option<i128>)],
+    bounds: &[Interval],
     groups: &[SlabGroup],
     limit: Option<u128>,
     work: &mut u64,
@@ -1357,23 +1249,13 @@ fn count_multi_slab(
     // stated windows to it (and detect emptiness).
     let mut windows: Vec<(i128, i128)> = Vec::with_capacity(groups.len());
     for g in groups {
-        let (mut e_min, mut e_max) = (0i128, 0i128);
-        for (v, &b) in bounds.iter().enumerate() {
-            let a = g.dir[v] as i128;
-            if a == 0 {
-                continue;
-            }
-            let (l, h) = (b.0.unwrap(), b.1.unwrap());
-            let (tmin, tmax) = if a > 0 { (l, h) } else { (h, l) };
-            e_min = a
-                .checked_mul(tmin)
-                .and_then(|t| e_min.checked_add(t))
-                .ok_or(Error::Overflow)?;
-            e_max = a
-                .checked_mul(tmax)
-                .and_then(|t| e_max.checked_add(t))
-                .ok_or(Error::Overflow)?;
-        }
+        let (e_min, e_max) = form_range(
+            g.dir
+                .iter()
+                .zip(bounds)
+                .filter(|(&a, _)| a != 0)
+                .map(|(&a, b)| (a as i128, b.0.unwrap(), b.1.unwrap())),
+        )?;
         let lo = g.lo.unwrap_or(e_min).max(e_min);
         let hi = g.hi.unwrap_or(e_max).min(e_max);
         if hi < lo {
@@ -1382,7 +1264,7 @@ fn count_multi_slab(
         windows.push((lo, hi));
     }
     // Variables no slab touches contribute a constant box factor.
-    let untouched: Vec<(Option<i128>, Option<i128>)> = (0..n)
+    let untouched: Vec<Interval> = (0..n)
         .filter(|&v| groups.iter().all(|g| g.dir[v] == 0))
         .map(|v| bounds[v])
         .collect();
@@ -1580,22 +1462,14 @@ fn count_multi_slab(
             }
             if cnt > 0 {
                 for (ki, &kj) in kept.iter().enumerate() {
-                    let (mut r_min, mut r_max) = (0i128, 0i128);
+                    let dir = &groups[kj].dir;
+                    let (r_min, r_max) = form_range(
+                        kept_r[ki]
+                            .iter()
+                            .map(|&v| (dir[v] as i128, tb[v].0, tb[v].1)),
+                    )?;
                     triples.clear();
-                    for &v in &kept_r[ki] {
-                        let a = groups[kj].dir[v] as i128;
-                        let (l, h) = tb[v];
-                        let (tmin, tmax) = if a > 0 { (l, h) } else { (h, l) };
-                        r_min = a
-                            .checked_mul(tmin)
-                            .and_then(|t| r_min.checked_add(t))
-                            .ok_or(Error::Overflow)?;
-                        r_max = a
-                            .checked_mul(tmax)
-                            .and_then(|t| r_max.checked_add(t))
-                            .ok_or(Error::Overflow)?;
-                        triples.push((l, h, -groups[kj].dir[v]));
-                    }
+                    triples.extend(kept_r[ki].iter().map(|&v| (tb[v].0, tb[v].1, -dir[v])));
                     let lo = windows[kj]
                         .0
                         .checked_sub(kept_shifts[ki])
@@ -1706,7 +1580,10 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
         return Ok(1);
     }
     if t.n == 1 {
-        return count_single(t, limit);
+        let Some((bounds, _)) = scan_rows(t) else {
+            return Ok(0);
+        };
+        return count_box(&bounds, limit);
     }
     // Closed-form shortcuts: boxes and box ∩ slab count without recursion.
     if let Some(c) = count_fast(t, limit, work)? {
@@ -1728,13 +1605,9 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
         }
         return Ok(prod);
     }
-    let ranges = t.propagate_bounds()?;
-    for (l, h) in &ranges {
-        if let (Some(l), Some(h)) = (l, h) {
-            if l > h {
-                return Ok(0);
-            }
-        }
+    let ranges = t.propagate_bounds();
+    if any_empty(&ranges) {
+        return Ok(0);
     }
     if t.n == 2 {
         if let Some(c) = count_pair_series(t, &ranges)? {
@@ -1750,24 +1623,21 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
             return Ok(c);
         }
     }
-    // Enumerate the variable with the smallest finite range. Widths are
-    // compared in i128: bounds near the i64 limits would overflow an i64
-    // subtraction and wrap past the ENUM_LIMIT guard.
-    let mut best: Option<(usize, i64, i64)> = None;
-    for (j, (l, h)) in ranges.iter().enumerate() {
+    // Enumerate the variable with the smallest finite range.
+    let mut best: Option<(usize, i128, i128)> = None;
+    for (j, &(l, h)) in ranges.iter().enumerate() {
         if let (Some(l), Some(h)) = (l, h) {
-            let width = *h as i128 - *l as i128;
-            if best.is_none_or(|(_, bl, bh)| width < bh as i128 - bl as i128) {
-                best = Some((j, *l, *h));
+            if best.is_none_or(|(_, bl, bh)| h - l < bh - bl) {
+                best = Some((j, l, h));
             }
         }
     }
     let (var, lo, hi) = best
         .ok_or_else(|| Error::Unbounded("cannot count: no variable has a finite range".into()))?;
-    if hi as i128 - lo as i128 >= ENUM_LIMIT as i128 {
+    if hi - lo >= ENUM_LIMIT as i128 {
         return Err(Error::TooComplex(format!(
             "enumeration range too large ({} values)",
-            hi as i128 - lo as i128 + 1
+            hi - lo + 1
         )));
     }
     let mut total: u128 = 0;
@@ -1792,13 +1662,13 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
 /// Counts a borrowed basic map, stopping early once `limit` points are
 /// known to exist (`limit` is only used for emptiness-style probes).
 pub(crate) fn count_basic_limited(bm: &BasicMap, limit: Option<u128>) -> Result<u128> {
-    count_tableau(Tableau::from_basic(bm)?, limit)
+    count_tableau(Tableau::from_basic(bm), limit)
 }
 
 /// Exactly counts an owned basic map, moving its rows into the tableau
 /// (no per-row copies).
 pub(crate) fn count_basic_owned(bm: BasicMap) -> Result<u128> {
-    count_tableau(Tableau::from_basic_owned(bm)?, None)
+    count_tableau(Tableau::from_basic_owned(bm), None)
 }
 
 fn count_tableau(mut t: Tableau, limit: Option<u128>) -> Result<u128> {
@@ -1815,15 +1685,18 @@ pub(crate) fn basic_is_empty(bm: &BasicMap) -> Result<bool> {
 }
 
 /// Best-known finite range of a visible variable column.
+/// Fails with [`Error::Overflow`] when a bound lies outside i64.
 pub(crate) fn var_range(bm: &BasicMap, col: usize) -> Result<(i64, i64)> {
-    let t = Tableau::from_basic(bm)?;
-    let ranges = t.propagate_bounds()?;
-    match ranges[col] {
-        (Some(l), Some(h)) => Ok((l, h)),
+    match Tableau::from_basic(bm).propagate_bounds()[col] {
+        (Some(l), Some(h)) => Ok((to_i64(l)?, to_i64(h)?)),
         _ => Err(Error::Unbounded(format!(
             "variable {col} has no finite range"
         ))),
     }
+}
+
+fn to_i64(v: i128) -> Result<i64> {
+    i64::try_from(v).map_err(|_| Error::Overflow)
 }
 
 /// Depth-first visit of every point (over the visible dims) of a basic
@@ -1836,7 +1709,7 @@ pub(crate) fn basic_points_visit(
     sink: &mut dyn FnMut(&[i64]) -> Result<()>,
 ) -> Result<()> {
     let n_vis = bm.div0();
-    let t = Tableau::from_basic(bm)?;
+    let t = Tableau::from_basic(bm);
     let mut point = vec![0i64; t.n];
     let mut ranges = None;
     enum_rec(&t, 0, &mut point, sink, n_vis, &mut ranges)
@@ -1852,7 +1725,7 @@ fn enum_rec(
     // real work; they are computed lazily at most once per enumeration
     // and shared down the whole tree (they used to be recomputed at every
     // node that needed the fallback, which dominated `points()` time).
-    ranges: &mut Option<Vec<(Option<i64>, Option<i64>)>>,
+    ranges: &mut Option<Vec<Interval>>,
 ) -> Result<()> {
     if depth == t.n {
         // Verify equalities and inequalities exactly.
@@ -1903,12 +1776,9 @@ fn enum_rec(
     }
     // Also use the global propagated ranges as a backstop.
     if lo == i64::MIN || hi == i64::MAX {
-        if ranges.is_none() {
-            *ranges = Some(t.propagate_bounds()?);
-        }
-        if let (Some(l), Some(h)) = ranges.as_ref().expect("just filled")[depth] {
-            lo = lo.max(l);
-            hi = hi.min(h);
+        if let (Some(l), Some(h)) = ranges.get_or_insert_with(|| t.propagate_bounds())[depth] {
+            lo = lo.max(to_i64(l)?);
+            hi = hi.min(to_i64(h)?);
         }
     }
     if lo == i64::MIN || hi == i64::MAX {
@@ -2107,7 +1977,7 @@ mod tests {
             eqs: Vec::new(),
             ineqs: vec![row(1, 0, 0), row(-1, 0, h), row(0, 1, 0), row(m, -1, 0)],
         };
-        let ranges = vec![(Some(0), Some(h)), (Some(0), None)];
+        let ranges = vec![(Some(0), Some(h.into())), (Some(0), None)];
         assert!(matches!(
             count_pair_series(&t, &ranges),
             Err(Error::Overflow)
@@ -2196,7 +2066,8 @@ mod tests {
             r[1] = c;
             r
         };
-        // Single variable (count_single): x >= 2^63 and x <= 9 is empty.
+        // Single variable (scan_rows + count_box): x >= 2^63 and x <= 9
+        // is empty.
         // The third row keeps the pair out of the functional-window drop.
         let t = Tableau {
             n: 1,

@@ -206,7 +206,8 @@ impl Set {
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Unbounded`] when no finite bound can be derived.
+    /// Fails with [`Error::Unbounded`] when no finite bound can be derived,
+    /// and with [`Error::Overflow`] when a derived bound lies outside i64.
     pub fn dim_bounds(&self, dim: usize) -> Result<(i64, i64)> {
         let mut bounds: Option<(i64, i64)> = None;
         for b in self.map.basics() {

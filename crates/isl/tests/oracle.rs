@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use tenet_isl::{cache, CountStats, CounterHandle, Map, Set};
+use tenet_isl::{cache, CountStats, CounterHandle, Error, Map, Set};
 
 /// Calls `f` on every point of the box `[lo, hi]^d`.
 fn for_each_point(d: usize, lo: i64, hi: i64, mut f: impl FnMut(&[i64])) {
@@ -313,8 +313,11 @@ fn multi_slab_fast_path_taken_and_exact() {
 // generated over 1–5 dimensions with the bounding window shrunk as the
 // dimension grows (the brute-force oracle scans the full window). Every
 // case checks `card` against `count_by_points` cold (cache off) and warm
-// (second run against populated tables). `TENET_ORACLE_DEEP=1` grows the
-// corpus from 64 to 500 cases per class (the CI oracle-deep job).
+// (second run against populated tables). The `wide` class puts i64-extreme
+// bounds and one i64-extreme coefficient on sets that stay inside the
+// window; there `card` may also refuse with `Overflow` or `TooComplex`,
+// but never return another number. `TENET_ORACLE_DEEP=1` grows the corpus
+// from 64 to 500 cases per class (the CI oracle-deep job).
 // ---------------------------------------------------------------------------
 
 /// splitmix64: tiny, seedable, and identical on every platform.
@@ -499,9 +502,57 @@ fn gen_chain_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
     with_extra(base, &extra)
 }
 
+/// i64-extreme rows around a small set. Every variable after the first
+/// carries single-variable bounds at i64 extremes and is capped by a
+/// two-variable row against an earlier, already small one, so all points
+/// lie in the scan window. Extra two-variable slabs add directions (past
+/// the slab counter's cap, into bound propagation), and one row carries an
+/// i64-extreme coefficient.
+fn gen_wide_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
+    const HUGE: [i64; 4] = [i64::MAX, i64::MAX - 1, 1 << 62, (1 << 62) + 12_345];
+    let huge = |rng: &mut Rng| HUGE[rng.below(4) as usize];
+    let lo = rng.range(wlo, whi);
+    let mut range = vec![(lo, rng.range(lo, whi))];
+    let mut cons = vec![format!("{lo} <= x0 and x0 <= {}", range[0].1)];
+    for i in 1..d {
+        let j = rng.below(i as u64) as usize;
+        let (jlo, jhi) = range[j];
+        // x_i - x_j in [dlo, dhi] keeps x_i inside the window.
+        let dlo = rng.range(wlo - jlo, 0);
+        let dhi = rng.range(dlo, whi - jhi);
+        range.push((jlo + dlo, jhi + dhi));
+        cons.push(format!("{} <= x{i} and x{i} <= {}", -huge(rng), huge(rng)));
+        cons.push(format!("{dlo} <= x{i} - x{j} and x{i} - x{j} <= {dhi}"));
+    }
+    for _ in 0..rng.below(5) {
+        let (i, j) = (rng.below(d as u64), rng.below(d as u64));
+        if i != j {
+            let e = format!("{}*x{i} + {}*x{j}", rng.coef(3), rng.coef(3));
+            cons.push(gen_slab_on(rng, &e));
+        }
+    }
+    let p = rng.below(d as u64);
+    let q = (p + 1 + rng.below(d as u64 - 1)) % d as u64;
+    let sign = if rng.below(2) == 0 { 1 } else { -1 };
+    cons.push(format!(
+        "{}*x{p} + {}*x{q} >= {}",
+        sign * huge(rng),
+        rng.coef(3),
+        rng.range(-3, 3)
+    ));
+    let dims: Vec<String> = (0..d).map(|i| format!("x{i}")).collect();
+    format!("{{ A[{}] : {} }}", dims.join(", "), cons.join(" and "))
+}
+
 /// Differentially checks every generated case: `card` (cold and warm)
-/// against the `contains_point` scan of the full window.
-fn run_corpus(class: &str, min_d: usize, gen: impl Fn(&mut Rng, usize, i64, i64) -> String) {
+/// against the `contains_point` scan of the full window. With
+/// `may_refuse`, `card` may instead fail with `Overflow` or `TooComplex`.
+fn run_corpus(
+    class: &str,
+    min_d: usize,
+    may_refuse: bool,
+    gen: impl Fn(&mut Rng, usize, i64, i64) -> String,
+) {
     let seed = corpus_seed();
     let cases = corpus_cases();
     let mut h = DefaultHasher::new();
@@ -511,49 +562,48 @@ fn run_corpus(class: &str, min_d: usize, gen: impl Fn(&mut Rng, usize, i64, i64)
         let d = rng.range(min_d as i64, 5) as usize;
         let (wlo, whi) = window_for(d);
         let text = gen(&mut rng, d, wlo, whi);
-        let s = Set::parse(&text)
-            .unwrap_or_else(|e| panic!("[{class} seed={seed:#x} case={case}] parse {text}: {e}"));
+        let tag = format!("[{class} seed={seed:#x} case={case}]");
+        let s = Set::parse(&text).unwrap_or_else(|e| panic!("{tag} parse {text}: {e}"));
         let oracle = count_by_points(&s, wlo, whi);
-        let (cold, warm) = with_and_without_cache(|| {
-            Set::parse(&text)
-                .unwrap()
-                .card()
-                .unwrap_or_else(|e| panic!("[{class} seed={seed:#x} case={case}] card {text}: {e}"))
-        });
-        assert_eq!(
-            cold, oracle,
-            "[{class} seed={seed:#x} case={case}] cold card vs oracle for {text}"
-        );
-        assert_eq!(
-            warm, oracle,
-            "[{class} seed={seed:#x} case={case}] warm card vs oracle for {text}"
-        );
+        let (cold, warm) = with_and_without_cache(|| Set::parse(&text).unwrap().card());
+        for (run, card) in [("cold", cold), ("warm", warm)] {
+            match card {
+                Ok(c) => assert_eq!(c, oracle, "{tag} {run} card vs oracle for {text}"),
+                Err(Error::Overflow | Error::TooComplex(_)) if may_refuse => {}
+                Err(e) => panic!("{tag} {run} card {text}: {e}"),
+            }
+        }
     }
 }
 
 #[test]
 fn corpus_box() {
-    run_corpus("box", 1, gen_box);
+    run_corpus("box", 1, false, gen_box);
 }
 
 #[test]
 fn corpus_window() {
-    run_corpus("window", 1, gen_window_case);
+    run_corpus("window", 1, false, gen_window_case);
 }
 
 #[test]
 fn corpus_slab() {
-    run_corpus("slab", 2, gen_slab_case);
+    run_corpus("slab", 2, false, gen_slab_case);
 }
 
 #[test]
 fn corpus_coupled_slab() {
-    run_corpus("coupled-slab", 2, gen_coupled_case);
+    run_corpus("coupled-slab", 2, false, gen_coupled_case);
 }
 
 #[test]
 fn corpus_pair_chain() {
-    run_corpus("pair-chain", 2, gen_chain_case);
+    run_corpus("pair-chain", 2, false, gen_chain_case);
+}
+
+#[test]
+fn corpus_wide() {
+    run_corpus("wide", 2, true, gen_wide_case);
 }
 
 // ---------------------------------------------------------------------------
@@ -928,6 +978,53 @@ fn extreme_constants_never_panic_and_agree() {
             "[extreme seed={seed:#x} case={case}] cold and warm must agree for {text}"
         );
     }
+}
+
+/// Five variables whose last row weights `x0..x2` by `m`; with `m` at
+/// i64::MAX, bound propagation sums `m·m` products past i128. Eight slab
+/// directions exceed the slab counter's cap, so counting reaches that
+/// propagation. Every point has `x_i <= w <= 3` and `z <= 10`.
+fn wrapped_sum_text(m: i64) -> String {
+    format!(
+        "{{ A[x0, x1, x2, w, z] : 0 <= x0 <= {m} and 0 <= x1 <= {m} and 0 <= x2 <= {m} \
+         and 0 <= w <= 3 and x0 <= w and x1 <= w and x2 <= w and 0 <= z <= 10 \
+         and x0 + x1 <= 100 and x0 + x2 <= 100 and x1 + x2 <= 100 and x0 - x1 <= 100 \
+         and {m}*x0 + {m}*x1 + {m}*x2 - z >= 0 }}"
+    )
+}
+
+#[test]
+fn wrapped_bound_sum_never_counts_wrong() {
+    let small = Set::parse(&wrapped_sum_text(1_000_000)).unwrap();
+    assert_eq!(count_by_points(&small, 0, 10), 1060);
+    assert_eq!(small.card().unwrap(), 1060);
+    let text = wrapped_sum_text(i64::MAX);
+    assert_eq!(count_by_points(&Set::parse(&text).unwrap(), 0, 10), 1060);
+    let (cold, warm) = with_and_without_cache(|| {
+        let s = Set::parse(&text).unwrap();
+        (s.card(), s.points(1 << 20).map(|p| p.len()))
+    });
+    for (run, (card, points)) in [("cold", cold), ("warm", warm)] {
+        assert!(
+            matches!(card, Ok(1060) | Err(Error::Overflow)),
+            "{run} card: {card:?}"
+        );
+        assert!(
+            matches!(points, Ok(1060) | Err(Error::Overflow)),
+            "{run} points: {points:?}"
+        );
+    }
+}
+
+#[test]
+fn wrapped_bound_sum_leaves_dim_bounds_exact() {
+    let m = i64::MAX;
+    let s = Set::parse(&format!(
+        "{{ A[x0, x1, x2, z] : 0 <= x0 <= {m} and 0 <= x1 <= {m} and 0 <= x2 <= {m} \
+         and 0 <= z <= 10 and {m}*x0 + {m}*x1 + {m}*x2 - z >= 0 }}"
+    ))
+    .unwrap();
+    assert_eq!(s.dim_bounds(3).unwrap(), (0, 10));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ use tenet_server::pool::WorkerPool;
 use tenet_server::stats::{self, Prom, WorkerMetrics};
 use tenet_server::{
     canonical_key, canonical_request, error_json, Call, Limits, Listener, Response, ServerHandle,
-    Tier, WorkerCore,
+    Tier, WorkerCore, MAX_BODY, MAX_HEADER, QUEUE_CAPACITY,
 };
 
 /// Deferred work (hedged primaries, replication write-throughs) run by
@@ -66,17 +66,10 @@ pub struct RouterConfig {
     pub workers: Vec<String>,
     /// Threads serving client connections.
     pub threads: usize,
-    /// Accepted connections allowed to wait for a worker thread before
-    /// the router sheds load with `503`.
-    pub queue_capacity: usize,
     /// Per-client-connection read timeout.
     pub read_timeout: Duration,
     /// Per-connection write timeout (client side and upstream side).
     pub write_timeout: Duration,
-    /// Maximum request-body size in bytes (`413` beyond).
-    pub max_body: usize,
-    /// Maximum header-block size in bytes (`431` beyond).
-    pub max_header: usize,
     /// Liveness-probe period; `Duration::ZERO` disables the prober
     /// (failures are then detected only on proxied traffic).
     pub health_interval: Duration,
@@ -124,11 +117,8 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:8090".into(),
             workers: Vec::new(),
             threads: parallelism.clamp(2, 16),
-            queue_capacity: 128,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            max_body: 1 << 20,
-            max_header: 16 * 1024,
             health_interval: Duration::from_millis(250),
             replication: 2,
             hedge_after: Duration::from_millis(25),
@@ -614,7 +604,7 @@ impl Router {
             *aux = Some(WorkerPool::new(
                 "tenet-router-aux",
                 state.config.threads,
-                state.config.queue_capacity,
+                QUEUE_CAPACITY,
                 |job: AuxJob| job(),
             ));
         }
@@ -686,11 +676,11 @@ impl Tier for RouterState {
         let c = &self.config;
         Limits {
             threads: c.threads,
-            queue_capacity: c.queue_capacity,
+            queue_capacity: QUEUE_CAPACITY,
             read_timeout: c.read_timeout,
             write_timeout: c.write_timeout,
-            max_header: c.max_header,
-            max_body: c.max_body,
+            max_header: MAX_HEADER,
+            max_body: MAX_BODY,
         }
     }
 

@@ -76,7 +76,10 @@ pub mod worker;
 
 pub use dedup::{canonical_key, canonical_request};
 pub use handlers::error_json;
-pub use server::{Limits, Listener, Response, Server, ServerHandle, SpawnedServer, Tier};
+pub use server::{
+    Limits, Listener, Response, Server, ServerHandle, SpawnedServer, Tier, MAX_BODY, MAX_HEADER,
+    QUEUE_CAPACITY,
+};
 pub use worker::{Call, WorkerCore};
 
 use std::time::Duration;
@@ -90,17 +93,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads serving connections.
     pub threads: usize,
-    /// Accepted connections allowed to wait for a worker before the
-    /// server sheds load with `503`.
-    pub queue_capacity: usize,
     /// Per-connection read timeout (also bounds drain time at shutdown).
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
-    /// Maximum request-body size in bytes (`413` beyond).
-    pub max_body: usize,
-    /// Maximum header-block size in bytes (`431` beyond).
-    pub max_header: usize,
     /// Capacity of each per-process trace ring (recent + slow); `0`
     /// disables request tracing entirely.
     pub trace_buffer: usize,
@@ -125,11 +121,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:8080".into(),
             threads: parallelism.clamp(2, 16),
-            queue_capacity: 128,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            max_body: 1 << 20,     // 1 MiB
-            max_header: 16 * 1024, // 16 KiB
             trace_buffer: 256,
             slow_ms: 100,
             snapshot_file: None,

@@ -72,6 +72,14 @@ impl SpawnedServer {
     }
 }
 
+/// Accepted connections allowed to wait for a thread before a tier's
+/// listener sheds load with `503`; both tiers use it.
+pub const QUEUE_CAPACITY: usize = 128;
+/// Maximum request-body size in bytes (`413` beyond); both tiers use it.
+pub const MAX_BODY: usize = 1 << 20;
+/// Maximum header-block size in bytes (`431` beyond); both tiers use it.
+pub const MAX_HEADER: usize = 16 * 1024;
+
 /// The connection limits a tier's listener enforces.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
@@ -434,11 +442,11 @@ impl Tier for WorkerCore {
         let c = &self.config;
         Limits {
             threads: c.threads,
-            queue_capacity: c.queue_capacity,
+            queue_capacity: QUEUE_CAPACITY,
             read_timeout: c.read_timeout,
             write_timeout: c.write_timeout,
-            max_header: c.max_header,
-            max_body: c.max_body,
+            max_header: MAX_HEADER,
+            max_body: MAX_BODY,
         }
     }
 

@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use tenet_core::json::Json;
 use tenet_server::http::{read_response, ResponseReader};
-use tenet_server::{Server, ServerConfig};
+use tenet_server::{Server, ServerConfig, MAX_BODY};
 
 const GEMM_PROBLEM: &str = "\
 for (i = 0; i < 4; i++)
@@ -142,7 +142,7 @@ fn error_taxonomy_maps_to_statuses() {
     assert_eq!(status, 405);
 
     // Oversized body → 413 before any handler runs.
-    let huge = (ServerConfig::default().max_body + 1).to_string();
+    let huge = (MAX_BODY + 1).to_string();
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(
