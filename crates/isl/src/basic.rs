@@ -11,8 +11,9 @@
 //! existential variables), they never change the cardinality of a set and
 //! constraint negation remains exact in their presence.
 
+use crate::row::{cancel_constant, combine, negated, reduce, value, Reduced};
 use crate::space::{Space, Tuple};
-use crate::value::{floor_div, gcd};
+use crate::value::gcd;
 use crate::{Error, Result};
 use std::sync::Arc;
 
@@ -127,6 +128,16 @@ impl BasicMap {
     pub(crate) fn add_ineq(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.n_cols());
         self.ineqs.push(row);
+    }
+
+    /// Adds the equality `x_col == val` as the row `x_col - val == 0`, or
+    /// as `val - x_col == 0` when `-val` leaves i64.
+    pub(crate) fn add_fix(&mut self, col: usize, val: i64) {
+        let mut eq = self.zero_row();
+        eq[col] = -1;
+        let k = self.konst();
+        eq[k] = val;
+        self.add_eq(negated(&eq, 0).unwrap_or(eq));
     }
 
     /// Adds (or reuses) a div column `floor(num / den)` and returns its
@@ -289,37 +300,28 @@ impl BasicMap {
     /// preserved exactly; div definitions are rescaled (`floor(k·n / k·d) ==
     /// floor(n/d)` for `k > 0`).
     pub(crate) fn eliminate_using_eq(&mut self, eq: &Row, col: usize) -> Result<()> {
-        let mut eq = eq.clone();
-        let a = eq[col];
-        debug_assert!(a != 0);
-        if a < 0 {
-            for c in eq.iter_mut() {
-                *c = c.checked_neg().ok_or(Error::Overflow)?;
-            }
-        }
-        let a = eq[col]; // now positive
-        let combine = |row: &Row, eq: &Row, a: i64| -> Result<Row> {
-            let c = row[col];
-            if c == 0 {
-                return Ok(row.clone());
-            }
-            let mut out = Row::with_capacity(row.len());
-            for (r, e) in row.iter().zip(eq.iter()) {
-                let v = (a as i128) * (*r as i128) - (c as i128) * (*e as i128);
-                out.push(i64::try_from(v).map_err(|_| Error::Overflow)?);
-            }
-            debug_assert_eq!(out[col], 0);
-            Ok(out)
+        debug_assert!(eq[col] != 0);
+        let eq = if eq[col] < 0 {
+            negated(eq, 0)?
+        } else {
+            eq.clone()
         };
-        for i in 0..self.eqs.len() {
-            self.eqs[i] = combine(&self.eqs[i], &eq, a)?;
-        }
-        for i in 0..self.ineqs.len() {
-            self.ineqs[i] = combine(&self.ineqs[i], &eq, a)?;
+        let a = eq[col]; // now positive
+        let eliminate = |row: &mut Row| -> Result<()> {
+            let c = row[col];
+            if c != 0 {
+                *row = combine(a, std::mem::take(row), c, &eq)?;
+                debug_assert_eq!(row[col], 0);
+            }
+            Ok(())
+        };
+        for r in self.eqs.iter_mut().chain(&mut self.ineqs) {
+            eliminate(r)?;
         }
         for i in 0..self.divs.len() {
             if self.divs[i].num[col] != 0 {
-                let new_num = combine(&self.divs[i].num, &eq, a)?;
+                let mut new_num = self.divs[i].num.clone();
+                eliminate(&mut new_num)?;
                 let new_den = self.divs[i].den.checked_mul(a).ok_or(Error::Overflow)?;
                 let mut g = new_den;
                 for &c in new_num.iter() {
@@ -342,53 +344,28 @@ impl BasicMap {
     pub(crate) fn simplify(&mut self) -> bool {
         let kpos = self.konst();
         let mut feasible = true;
-        // Equalities: divide by the gcd of variable coefficients; the
-        // constant must stay divisible.
-        self.eqs.retain_mut(|r| {
-            let g = r[..kpos].iter().fold(0, |acc, &c| gcd(acc, c));
-            if g == 0 {
-                if r[kpos] != 0 {
-                    feasible = false;
-                }
-                return false;
-            }
-            if r[kpos] % g != 0 {
+        let mut kept = |r: &mut Row, eq: bool| match reduce(r, eq) {
+            Reduced::Kept => true,
+            Reduced::Trivial => false,
+            Reduced::Infeasible => {
                 feasible = false;
+                false
+            }
+        };
+        self.eqs.retain_mut(|r| {
+            if !kept(r, true) {
                 return false;
             }
-            if g > 1 {
-                for c in r.iter_mut() {
-                    *c /= g;
-                }
-            }
-            // Sign-normalize: first nonzero coefficient positive.
-            if let Some(&first) = r[..kpos].iter().find(|&&c| c != 0) {
-                if first < 0 {
-                    for c in r.iter_mut() {
-                        *c = -*c;
-                    }
+            // Sign-normalize: first nonzero coefficient positive (a row
+            // whose negation leaves i64 stays as it is).
+            if r[..kpos].iter().find(|&&c| c != 0).is_some_and(|&c| c < 0) {
+                if let Ok(n) = negated(r, 0) {
+                    *r = n;
                 }
             }
             true
         });
-        // Inequalities: divide coefficients by their gcd, tightening the
-        // constant with floor division (valid over the integers).
-        self.ineqs.retain_mut(|r| {
-            let g = r[..kpos].iter().fold(0, |acc, &c| gcd(acc, c));
-            if g == 0 {
-                if r[kpos] < 0 {
-                    feasible = false;
-                }
-                return false;
-            }
-            if g > 1 {
-                for c in r[..kpos].iter_mut() {
-                    *c /= g;
-                }
-                r[kpos] = floor_div(r[kpos], g);
-            }
-            true
-        });
+        self.ineqs.retain_mut(|r| kept(r, false));
         if !feasible {
             return false;
         }
@@ -412,25 +389,13 @@ impl BasicMap {
             }
             keep.push(r);
         }
-        // Detect directly opposite inequality pairs that pin a value or are
-        // contradictory: r >= 0 and -r + c >= 0 with c < 0 is empty.
-        'outer: for i in 0..keep.len() {
-            for j in (i + 1)..keep.len() {
-                // Compare and sum in i128: i64-width coefficients/constants
-                // must not wrap into a spurious (in)feasibility verdict.
-                let opposite = keep[i][..kpos]
-                    .iter()
-                    .zip(keep[j][..kpos].iter())
-                    .all(|(a, b)| *a as i128 == -(*b as i128));
-                if opposite && keep[i][..kpos].iter().any(|&c| c != 0) {
-                    let c = keep[i][kpos] as i128 + keep[j][kpos] as i128;
-                    if c < 0 {
-                        feasible = false;
-                        break 'outer;
-                    }
-                }
-            }
-        }
+        // Directly opposite inequalities, r >= 0 and -r + c >= 0, are
+        // contradictory when their constants sum below zero.
+        let feasible = !(0..keep.len()).any(|i| {
+            keep[i + 1..]
+                .iter()
+                .any(|u| cancel_constant(&keep[i], u).is_some_and(|c| c < 0))
+        });
         self.ineqs = keep;
         feasible
     }
@@ -475,23 +440,12 @@ impl BasicMap {
         full[..vars.len()].copy_from_slice(vars);
         full[n_cols - 1] = 1;
         let div0 = self.div0();
-        let mut ready = vec![false; self.divs.len()];
         for d in order {
+            // Columns of divs later in `order` are still 0 in `full`, and
+            // `div_topo_order` guarantees `num` does not reference them.
             let def = &self.divs[d];
-            let mut num: i128 = 0;
-            for (i, &c) in def.num.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                if i >= div0 && i < n_cols - 1 {
-                    debug_assert!(ready[i - div0], "div evaluation order violated");
-                }
-                num += (c as i128) * (full[i] as i128);
-            }
-            let den = def.den as i128;
-            let q = num.div_euclid(den);
+            let q = value(&def.num, &full)?.div_euclid(def.den.into());
             full[div0 + d] = i64::try_from(q).map_err(|_| Error::Overflow)?;
-            ready[d] = true;
         }
         Ok(full)
     }
@@ -507,13 +461,17 @@ impl BasicMap {
             )));
         }
         let full = self.full_point(vars)?;
-        let dot = |r: &Row| -> i128 {
-            r.iter()
-                .zip(full.iter())
-                .map(|(&a, &b)| (a as i128) * (b as i128))
-                .sum()
-        };
-        Ok(self.eqs.iter().all(|r| dot(r) == 0) && self.ineqs.iter().all(|r| dot(r) >= 0))
+        for r in &self.eqs {
+            if value(r, &full)? != 0 {
+                return Ok(false);
+            }
+        }
+        for r in &self.ineqs {
+            if value(r, &full)? < 0 {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Imports `other`'s div columns into `self` (deduplicating).
@@ -527,56 +485,37 @@ impl BasicMap {
     ) -> Result<Vec<usize>> {
         debug_assert_eq!(var_map.len(), other.div0());
         let order = other.div_topo_order()?;
-        let n_vis = other.div0();
-        let other_k = other.konst();
         let mut div_map = vec![usize::MAX; other.divs.len()];
         for d in order {
+            // The topological order maps every div `num` references first.
             let def = &other.divs[d];
-            let mut num = self.zero_row();
-            let self_k = self.konst();
-            for i in 0..n_vis {
-                if def.num[i] != 0 {
-                    num[var_map[i]] += def.num[i];
-                }
-            }
-            num[self_k] = def.num[other_k];
-            for (j, &c) in def.num[n_vis..other_k].iter().enumerate() {
-                if c != 0 {
-                    let tgt = div_map[j];
-                    debug_assert_ne!(tgt, usize::MAX, "div order violated");
-                    num[tgt] += c;
-                }
-            }
-            let col = self.add_div(num, def.den)?;
-            div_map[d] = col;
+            let num = self.translate_row(other, var_map, &div_map, &def.num)?;
+            div_map[d] = self.add_div(num, def.den)?;
         }
         Ok(div_map)
     }
 
     /// Translates one of `other`'s rows into `self`'s layout using the
-    /// mappings produced by [`BasicMap::import_divs`].
+    /// mappings produced by [`BasicMap::import_divs`]. Coefficients that
+    /// land in one column add up, and fail with [`Error::Overflow`] when
+    /// their sum leaves i64.
     pub(crate) fn translate_row(
         &self,
         other: &BasicMap,
         var_map: &[usize],
         div_map: &[usize],
         row: &Row,
-    ) -> Row {
-        let n_vis = other.div0();
+    ) -> Result<Row> {
+        debug_assert_eq!(var_map.len(), other.div0());
         let other_k = other.konst();
         let mut out = Row::zeros(self.n_cols());
-        for i in 0..n_vis {
-            if row[i] != 0 {
-                out[var_map[i]] += row[i];
-            }
-        }
         out[self.n_cols() - 1] = row[other_k];
-        for (j, &c) in row[n_vis..other_k].iter().enumerate() {
+        for (&c, &col) in row[..other_k].iter().zip(var_map.iter().chain(div_map)) {
             if c != 0 {
-                out[div_map[j]] += c;
+                out[col] = out[col].checked_add(c).ok_or(Error::Overflow)?;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Imports all of `other`'s constraints into `self`, remapping visible
@@ -584,11 +523,11 @@ impl BasicMap {
     pub(crate) fn import_constraints(&mut self, other: &BasicMap, var_map: &[usize]) -> Result<()> {
         let div_map = self.import_divs(other, var_map)?;
         for r in &other.eqs {
-            let t = self.translate_row(other, var_map, &div_map, r);
+            let t = self.translate_row(other, var_map, &div_map, r)?;
             self.add_eq(t);
         }
         for r in &other.ineqs {
-            let t = self.translate_row(other, var_map, &div_map, r);
+            let t = self.translate_row(other, var_map, &div_map, r)?;
             self.add_ineq(t);
         }
         Ok(())

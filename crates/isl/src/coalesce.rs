@@ -13,25 +13,28 @@
 //! * half-space ∪ adjacent interval        → extended half-space
 //!
 //! All merges are exact; a fixpoint loop applies them until no pair
-//! merges.
+//! merges. A piece with a row whose negation leaves i64 is left unmerged.
 
 use crate::basic::{BasicMap, Row};
 use crate::map::Map;
+use crate::row::negated;
 
 /// One piece in expanded inequality form.
 struct Expanded {
     rows: Vec<Row>,
 }
 
-fn expand(bm: &BasicMap) -> Expanded {
+/// The piece's expanded form, or `None` when an equality cannot be
+/// negated (the piece then never merges).
+fn expand(bm: &BasicMap) -> Option<Expanded> {
     let mut rows: Vec<Row> = bm.ineqs.clone();
     for e in &bm.eqs {
         rows.push(e.clone());
-        rows.push(e.iter().map(|v| -v).collect());
+        rows.push(negated(e, 0).ok()?);
     }
     rows.sort();
     rows.dedup();
-    Expanded { rows }
+    Some(Expanded { rows })
 }
 
 /// Splits `x \ y` and `y \ x` row sets. Both sides are sorted and
@@ -75,56 +78,51 @@ fn diff_rows(x: &Expanded, y: &Expanded) -> Option<(Vec<Row>, Vec<Row>)> {
     Some((x_only, y_only))
 }
 
-/// Classifies a set of 1-2 rows as bounds on a common direction vector.
-/// Returns (direction, lower const, upper const) where the piece satisfies
-/// `lower <= dir·v <= upper` (`i64::MIN`/`MAX` mean unbounded).
-fn as_interval(rows: &[Row]) -> Option<(Vec<i64>, i64, i64)> {
+/// An interval of `dir·v` held as the constants of its rows: `lo` of
+/// `dir·v + lo >= 0` and `hi` of `-dir·v + hi >= 0`, `None` where a side
+/// is open. `dir` carries a zero constant.
+type Interval = (Row, Option<i64>, Option<i64>);
+
+/// Classifies a set of 1-2 rows as bounds on a common direction vector,
+/// normalized so its first nonzero coefficient is positive. `None` when
+/// the rows bound different directions or a row cannot be negated.
+fn as_interval(rows: &[Row]) -> Option<Interval> {
     let k = rows[0].len() - 1;
-    let mut dir: Option<Vec<i64>> = None;
-    let mut lo = i64::MIN;
-    let mut hi = i64::MAX;
+    let mut dir: Option<Row> = None;
+    let (mut lo, mut hi) = (None::<i64>, None::<i64>);
     for r in rows {
-        let coeffs = &r[..k];
-        if coeffs.iter().all(|&c| c == 0) {
-            return None;
-        }
-        // Normalize direction: first nonzero coefficient positive.
-        let positive = coeffs.iter().find(|&&c| c != 0).copied().unwrap() > 0;
-        let d: Vec<i64> = if positive {
-            coeffs.to_vec()
+        let first = *r[..k].iter().find(|&&c| c != 0)?;
+        let (mut d, side) = if first > 0 {
+            (r.clone(), &mut lo)
         } else {
-            coeffs.iter().map(|c| -c).collect()
+            (negated(r, 0).ok()?, &mut hi)
         };
+        // The smaller constant is the tighter bound.
+        *side = Some(side.map_or(r[k], |c| c.min(r[k])));
+        d[k] = 0;
         match &dir {
-            None => dir = Some(d.clone()),
+            None => dir = Some(d),
             Some(existing) if *existing == d => {}
             _ => return None,
-        }
-        if positive {
-            // d·v + c >= 0  =>  d·v >= -c
-            lo = lo.max(-r[k]);
-        } else {
-            // -d·v + c >= 0  =>  d·v <= c
-            hi = hi.min(r[k]);
         }
     }
     dir.map(|d| (d, lo, hi))
 }
 
-/// Builds the rows for `lower <= dir·v <= upper`.
-fn interval_rows(dir: &[i64], lo: i64, hi: i64) -> Vec<Row> {
-    let mut out = Vec::new();
-    if lo != i64::MIN {
-        let mut r = Row::from_slice(dir);
-        r.push(-lo);
-        out.push(r);
-    }
-    if hi != i64::MAX {
-        let mut r: Row = dir.iter().map(|c| -c).collect();
-        r.push(hi);
-        out.push(r);
-    }
-    out
+/// Builds the rows of an [`Interval`], or `None` when its direction
+/// cannot be negated.
+fn interval_rows((dir, lo, hi): Interval) -> Option<Vec<Row>> {
+    let upper = match hi {
+        Some(hi) => Some(negated(&dir, hi).ok()?),
+        None => None,
+    };
+    let lower = lo.map(|lo| {
+        let mut r = dir;
+        let k = r.len() - 1;
+        r[k] = lo;
+        r
+    });
+    Some(lower.into_iter().chain(upper).collect())
 }
 
 /// Attempts to merge two basics (with their precomputed expansions);
@@ -150,18 +148,18 @@ fn try_merge(x: &BasicMap, y: &BasicMap, ex: &Expanded, ey: &Expanded) -> Option
         return None;
     }
     // The union of two intervals on the same direction is an interval iff
-    // they overlap or are adjacent.
-    let overlaps = |a_lo: i64, a_hi: i64, b_lo: i64, b_hi: i64| -> bool {
-        // adjacency: a_hi + 1 >= b_lo (careful with the MIN/MAX sentinels)
-        let left_ok = a_hi == i64::MAX || b_lo == i64::MIN || b_lo <= a_hi.saturating_add(1);
-        let right_ok = b_hi == i64::MAX || a_lo == i64::MIN || a_lo <= b_hi.saturating_add(1);
-        left_ok && right_ok
+    // they overlap or are adjacent: each one's upper end `hi` reaches one
+    // below the other's lower end `-lo`, i.e. `hi + lo + 1 >= 0`.
+    let reaches = |hi: Option<i64>, lo: Option<i64>| match (hi, lo) {
+        (Some(h), Some(l)) => i128::from(h) + i128::from(l) + 1 >= 0,
+        _ => true,
     };
-    if !overlaps(lx, ux, ly, uy) {
+    if !reaches(ux, ly) || !reaches(uy, lx) {
         return None;
     }
-    let lo = lx.min(ly);
-    let hi = ux.max(uy);
+    // The union is as wide as its wider side on each end.
+    let wider = |a: Option<i64>, b: Option<i64>| a.zip(b).map(|(a, b)| a.max(b));
+    let rows = interval_rows((dx, wider(lx, ly), wider(ux, uy)))?;
     let mut m = x.clone();
     m.eqs.clear();
     m.ineqs = ex
@@ -170,7 +168,7 @@ fn try_merge(x: &BasicMap, y: &BasicMap, ex: &Expanded, ey: &Expanded) -> Option
         .filter(|r| !x_only.contains(r))
         .cloned()
         .collect();
-    m.ineqs.extend(interval_rows(&dx, lo, hi));
+    m.ineqs.extend(rows);
     Some(m)
 }
 
@@ -196,7 +194,7 @@ pub(crate) fn coalesce_map(map: Map) -> Map {
         return map;
     }
     let (space, mut basics) = map.into_parts();
-    let mut exp: Vec<Expanded> = basics.iter().map(expand).collect();
+    let mut exp: Vec<Option<Expanded>> = basics.iter().map(expand).collect();
     let mut changed = true;
     let mut guard = 0;
     while changed && guard < 1000 {
@@ -206,7 +204,11 @@ pub(crate) fn coalesce_map(map: Map) -> Map {
         while i < basics.len() {
             let mut j = i + 1;
             while j < basics.len() {
-                if let Some(mut m) = try_merge(&basics[i], &basics[j], &exp[i], &exp[j]) {
+                let merged = match (&exp[i], &exp[j]) {
+                    (Some(ei), Some(ej)) => try_merge(&basics[i], &basics[j], ei, ej),
+                    _ => None,
+                };
+                if let Some(mut m) = merged {
                     m.simplify();
                     m.drop_unused_divs();
                     exp[i] = expand(&m);

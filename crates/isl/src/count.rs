@@ -23,16 +23,21 @@
 //! Every derived variable bound comes from one interval rule, [`tighten`]:
 //! a row `a·x + rest >= 0` bounds `x` by `a·x >= -max(rest)`. [`scan_rows`]
 //! applies it to single-variable rows, and [`propagate`] sweeps it over
-//! wider rows for [`count_fast`] and [`Tableau::propagate_bounds`]. Its
-//! invariant: every product and sum is checked, a maximum whose sum leaves
-//! i128 implies nothing, and every stored bound lies within ±2^63, so a
-//! bound times an i64 coefficient always fits in i128.
+//! wider rows for [`count_fast`] and [`Tableau::propagate_bounds`].
+//! Enumeration ([`basic_points_visit`]) uses the same rule: each column
+//! ranges over its propagated global interval, tightened by every row
+//! whose other columns are already pinned. Its invariant: every product
+//! and sum is checked, a maximum whose sum leaves i128 implies nothing,
+//! and every stored bound lies within ±2^63, so a bound times an i64
+//! coefficient always fits in i128. Rows are combined, evaluated, negated
+//! and normalized only through the checked helpers of `crate::row`.
 //!
 //! Every path is exact; property tests compare against brute force.
 
 use crate::basic::{BasicMap, Row};
 use crate::cache::note_fastpath;
-use crate::value::{ceil_div, floor_div, gcd, mod_hat};
+use crate::row::{cancel_constant, combine, div_brackets, negated, reduce, value, Reduced};
+use crate::value::mod_hat;
 use crate::{Error, Result};
 
 /// Hard cap on the number of values a single variable may be enumerated
@@ -119,37 +124,31 @@ impl Tableau {
     /// column indices; div columns become trailing variables with bracket
     /// constraints. The rows are copied once, straight into the tableau
     /// (the layout `[vis | divs | const]` is already shared).
-    pub(crate) fn from_basic(bm: &BasicMap) -> Tableau {
+    pub(crate) fn from_basic(bm: &BasicMap) -> Result<Tableau> {
         Self::assemble(bm, bm.eqs.to_vec(), bm.ineqs.to_vec())
     }
 
     /// Like [`Tableau::from_basic`] but consumes the basic map, moving its
     /// rows into the tableau without any copy. Used by the counting entry
     /// points whose callers own their (often freshly subtracted) pieces.
-    pub(crate) fn from_basic_owned(mut bm: BasicMap) -> Tableau {
+    pub(crate) fn from_basic_owned(mut bm: BasicMap) -> Result<Tableau> {
         let eqs = std::mem::take(&mut bm.eqs);
         let ineqs = std::mem::take(&mut bm.ineqs);
         Self::assemble(&bm, eqs, ineqs)
     }
 
-    fn assemble(bm: &BasicMap, eqs: Vec<Row>, mut ineqs: Vec<Row>) -> Tableau {
+    fn assemble(bm: &BasicMap, eqs: Vec<Row>, mut ineqs: Vec<Row>) -> Result<Tableau> {
         let n_vis = bm.div0();
         let n_div = bm.n_div();
-        let n = n_vis + n_div;
         ineqs.reserve(2 * n_div);
-        // Bracket constraints for each div: 0 <= num - den*q <= den - 1.
         for (d, def) in bm.divs.iter().enumerate() {
-            let col = n_vis + d;
-            let mut lo = def.num.clone();
-            lo[col] -= def.den;
-            let mut hi: Row = def.num.iter().map(|c| -c).collect();
-            hi[col] += def.den;
-            let k = hi.len() - 1;
-            hi[k] += def.den - 1;
-            ineqs.push(lo);
-            ineqs.push(hi);
+            ineqs.extend(div_brackets(&def.num, def.den, n_vis + d)?);
         }
-        Tableau { n, eqs, ineqs }
+        Ok(Tableau {
+            n: n_vis + n_div,
+            eqs,
+            ineqs,
+        })
     }
 
     /// Projects away *functional-window* variables, returning the exact
@@ -189,26 +188,12 @@ impl Tableau {
                     continue;
                 }
                 let (i, j) = (touching[0], touching[1]);
-                // All pair arithmetic in i128: i64::MIN coefficients must
-                // not wrap into spurious cancellations or a negative `m`.
-                let (a, b) = (self.ineqs[i][col] as i128, self.ineqs[j][col] as i128);
-                if a != -b {
+                // The pair must cancel every variable, `q` included.
+                let Some(c) = cancel_constant(&self.ineqs[i], &self.ineqs[j]) else {
                     continue;
-                }
-                let m = a.abs();
-                // The pair must cancel every variable except `q`.
-                let (ri, rj) = (&self.ineqs[i], &self.ineqs[j]);
-                let mut cancels = true;
-                for v in 0..n {
-                    if v != col && (ri[v] as i128) + (rj[v] as i128) != 0 {
-                        cancels = false;
-                        break;
-                    }
-                }
-                if !cancels {
-                    continue;
-                }
-                let w = (ri[n] as i128) + (rj[n] as i128) + 1;
+                };
+                let m = i128::from(self.ineqs[i][col].unsigned_abs());
+                let w = c + 1;
                 if w <= 0 {
                     return Ok(0); // empty window: no q exists anywhere
                 }
@@ -247,23 +232,21 @@ impl Tableau {
     /// Uses `eq` (with `eq[col] == ±1`) to substitute `col` out of every
     /// row, then removes the column. Exact for inequalities because the
     /// scale factor is one.
-    fn substitute_unit(&mut self, eq: &Row, col: usize) {
-        let mut eq = eq.clone();
-        if eq[col] < 0 {
-            for c in eq.iter_mut() {
-                *c = -*c;
-            }
-        }
+    fn substitute_unit(&mut self, eq: &Row, col: usize) -> Result<()> {
+        let eq = if eq[col] < 0 {
+            negated(eq, 0)?
+        } else {
+            eq.clone()
+        };
         debug_assert_eq!(eq[col], 1);
         for r in self.eqs.iter_mut().chain(self.ineqs.iter_mut()) {
             let c = r[col];
             if c != 0 {
-                for (ri, ei) in r.iter_mut().zip(eq.iter()) {
-                    *ri -= c * ei;
-                }
+                *r = combine(1, std::mem::take(r), c, &eq)?;
             }
         }
         self.remove_col(col);
+        Ok(())
     }
 
     /// Removes all equalities via the Omega-test reduction.
@@ -278,93 +261,49 @@ impl Tableau {
                 ));
             }
             let mut eq = self.eqs.swap_remove(0);
-            let k = self.n; // constant index within this row
-            let g = eq[..k].iter().fold(0, |a, &c| gcd(a, c));
-            if g == 0 {
-                if eq[k] != 0 {
-                    return Ok(false);
-                }
-                continue;
-            }
-            if eq[k] % g != 0 {
-                return Ok(false);
-            }
-            if g > 1 {
-                for c in eq.iter_mut() {
-                    *c /= g;
-                }
+            match reduce(&mut eq, true) {
+                Reduced::Kept => {}
+                Reduced::Trivial => continue,
+                Reduced::Infeasible => return Ok(false),
             }
             // Unit coefficient: direct substitution.
-            if let Some(col) = (0..k).find(|&i| eq[i].abs() == 1) {
-                self.substitute_unit(&eq, col);
+            let k = self.n;
+            if let Some(col) = (0..k).find(|&i| eq[i].unsigned_abs() == 1) {
+                self.substitute_unit(&eq, col)?;
                 continue;
             }
             // Pugh reduction: introduce sigma with m = |a_min| + 1.
             let col = (0..k)
                 .filter(|&i| eq[i] != 0)
-                .min_by_key(|&i| eq[i].abs())
+                .min_by_key(|&i| eq[i].unsigned_abs())
                 .expect("gcd nonzero implies a nonzero coefficient");
-            let m = eq[col].abs().checked_add(1).ok_or(Error::Overflow)?;
+            let m = i64::try_from(eq[col].unsigned_abs() + 1).map_err(|_| Error::Overflow)?;
             let sigma = self.add_col();
             eq.insert(sigma, 0);
-            let kc = self.n; // new constant index
-            let mut eq2 = Row::zeros(kc + 1);
-            for i in 0..kc {
-                if i == sigma {
-                    eq2[i] = -m;
-                } else {
-                    eq2[i] = mod_hat(eq[i], m);
-                }
-            }
-            eq2[kc] = mod_hat(eq[kc], m);
-            debug_assert_eq!(eq2[col].abs(), 1, "mod-hat of the pivot must be ±1");
-            // Substitute the pivot out of every row (including `eq`).
-            let c = eq[col];
-            let s = if eq2[col] > 0 { 1 } else { -1 };
-            let mut eq2n = eq2.clone();
-            if s < 0 {
-                for v in eq2n.iter_mut() {
-                    *v = -*v;
-                }
-            }
-            let fold = |r: &mut Row| {
-                let cc = r[col];
-                if cc != 0 {
-                    for (ri, ei) in r.iter_mut().zip(eq2n.iter()) {
-                        *ri -= cc * ei;
-                    }
-                }
-            };
-            let _ = c;
-            for r in self.eqs.iter_mut().chain(self.ineqs.iter_mut()) {
-                fold(r);
-            }
-            fold(&mut eq);
+            let mut eq2: Row = eq.iter().map(|&c| mod_hat(c, m)).collect();
+            eq2[sigma] = -m;
+            debug_assert_eq!(
+                eq2[col].unsigned_abs(),
+                1,
+                "mod-hat of the pivot must be ±1"
+            );
+            // Substitute the pivot out of every row, `eq` included.
             self.eqs.push(eq);
-            self.remove_col(col);
+            self.substitute_unit(&eq2, col)?;
         }
         Ok(true)
     }
 
     /// Drops trivial rows; returns `false` on a syntactic contradiction.
     fn normalize_ineqs(&mut self) -> bool {
-        let k = self.n;
         let mut ok = true;
-        self.ineqs.retain_mut(|r| {
-            let g = r[..k].iter().fold(0, |a, &c| gcd(a, c));
-            if g == 0 {
-                if r[k] < 0 {
-                    ok = false;
-                }
-                return false;
+        self.ineqs.retain_mut(|r| match reduce(r, false) {
+            Reduced::Kept => true,
+            Reduced::Trivial => false,
+            Reduced::Infeasible => {
+                ok = false;
+                false
             }
-            if g > 1 {
-                for c in r[..k].iter_mut() {
-                    *c /= g;
-                }
-                r[k] = floor_div(r[k], g);
-            }
-            true
         });
         self.ineqs.sort();
         self.ineqs.dedup();
@@ -392,23 +331,10 @@ impl Tableau {
             }
             for l in &lowers {
                 for u in &uppers {
-                    let a = l[v] as i128;
-                    let b = -(u[v] as i128);
-                    let mut row = Row::with_capacity(n + 1);
-                    let mut ok = true;
-                    for (x, y) in l.iter().zip(u.iter()) {
-                        let val = b * (*x as i128) + a * (*y as i128);
-                        match i64::try_from(val) {
-                            Ok(v) => row.push(v),
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ok {
+                    // A combination that leaves i64 is not derived.
+                    let Ok(row) = combine(l[v], (*u).clone(), u[v], l) else {
                         continue;
-                    }
+                    };
                     let nonzero = (0..n).filter(|&j| row[j] != 0).count();
                     if nonzero == 1 && !self.ineqs.contains(&row) && !derived.contains(&row) {
                         derived.push(row);
@@ -540,7 +466,8 @@ fn tighten(a: i64, rest_max: i128, b: &mut Interval) -> bool {
 /// Maximum of row `r` over `bounds` with variable `skip` left out: its
 /// constant plus each other term at the bound that maximizes it. `None`
 /// when that bound is open or the checked sum leaves i128; the row then
-/// implies nothing about `skip`.
+/// implies nothing about `skip`. Each bound lies within ±2^63, so each
+/// term fits in i128.
 fn rest_max(r: &[i64], skip: usize, bounds: &[Interval]) -> Option<i128> {
     let n = bounds.len();
     let mut sum = r[n] as i128;
@@ -549,7 +476,7 @@ fn rest_max(r: &[i64], skip: usize, bounds: &[Interval]) -> Option<i128> {
             continue;
         }
         let x = if a > 0 { hi? } else { lo? };
-        sum = sum.checked_add((a as i128).checked_mul(x)?)?;
+        sum = sum.checked_add(i128::from(a) * x)?;
     }
     Some(sum)
 }
@@ -657,13 +584,12 @@ const HALFSPACE_ENUM_LIMIT: u128 = 2_000_000;
 /// factor of untouched variables is applied by the caller. Dimensions
 /// beyond the last two are enumerated (cheap offset arithmetic only); the
 /// final two collapse to a closed form built on [`floor_sum`].
-fn count_halfspace_rec(vars: &[(i128, i128, i64)], c: i128) -> Result<u128> {
+fn count_halfspace_rec(vars: &[(i128, i128, i128)], c: i128) -> Result<u128> {
     match vars {
         [] => Ok((c >= 0) as u128),
         [(lo, hi, a)] => {
             // a·x + c >= 0 over [lo, hi].
-            let (mut lo, mut hi) = (*lo, *hi);
-            let a = *a as i128;
+            let (mut lo, mut hi, a) = (*lo, *hi, *a);
             if a > 0 {
                 lo = lo.max(cd128(-c, a));
             } else {
@@ -673,8 +599,8 @@ fn count_halfspace_rec(vars: &[(i128, i128, i64)], c: i128) -> Result<u128> {
         }
         [(x0, x1, xa), (y0, y1, ya)] => {
             // Normalize both coefficients positive by mirroring axes.
-            let (mut x0, mut x1, mut a) = (*x0, *x1, *xa as i128);
-            let (mut y0, mut y1, mut b) = (*y0, *y1, *ya as i128);
+            let (mut x0, mut x1, mut a) = (*x0, *x1, *xa);
+            let (mut y0, mut y1, mut b) = (*y0, *y1, *ya);
             if a < 0 {
                 (x0, x1, a) = (-x1, -x0, -a);
             }
@@ -720,7 +646,7 @@ fn count_halfspace_rec(vars: &[(i128, i128, i64)], c: i128) -> Result<u128> {
             // Enumerate the trailing variable; the caller sorts widest
             // ranges first so the two closed-form positions absorb the
             // bulk of the volume and enumeration stays shallow.
-            let (lo, hi, a) = (last.0, last.1, last.2 as i128);
+            let (lo, hi, a) = *last;
             let mut total: u128 = 0;
             for v in lo..=hi {
                 let off = a
@@ -1174,8 +1100,10 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     // Derive bounds implied by the slab rows for variables the box leaves
     // open (e.g. the triangle `0 <= x, 0 <= y, x + y <= 3` bounds x and y
     // only through the wide row). Two passes propagate chains; an
-    // emptied interval is left for `count_multi_slab` to report.
-    propagate(&wide, &mut bounds, 2);
+    // emptied interval means no point.
+    if !propagate(&wide, &mut bounds, 2) {
+        return Ok(Some(0));
+    }
     count_multi_slab(&bounds, &groups, limit, work)
 }
 
@@ -1232,16 +1160,11 @@ fn count_multi_slab(
         return Ok(None);
     }
     let n = bounds.len();
-    // Every slab variable must be boxed, and every coefficient negatable.
+    // Every slab variable must be boxed.
     for g in groups {
         for (v, &b) in bounds.iter().enumerate() {
-            if g.dir[v] == 0 {
-                continue;
-            }
-            match b {
-                (Some(l), Some(h)) if h < l => return Ok(Some(0)),
-                (Some(_), Some(_)) if g.dir[v] != i64::MIN => {}
-                _ => return Ok(None),
+            if g.dir[v] != 0 && !matches!(b, (Some(_), Some(_))) {
+                return Ok(None);
             }
         }
     }
@@ -1401,7 +1324,7 @@ fn count_multi_slab(
     // Odometer over E.
     let mut point: Vec<i128> = enum_vars.iter().map(|&v| bounds[v].0.unwrap()).collect();
     let mut tb: Vec<(i128, i128)> = vec![(0, 0); n]; // tightened bounds, by var
-    let mut triples: Vec<(i128, i128, i64)> = Vec::new();
+    let mut triples: Vec<(i128, i128, i128)> = Vec::new();
     let mut kept_shifts: Vec<i128> = vec![0; kept.len()];
     let mut total: u128 = 0;
     'outer: loop {
@@ -1469,7 +1392,11 @@ fn count_multi_slab(
                             .map(|&v| (dir[v] as i128, tb[v].0, tb[v].1)),
                     )?;
                     triples.clear();
-                    triples.extend(kept_r[ki].iter().map(|&v| (tb[v].0, tb[v].1, -dir[v])));
+                    triples.extend(
+                        kept_r[ki]
+                            .iter()
+                            .map(|&v| (tb[v].0, tb[v].1, -i128::from(dir[v]))),
+                    );
                     let lo = windows[kj]
                         .0
                         .checked_sub(kept_shifts[ki])
@@ -1662,13 +1589,13 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
 /// Counts a borrowed basic map, stopping early once `limit` points are
 /// known to exist (`limit` is only used for emptiness-style probes).
 pub(crate) fn count_basic_limited(bm: &BasicMap, limit: Option<u128>) -> Result<u128> {
-    count_tableau(Tableau::from_basic(bm), limit)
+    count_tableau(Tableau::from_basic(bm)?, limit)
 }
 
 /// Exactly counts an owned basic map, moving its rows into the tableau
 /// (no per-row copies).
 pub(crate) fn count_basic_owned(bm: BasicMap) -> Result<u128> {
-    count_tableau(Tableau::from_basic_owned(bm), None)
+    count_tableau(Tableau::from_basic_owned(bm)?, None)
 }
 
 fn count_tableau(mut t: Tableau, limit: Option<u128>) -> Result<u128> {
@@ -1687,7 +1614,7 @@ pub(crate) fn basic_is_empty(bm: &BasicMap) -> Result<bool> {
 /// Best-known finite range of a visible variable column.
 /// Fails with [`Error::Overflow`] when a bound lies outside i64.
 pub(crate) fn var_range(bm: &BasicMap, col: usize) -> Result<(i64, i64)> {
-    match Tableau::from_basic(bm).propagate_bounds()[col] {
+    match Tableau::from_basic(bm)?.propagate_bounds()[col] {
         (Some(l), Some(h)) => Ok((to_i64(l)?, to_i64(h)?)),
         _ => Err(Error::Unbounded(format!(
             "variable {col} has no finite range"
@@ -1708,89 +1635,72 @@ pub(crate) fn basic_points_visit(
     bm: &BasicMap,
     sink: &mut dyn FnMut(&[i64]) -> Result<()>,
 ) -> Result<()> {
+    let t = Tableau::from_basic(bm)?;
+    let n = t.n;
+    let global = t.propagate_bounds();
+    // An equality enters as two opposite inequalities.
+    let mut rows = t.ineqs;
+    for e in t.eqs {
+        rows.push(negated(&e, 0)?);
+        rows.push(e);
+    }
+    // The point carries a trailing 1 so [`value`] adds each constant in.
+    let mut point = vec![0; n + 1];
+    point[n] = 1;
     let n_vis = bm.div0();
-    let t = Tableau::from_basic(bm);
-    let mut point = vec![0i64; t.n];
-    let mut ranges = None;
-    enum_rec(&t, 0, &mut point, sink, n_vis, &mut ranges)
+    enum_rec(
+        &rows,
+        &global,
+        &mut vec![(None, None); n],
+        &mut point,
+        0,
+        &mut |p| sink(&p[..n_vis]),
+    )
 }
 
+/// Visits every point of `rows` (each `row >= 0`) that extends the pinned
+/// prefix `point[..depth]`, which `pinned` holds as one-value intervals
+/// (the columns from `depth` on are open there). Column `depth` ranges
+/// over its propagated `global` interval, tightened by [`tighten`] with
+/// the [`rest_max`] of every row whose other columns are all pinned.
 fn enum_rec(
-    t: &Tableau,
+    rows: &[Row],
+    global: &[Interval],
+    pinned: &mut [Interval],
+    point: &mut [i64],
     depth: usize,
-    point: &mut Vec<i64>,
     sink: &mut dyn FnMut(&[i64]) -> Result<()>,
-    n_vis: usize,
-    // The propagated global ranges are a function of `t` alone, but cost
-    // real work; they are computed lazily at most once per enumeration
-    // and shared down the whole tree (they used to be recomputed at every
-    // node that needed the fallback, which dominated `points()` time).
-    ranges: &mut Option<Vec<Interval>>,
 ) -> Result<()> {
-    if depth == t.n {
-        // Verify equalities and inequalities exactly.
-        let eval = |r: &Row| -> i128 {
-            let mut s = r[t.n] as i128;
-            for j in 0..t.n {
-                s += (r[j] as i128) * (point[j] as i128);
-            }
-            s
-        };
-        if t.eqs.iter().all(|r| eval(r) == 0) && t.ineqs.iter().all(|r| eval(r) >= 0) {
-            sink(&point[..n_vis])?;
-        }
-        return Ok(());
-    }
-    // Partially substituted system: derive bounds for `depth` given the
-    // fixed prefix, using rows whose later variables are all zero.
-    let mut lo = i64::MIN;
-    let mut hi = i64::MAX;
-    let bound = |r: &Row, is_eq: bool, lo: &mut i64, hi: &mut i64| -> Result<()> {
-        let a = r[depth];
-        if a == 0 || (depth + 1..t.n).any(|j| r[j] != 0) {
-            return Ok(());
-        }
-        let mut c = r[t.n] as i128;
-        for j in 0..depth {
-            c += (r[j] as i128) * (point[j] as i128);
-        }
-        let c = i64::try_from(c).map_err(|_| Error::Overflow)?;
-        if a > 0 {
-            *lo = (*lo).max(ceil_div(-c, a));
-            if is_eq {
-                *hi = (*hi).min(floor_div(-c, a));
-            }
-        } else {
-            *hi = (*hi).min(floor_div(-c, a));
-            if is_eq {
-                *lo = (*lo).max(ceil_div(-c, a));
+    if depth == global.len() {
+        for r in rows {
+            if value(r, point)? < 0 {
+                return Ok(());
             }
         }
-        Ok(())
-    };
-    for r in &t.ineqs {
-        bound(r, false, &mut lo, &mut hi)?;
+        return sink(point);
     }
-    for r in &t.eqs {
-        bound(r, true, &mut lo, &mut hi)?;
-    }
-    // Also use the global propagated ranges as a backstop.
-    if lo == i64::MIN || hi == i64::MAX {
-        if let (Some(l), Some(h)) = ranges.get_or_insert_with(|| t.propagate_bounds())[depth] {
-            lo = lo.max(to_i64(l)?);
-            hi = hi.min(to_i64(h)?);
+    let mut range = global[depth];
+    for r in rows {
+        if r[depth] != 0 {
+            if let Some(rest) = rest_max(r, depth, pinned) {
+                tighten(r[depth], rest, &mut range);
+            }
         }
     }
-    if lo == i64::MIN || hi == i64::MAX {
+    let (Some(lo), Some(hi)) = range else {
         return Err(Error::Unbounded(format!(
             "variable {depth} unbounded during enumeration"
         )));
+    };
+    if lo > hi {
+        return Ok(());
     }
-    for v in lo..=hi {
+    for v in to_i64(lo)?..=to_i64(hi)? {
         point[depth] = v;
-        enum_rec(t, depth + 1, point, sink, n_vis, ranges)?;
+        pinned[depth] = (Some(v.into()), Some(v.into()));
+        enum_rec(rows, global, pinned, point, depth + 1, sink)?;
     }
-    point[depth] = 0;
+    pinned[depth] = (None, None);
     Ok(())
 }
 

@@ -42,11 +42,15 @@
 //! modular reduction, unit-coefficient Fourier–Motzkin and (for bounded
 //! variables) finite splitting; composition through a disjunct that is the
 //! graph of an integer affine function of its inputs substitutes that
-//! function instead of projecting (isl's preimage by an affine function),
-//! in checked arithmetic that reports [`Error::Overflow`] rather than
-//! wrapping; counting uses bijective equality elimination,
+//! function instead of projecting (isl's preimage by an affine function);
+//! counting uses bijective equality elimination,
 //! independent-component factoring, closed forms, and enumeration with
-//! bound propagation. Unbounded sets are rejected with
+//! bound propagation. All row arithmetic is checked, not only
+//! composition's: each constraint-row operation (combination, value at a
+//! point, negation, div brackets, the constant of two cancelling rows,
+//! gcd normalization) has one implementation, and a coefficient or value
+//! that would leave its integer type is reported as [`Error::Overflow`]
+//! rather than wrapped. Unbounded sets are rejected with
 //! [`Error::Unbounded`] rather than silently approximated.
 //!
 //! # Performance layer

@@ -5,6 +5,7 @@ use crate::basic::{BasicMap, Row};
 use crate::cache::{self, OpKind};
 use crate::count;
 use crate::project::eliminate_vars;
+use crate::row::negated;
 use crate::set::Set;
 use crate::space::{Space, Tuple};
 use crate::{Error, Result};
@@ -454,11 +455,7 @@ impl Map {
             .iter()
             .map(|b| {
                 let mut nb = b.clone();
-                let mut eq = nb.zero_row();
-                eq[col] = 1;
-                let k = nb.konst();
-                eq[k] = -val;
-                nb.add_eq(eq);
+                nb.add_fix(col, val);
                 nb
             })
             .collect();
@@ -744,11 +741,11 @@ pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>
     // Collect c's constraints as inequality rows in base's layout.
     let mut cons: Vec<Row> = Vec::new();
     for r in &c.ineqs {
-        cons.push(base.translate_row(c, &var_map, &div_map, r));
+        cons.push(base.translate_row(c, &var_map, &div_map, r)?);
     }
     for r in &c.eqs {
-        let row = base.translate_row(c, &var_map, &div_map, r);
-        let neg: Row = row.iter().map(|v| -v).collect();
+        let row = base.translate_row(c, &var_map, &div_map, r)?;
+        let neg = negated(&row, 0)?;
         cons.push(row);
         cons.push(neg);
     }
@@ -757,10 +754,7 @@ pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>
     let mut cur = base;
     for t in cons {
         let mut piece = cur.clone();
-        let mut neg: Row = t.iter().map(|v| -v).collect();
-        let k = piece.konst();
-        neg[k] -= 1;
-        piece.add_ineq(neg);
+        piece.add_ineq(negated(&t, -1)?);
         if piece.simplify() && !count::basic_is_empty(&piece)? {
             piece.drop_unused_divs();
             pieces.push(piece);

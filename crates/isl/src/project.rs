@@ -32,11 +32,12 @@
 
 use crate::basic::{BasicMap, Row};
 use crate::count::var_range;
+use crate::row::{cancel_constant, combine, div_brackets, negated};
 use crate::value::gcd;
 use crate::{Error, Result};
 
 /// Upper bound on how many values a split (ladder step 5) may enumerate.
-const SPLIT_LIMIT: i64 = 4096;
+const SPLIT_LIMIT: i128 = 4096;
 /// Upper bound on the total number of pieces produced by one projection.
 const PIECE_LIMIT: usize = 1 << 16;
 
@@ -98,10 +99,10 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
     let cyclic_div =
         |eq: &Row, col| (0..bm.n_div()).find(|&d| eq[div0 + d] != 0 && bm.div_depends_on(d, col));
     // (target idx, eq idx, |coef|, div to expand first)
-    let mut best: Option<(usize, usize, i64, Option<usize>)> = None;
+    let mut best: Option<(usize, usize, u64, Option<usize>)> = None;
     for (ti, &col) in targets.iter().enumerate() {
         for (ei, eq) in bm.eqs.iter().enumerate() {
-            let a = eq[col].abs();
+            let a = eq[col].unsigned_abs();
             if a == 0 || best.is_some_and(|(_, _, b, bd)| a > b || (a == b && bd.is_none())) {
                 continue;
             }
@@ -117,7 +118,7 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
         // which (transitively) depends on `col` would create a cyclic div
         // definition. Expand such divs into ordinary variables first.
         if let Some(d) = cyclic {
-            let new_col = div_to_var(bm, d);
+            let new_col = div_to_var(bm, d)?;
             shift_targets(targets, new_col);
             targets.push(new_col);
             return Ok(Step::Continue);
@@ -131,12 +132,7 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
         }
         // Non-unit equality: eliminate from other rows, then record the
         // divisibility condition a | e  (where  a·x + e = 0, a > 0).
-        let mut eq = eq;
-        if eq[col] < 0 {
-            for c in eq.iter_mut() {
-                *c = c.checked_neg().ok_or(Error::Overflow)?;
-            }
-        }
+        let eq = if eq[col] < 0 { negated(&eq, 0)? } else { eq };
         let a = eq[col];
         bm.eliminate_using_eq(&eq, col)?;
         // Divs may still syntactically mention col only through eq itself;
@@ -225,23 +221,9 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
         // multiple of a, so an integer solution exists for every outer
         // point (the dark-shadow special case).
         let pair_exact = |l: &Row, u: &Row| -> bool {
-            if l[col] == 1 || u[col] == -1 {
-                return true;
-            }
-            if l[col] != -u[col] {
-                return false;
-            }
-            let k_col = l.len() - 1;
-            let mut k = 0i64;
-            for i in 0..=k_col {
-                let s = l[i] + u[i];
-                if i == k_col {
-                    k = s;
-                } else if s != 0 && i != col {
-                    return false;
-                }
-            }
-            k >= l[col] - 1
+            l[col] == 1
+                || u[col] == -1
+                || cancel_constant(l, u).is_some_and(|k| k >= i128::from(l[col]) - 1)
         };
         let exact = lowers.iter().all(|&l| {
             uppers
@@ -274,8 +256,8 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
     // bounds, so expansion unblocks exact FM. (Non-unit references are
     // left alone — expanding those can ping-pong forever.)
     for &col in targets.iter() {
-        if let Some(d) = (0..bm.n_div()).find(|&d| bm.divs[d].num[col].abs() == 1) {
-            let new_col = div_to_var(bm, d);
+        if let Some(d) = (0..bm.n_div()).find(|&d| bm.divs[d].num[col].unsigned_abs() == 1) {
+            let new_col = div_to_var(bm, d)?;
             shift_targets(targets, new_col);
             targets.push(new_col);
             return Ok(Step::Continue);
@@ -285,9 +267,10 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
     // constant substitutes cleanly into numerators). Split the target with
     // the smallest finite range.
     let mut best: Option<(usize, i64, i64)> = None;
+    let width = |lo: i64, hi: i64| i128::from(hi) - i128::from(lo);
     for (ti, &col) in targets.iter().enumerate() {
         if let Ok((lo, hi)) = var_range(bm, col) {
-            if best.is_none_or(|(_, bl, bh)| hi - lo < bh - bl) {
+            if best.is_none_or(|(_, bl, bh)| width(lo, hi) < width(bl, bh)) {
                 best = Some((ti, lo, hi));
             }
         }
@@ -296,16 +279,12 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
         if hi < lo {
             return Ok(Step::Empty);
         }
-        if hi - lo < SPLIT_LIMIT {
+        if width(lo, hi) < SPLIT_LIMIT {
             let col = targets[ti];
             let mut pieces = Vec::with_capacity((hi - lo + 1) as usize);
             for v in lo..=hi {
                 let mut p = bm.clone();
-                let mut eq = p.zero_row();
-                eq[col] = 1;
-                let k = p.konst();
-                eq[k] = -v;
-                p.add_eq(eq);
+                p.add_fix(col, v);
                 pieces.push(p);
             }
             return Ok(Step::Split(pieces));
@@ -315,7 +294,7 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
     // some huge-range target, then retry.
     for &col in targets.iter() {
         if let Some(d) = (0..bm.n_div()).find(|&d| bm.divs[d].num[col] != 0) {
-            let new_col = div_to_var(bm, d);
+            let new_col = div_to_var(bm, d)?;
             shift_targets(targets, new_col);
             targets.push(new_col);
             return Ok(Step::Continue);
@@ -332,28 +311,15 @@ fn eliminate_one(bm: &mut BasicMap, targets: &mut Vec<usize>) -> Result<Step> {
 /// Returns the div numerator (`f` with the `col` coefficient cleared) and
 /// denominator `a`.
 fn find_sandwich(bm: &BasicMap, col: usize) -> Option<(Row, i64)> {
-    let k_col = bm.konst();
     for l in &bm.ineqs {
         let a = l[col];
         if a <= 1 {
             continue; // a == 1 is already handled exactly by FM
         }
         for u in &bm.ineqs {
-            if u[col] != -a {
-                continue;
-            }
-            let mut cancels = true;
-            let mut k = 0i64;
-            for i in 0..=k_col {
-                let s = l[i] + u[i];
-                if i == k_col {
-                    k = s;
-                } else if s != 0 {
-                    cancels = false;
-                    break;
-                }
-            }
-            if cancels && (0..a).contains(&k) {
+            if u[col] == -a
+                && cancel_constant(l, u).is_some_and(|k| (0..i128::from(a)).contains(&k))
+            {
                 let mut num = u.clone();
                 num[col] = 0;
                 return Some((num, a));
@@ -379,18 +345,12 @@ fn fourier_motzkin(bm: &mut BasicMap, col: usize) -> Result<()> {
     };
     bm.ineqs.retain(|r| r[col] == 0);
     for l in &lowers {
-        let a = l[col];
         for u in &uppers {
-            let b = -u[col];
             debug_assert!(
-                a == 1 || b == 1 || a == b,
+                l[col] == 1 || u[col] == -1 || i128::from(l[col]) == -i128::from(u[col]),
                 "FM exactness precondition violated"
             );
-            let mut row = Row::with_capacity(l.len());
-            for (x, y) in l.iter().zip(u.iter()) {
-                let v = (b as i128) * (*x as i128) + (a as i128) * (*y as i128);
-                row.push(i64::try_from(v).map_err(|_| Error::Overflow)?);
-            }
+            let row = combine(l[col], u.clone(), u[col], l)?;
             debug_assert_eq!(row[col], 0);
             bm.add_ineq(row);
         }
@@ -400,7 +360,7 @@ fn fourier_motzkin(bm: &mut BasicMap, col: usize) -> Result<()> {
 
 /// Converts div `d_idx` into a fresh output variable with bracket
 /// constraints; returns the new variable's column index.
-pub(crate) fn div_to_var(bm: &mut BasicMap, d_idx: usize) -> usize {
+pub(crate) fn div_to_var(bm: &mut BasicMap, d_idx: usize) -> Result<usize> {
     let def = bm.divs[d_idx].clone();
     let div0 = bm.div0();
     let new_col = div0;
@@ -411,16 +371,14 @@ pub(crate) fn div_to_var(bm: &mut BasicMap, d_idx: usize) -> usize {
         .output
         .dims
         .push(name);
-    let old_div_col = bm.div0() + d_idx; // div block shifted right by one
-                                         // Move every reference from the old div column to the new variable.
+    // The div block shifted right by one. Move every reference from the
+    // old div column to the new variable's (still zero) column.
+    let old_div_col = bm.div0() + d_idx;
     for r in bm.eqs.iter_mut().chain(bm.ineqs.iter_mut()) {
-        r[new_col] += r[old_div_col];
-        r[old_div_col] = 0;
+        r.swap(new_col, old_div_col);
     }
     for d in bm.divs.iter_mut() {
-        let c = d.num[old_div_col];
-        d.num[new_col] += c;
-        d.num[old_div_col] = 0;
+        d.num.swap(new_col, old_div_col);
     }
     // Widen the captured definition to the post-insert layout and drop the
     // old column reference (a div never references itself).
@@ -429,16 +387,10 @@ pub(crate) fn div_to_var(bm: &mut BasicMap, d_idx: usize) -> usize {
     debug_assert_eq!(num[old_div_col], 0);
     bm.remove_div(d_idx);
     num.remove(old_div_col);
-    // Bracket constraints: 0 <= num - den*z <= den - 1.
-    let mut lo = num.clone();
-    lo[new_col] -= def.den;
-    let mut hi: Row = num.iter().map(|c| -c).collect();
-    hi[new_col] += def.den;
-    let k = hi.len() - 1;
-    hi[k] += def.den - 1;
-    bm.add_ineq(lo);
-    bm.add_ineq(hi);
-    new_col
+    for r in div_brackets(&num, def.den, new_col)? {
+        bm.add_ineq(r);
+    }
+    Ok(new_col)
 }
 
 fn fresh_name(bm: &BasicMap) -> String {

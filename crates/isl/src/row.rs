@@ -14,7 +14,16 @@
 //! equality, and hashing are element-wise over the logical contents, which
 //! makes rows (and the [`crate::BasicMap`]s containing them) usable as
 //! structural cache keys.
+//!
+//! The row arithmetic the library needs lives here, once each: the
+//! combination [`combine`], the value at a point [`value`], negation and
+//! complement [`negated`], a div's [`div_brackets`], the constant of two
+//! cancelling rows [`cancel_constant`], and gcd normalization [`reduce`].
+//! Every one is checked: an entry that would leave i64, or a sum that
+//! would leave i128, fails with [`Error::Overflow`] instead of wrapping.
 
+use crate::value::{floor_div, gcd};
+use crate::{Error, Result};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -296,6 +305,104 @@ impl<'a> IntoIterator for &'a Row {
     }
 }
 
+/// `p·r - q·s`, entry by entry, written over `r`. With `p = s[j]` and
+/// `q = r[j]` it is the combination of `r` and `s` that cancels column `j`.
+/// Each entry is exact in i128 (two i64 products differ by less than
+/// 2^127) and fails with [`Error::Overflow`] when it leaves i64.
+#[inline]
+pub(crate) fn combine(p: i64, mut r: Row, q: i64, s: &[i64]) -> Result<Row> {
+    debug_assert_eq!(r.len(), s.len());
+    for (a, &b) in r.iter_mut().zip(s) {
+        let v = i128::from(p) * i128::from(*a) - i128::from(q) * i128::from(b);
+        *a = i64::try_from(v).map_err(|_| Error::Overflow)?;
+    }
+    Ok(r)
+}
+
+/// The value `Σ r[i]·x[i]` of row `r` at the column vector `x`, whose last
+/// entry is 1 so that `r`'s constant adds in.
+#[inline]
+pub(crate) fn value(r: &[i64], x: &[i64]) -> Result<i128> {
+    debug_assert_eq!(r.len(), x.len());
+    r.iter().zip(x).try_fold(0i128, |sum, (&a, &b)| {
+        sum.checked_add(i128::from(a) * i128::from(b))
+            .ok_or(Error::Overflow)
+    })
+}
+
+/// `plus - r`: the row negated, with `plus` added to its constant (the
+/// last entry). `negated(r, 0)` is the opposite row, and `negated(t, -1)`
+/// the complement of `t >= 0`, `-t - 1 >= 0`.
+#[inline]
+pub(crate) fn negated(r: &[i64], plus: i64) -> Result<Row> {
+    let k = r.len() - 1;
+    let mut out = Row::zeros(r.len());
+    for (o, &c) in out[..k].iter_mut().zip(r) {
+        *o = c.checked_neg().ok_or(Error::Overflow)?;
+    }
+    out[k] = i64::try_from(i128::from(plus) - i128::from(r[k])).map_err(|_| Error::Overflow)?;
+    Ok(out)
+}
+
+/// The bracket rows of a div `q = floor(num / den)` held in column `col`:
+/// `num - den·q >= 0` and `den - 1 - (num - den·q) >= 0`.
+pub(crate) fn div_brackets(num: &[i64], den: i64, col: usize) -> Result<[Row; 2]> {
+    let mut lo = Row::from_slice(num);
+    lo[col] = lo[col].checked_sub(den).ok_or(Error::Overflow)?;
+    let hi = negated(&lo, den - 1)?;
+    Ok([lo, hi])
+}
+
+/// The constant of `l + u` when the two rows cancel at every variable
+/// column (the constant is last), or `None` when they do not.
+#[inline]
+pub(crate) fn cancel_constant(l: &[i64], u: &[i64]) -> Option<i128> {
+    let k = l.len() - 1;
+    let sum = |a: i64, b: i64| i128::from(a) + i128::from(b);
+    let cancels = l[..k].iter().zip(&u[..k]).all(|(&a, &b)| sum(a, b) == 0);
+    cancels.then(|| sum(l[k], u[k]))
+}
+
+/// What [`reduce`] left of a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reduced {
+    /// The row still constrains some variable.
+    Kept,
+    /// The row has no variable and holds everywhere.
+    Trivial,
+    /// The row holds nowhere.
+    Infeasible,
+}
+
+/// gcd normalization of a row (the constant last), `r == 0` when `eq`,
+/// else `r >= 0`: divides the variable coefficients by their gcd `g`. An
+/// equality needs a constant divisible by `g`; an inequality's constant
+/// rounds down, since `g·e + c >= 0` holds exactly when `e + floor(c/g)
+/// >= 0` over the integers.
+#[inline]
+pub(crate) fn reduce(r: &mut [i64], eq: bool) -> Reduced {
+    let k = r.len() - 1;
+    let g = r[..k].iter().fold(0, |acc, &c| gcd(acc, c));
+    if g == 0 {
+        let holds = if eq { r[k] == 0 } else { r[k] >= 0 };
+        return if holds {
+            Reduced::Trivial
+        } else {
+            Reduced::Infeasible
+        };
+    }
+    if eq && r[k] % g != 0 {
+        return Reduced::Infeasible;
+    }
+    if g > 1 {
+        for c in &mut r[..k] {
+            *c /= g;
+        }
+        r[k] = floor_div(r[k], g);
+    }
+    Reduced::Kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +457,56 @@ mod tests {
         };
         assert_eq!(h(&small), h(&spilled));
         assert!(Row::from_slice(&[1, 2]) < Row::from_slice(&[1, 3]));
+    }
+
+    #[test]
+    fn arithmetic_is_checked() {
+        let (m, n) = (i64::MAX, i64::MIN);
+        assert_eq!(
+            combine(2, Row::from_slice(&[1, 3]), 1, &[2, 6])
+                .unwrap()
+                .as_slice(),
+            &[0, 0]
+        );
+        assert_eq!(
+            combine(1, Row::from_slice(&[0, 1]), 1 << 32, &[1, 1 << 32]),
+            Err(Error::Overflow)
+        );
+        assert_eq!(
+            combine(-1, Row::from_slice(&[n]), 0, &[0]),
+            Err(Error::Overflow)
+        );
+        assert_eq!(
+            combine(m, Row::from_slice(&[m]), m, &[m - 1])
+                .unwrap()
+                .as_slice(),
+            &[m]
+        );
+        assert_eq!(value(&[m, m, 1], &[m, -m, 1]), Ok(1));
+        assert_eq!(
+            value(&[m, m, m, m, 0], &[m, m, m, m, 1]),
+            Err(Error::Overflow)
+        );
+        assert_eq!(negated(&[1, -2, 5], -1).unwrap().as_slice(), &[-1, 2, -6]);
+        assert_eq!(negated(&[n, 0], 0), Err(Error::Overflow));
+        assert_eq!(negated(&[1, -m], 1), Err(Error::Overflow));
+        assert_eq!(negated(&[1, n], -1).unwrap().as_slice(), &[-1, m]);
+        let [lo, hi] = div_brackets(&[1, 0, 3], 4, 1).unwrap();
+        assert_eq!(
+            (lo.as_slice(), hi.as_slice()),
+            (&[1, -4, 3][..], &[-1, 4, 0][..])
+        );
+        assert_eq!(cancel_constant(&[n, 2, m], &[n, -2, m]), None);
+        assert_eq!(
+            cancel_constant(&[m, -2, m], &[-m, 2, m]),
+            Some(2 * i128::from(m))
+        );
+        let mut r = [4, -6, 7];
+        assert_eq!(reduce(&mut r, false), Reduced::Kept);
+        assert_eq!(r, [2, -3, 3]);
+        assert_eq!(reduce(&mut [4, -6, 7], true), Reduced::Infeasible);
+        assert_eq!(reduce(&mut [0, 0, -1], false), Reduced::Infeasible);
+        assert_eq!(reduce(&mut [0, 0, 0], true), Reduced::Trivial);
     }
 
     #[test]

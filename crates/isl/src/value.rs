@@ -64,8 +64,8 @@ pub fn mod_floor(a: i64, b: i64) -> i64 {
 /// Panics if `m <= 0`.
 pub fn mod_hat(a: i64, m: i64) -> i64 {
     assert!(m > 0, "mod_hat requires a positive modulus");
-    let r = mod_floor(a, m);
-    if 2 * r > m {
+    let r = a.rem_euclid(m);
+    if r > m - r {
         r - m
     } else {
         r

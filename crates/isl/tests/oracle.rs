@@ -33,14 +33,22 @@ fn for_each_point(d: usize, lo: i64, hi: i64, mut f: impl FnMut(&[i64])) {
     }
 }
 
-/// Brute-force point count over the bounding box `[lo, hi]^d`, using only
-/// `contains_point`.
-fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
-    let mut count = 0u128;
+/// Brute-force points of `s` in the bounding box `[lo, hi]^d`, sorted,
+/// found using only `contains_point`.
+fn scan_points(s: &Set, lo: i64, hi: i64) -> Vec<Vec<i64>> {
+    let mut points = Vec::new();
     for_each_point(s.n_dim(), lo, hi, |p| {
-        count += u128::from(s.contains_point(p).unwrap());
+        if s.contains_point(p).unwrap() {
+            points.push(p.to_vec());
+        }
     });
-    count
+    points.sort();
+    points
+}
+
+/// Brute-force point count over the bounding box `[lo, hi]^d`.
+fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
+    scan_points(s, lo, hi).len() as u128
 }
 
 /// Serializes tests that toggle the global cache-enabled flag.
@@ -312,12 +320,14 @@ fn multi_slab_fast_path_taken_and_exact() {
 // Five shape classes — window, box, slab, coupled-slab, pair-chain — are
 // generated over 1–5 dimensions with the bounding window shrunk as the
 // dimension grows (the brute-force oracle scans the full window). Every
-// case checks `card` against `count_by_points` cold (cache off) and warm
-// (second run against populated tables). The `wide` class puts i64-extreme
-// bounds and one i64-extreme coefficient on sets that stay inside the
-// window; there `card` may also refuse with `Overflow` or `TooComplex`,
-// but never return another number. `TENET_ORACLE_DEEP=1` grows the corpus
-// from 64 to 500 cases per class (the CI oracle-deep job).
+// case checks `card` and `points` against the `scan_points` scan cold
+// (cache off) and warm (second run against populated tables). The `wide`
+// class puts i64-extreme bounds and one i64-extreme coefficient on sets
+// that stay inside the window, and the `wide-eq` class an equality whose
+// substitution multiplies two i64-extreme coefficients; there `card` and
+// `points` may also refuse with a structured error, but never return
+// another answer. `TENET_ORACLE_DEEP=1` grows the corpus from 64 to 500
+// cases per class (the CI oracle-deep job).
 // ---------------------------------------------------------------------------
 
 /// splitmix64: tiny, seedable, and identical on every platform.
@@ -544,9 +554,60 @@ fn gen_wide_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
     format!("{{ A[{}] : {} }}", dims.join(", "), cons.join(" and "))
 }
 
-/// Differentially checks every generated case: `card` (cold and warm)
-/// against the `contains_point` scan of the full window. With
-/// `may_refuse`, `card` may instead fail with `Overflow` or `TooComplex`.
+/// An equality whose unit-pivot substitution multiplies two i64-extreme
+/// coefficients, as in `substituted_equalities_count_exactly_or_refuse`:
+/// `x - y + H·z = c` with `z` confined to `{0, 1}` and every other dim
+/// boxed in the window, so `z = 1` puts `x - y` far outside it and every
+/// point lies in it. A second row weights `x` by another extreme `H2`
+/// (and `y` by `-H2` or a small coefficient); one case in two adds a slab
+/// on two dims.
+fn gen_wide_eq_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
+    const HUGE: [i64; 4] = [1 << 32, 3 << 40, 1 << 62, i64::MAX];
+    let huge = |rng: &mut Rng| HUGE[rng.below(4) as usize];
+    let x = rng.below(d as u64) as usize;
+    let y = (x + 1 + rng.below(d as u64 - 1) as usize) % d;
+    let z = (0..d).find(|&v| v != x && v != y).unwrap();
+    let mut cons: Vec<String> = (0..d)
+        .map(|v| {
+            let (a, b) = if v == z {
+                (0, 1)
+            } else {
+                (rng.range(wlo, whi), rng.range(wlo, whi))
+            };
+            format!("{} <= x{v} <= {}", a.min(b), a.max(b))
+        })
+        .collect();
+    let h2 = if rng.below(2) == 0 {
+        huge(rng)
+    } else {
+        -huge(rng)
+    };
+    let y_coef = if rng.below(2) == 0 { -h2 } else { rng.coef(3) };
+    cons.push(format!(
+        "x{x} - x{y} + {}*x{z} = {}",
+        huge(rng),
+        rng.range(-2, 2)
+    ));
+    cons.push(format!(
+        "{h2}*x{x} + {y_coef}*x{y} + {}*x{z} >= {}",
+        rng.coef(3),
+        rng.range(-3, 3)
+    ));
+    if rng.below(2) == 0 {
+        let i = rng.below(d as u64) as usize;
+        let j = (i + 1 + rng.below(d as u64 - 1) as usize) % d;
+        let e = format!("{}*x{i} + {}*x{j}", rng.coef(3), rng.coef(3));
+        cons.push(gen_slab_on(rng, &e));
+    }
+    let dims: Vec<String> = (0..d).map(|i| format!("x{i}")).collect();
+    format!("{{ A[{}] : {} }}", dims.join(", "), cons.join(" and "))
+}
+
+/// Differentially checks every generated case against the `contains_point`
+/// scan of the full window: `card` must equal the scan's count and
+/// `points` its points, cold and warm. With `may_refuse`, `card` may
+/// instead fail with `Overflow` or `TooComplex`, and `points` with those
+/// or `Unbounded`.
 fn run_corpus(
     class: &str,
     min_d: usize,
@@ -564,13 +625,22 @@ fn run_corpus(
         let text = gen(&mut rng, d, wlo, whi);
         let tag = format!("[{class} seed={seed:#x} case={case}]");
         let s = Set::parse(&text).unwrap_or_else(|e| panic!("{tag} parse {text}: {e}"));
-        let oracle = count_by_points(&s, wlo, whi);
-        let (cold, warm) = with_and_without_cache(|| Set::parse(&text).unwrap().card());
-        for (run, card) in [("cold", cold), ("warm", warm)] {
+        let oracle = scan_points(&s, wlo, whi);
+        let (cold, warm) = with_and_without_cache(|| {
+            let s = Set::parse(&text).unwrap();
+            (s.card(), s.points(1 << 16))
+        });
+        for (run, (card, points)) in [("cold", cold), ("warm", warm)] {
             match card {
-                Ok(c) => assert_eq!(c, oracle, "{tag} {run} card vs oracle for {text}"),
+                Ok(c) => assert_eq!(c, oracle.len() as u128, "{tag} {run} card for {text}"),
                 Err(Error::Overflow | Error::TooComplex(_)) if may_refuse => {}
                 Err(e) => panic!("{tag} {run} card {text}: {e}"),
+            }
+            match points {
+                Ok(p) => assert_eq!(p, oracle, "{tag} {run} points for {text}"),
+                Err(Error::Overflow | Error::TooComplex(_) | Error::Unbounded(_)) if may_refuse => {
+                }
+                Err(e) => panic!("{tag} {run} points {text}: {e}"),
             }
         }
     }
@@ -604,6 +674,11 @@ fn corpus_pair_chain() {
 #[test]
 fn corpus_wide() {
     run_corpus("wide", 2, true, gen_wide_case);
+}
+
+#[test]
+fn corpus_wide_eq() {
+    run_corpus("wide-eq", 3, true, gen_wide_eq_case);
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,6 +1100,111 @@ fn wrapped_bound_sum_leaves_dim_bounds_exact() {
     ))
     .unwrap();
     assert_eq!(s.dim_bounds(3).unwrap(), (0, 10));
+}
+
+// ---------------------------------------------------------------------------
+// Row arithmetic at i64 extremes: each input below once produced a wrong
+// count, a wrong `contains_point`, a misclassified error or a debug-build
+// overflow panic. Every answer must be exact or `Overflow`.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn substituted_equalities_count_exactly_or_refuse() {
+    // `z = 1` puts `x` 2^32 (resp. `y` past 10) away from the box, so the
+    // points are `x = y` (resp. `x = 3·2^40·y`); substituting the pivot
+    // into the other row multiplies two large coefficients past i64.
+    let cases = [
+        (
+            "{ A[x, y, z] : x - y + 4294967296*z = 0 and \
+             4294967296*x - 4294967296*y + z + 2 >= 0 and 0 <= y <= 3 and 0 <= z <= 1 }",
+            4,
+        ),
+        (
+            "{ A[x, y] : x = 3298534883328*y and 1073741824*x - y + 5 >= 0 and 0 <= y <= 10 }",
+            11,
+        ),
+    ];
+    let s = Set::parse(cases[0].0).unwrap();
+    assert_eq!(count_by_points(&s, -1, 4), 4);
+    let s = Set::parse(cases[1].0).unwrap();
+    for y in 0..=10 {
+        assert!(s.contains_point(&[3_298_534_883_328 * y, y]).unwrap());
+    }
+    for (text, expect) in cases {
+        let (cold, warm) = with_and_without_cache(|| {
+            let s = Set::parse(text).unwrap();
+            (s.card(), s.is_empty())
+        });
+        for (run, (card, empty)) in [("cold", cold), ("warm", warm)] {
+            assert!(
+                matches!(card, Err(Error::Overflow)) || card == Ok(expect),
+                "{run} card {text}: {card:?}"
+            );
+            assert!(
+                matches!(empty, Ok(false) | Err(Error::Overflow)),
+                "{run} is_empty {text}: {empty:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn max_corner_rows_evaluate_exactly_or_refuse() {
+    // Four i64::MAX·i64::MAX terms sum past i128 at every point.
+    let m = i64::MAX;
+    let text = format!(
+        "{{ A[x0, x1, x2, x3, z] : {a} <= x0 <= {m} and {a} <= x1 <= {m} and {a} <= x2 <= {m} \
+         and {a} <= x3 <= {m} and 0 <= z <= 1 and {m}*x0 + {m}*x1 + {m}*x2 + {m}*x3 - z >= 0 }}",
+        a = m - 1
+    );
+    let s = Set::parse(&text).unwrap();
+    let inside = s.contains_point(&[m, m, m, m, 0]);
+    assert!(
+        matches!(inside, Ok(true) | Err(Error::Overflow)),
+        "{inside:?}"
+    );
+    let mut expect = Vec::new();
+    for_each_point(5, 0, 1, |p| {
+        let mut q: Vec<i64> = p[..4].iter().map(|&b| m - 1 + b).collect();
+        q.push(p[4]);
+        expect.push(q);
+    });
+    expect.sort();
+    let (cold, warm) = with_and_without_cache(|| Set::parse(&text).unwrap().points(100));
+    for (run, points) in [("cold", cold), ("warm", warm)] {
+        match points {
+            Ok(p) => assert_eq!(p, expect, "{run} points"),
+            Err(e) => assert_eq!(e, Error::Overflow, "{run} points"),
+        }
+    }
+}
+
+#[test]
+fn points_bounded_at_i64_max_enumerate() {
+    // `y <= i64::MAX` is a real bound, not an open side.
+    let m = i64::MAX;
+    let s = Set::parse(&format!("{{ A[x, y] : 0 <= x <= 3 and y = {m} - x }}")).unwrap();
+    let expect: Vec<Vec<i64>> = (0..=3).map(|x| vec![x, m - x]).collect();
+    assert_eq!(s.points(100).unwrap(), expect);
+}
+
+#[test]
+fn sandwich_search_at_i64_max_never_panics() {
+    // The two rows' `y` coefficients sum past i64 in the sandwich search.
+    let s = Set::parse(
+        "{ A[x, y] : 0 <= y <= 1 and 2*x + 9223372036854775807*y >= 0 and -2*x + y + 1 >= 0 }",
+    )
+    .unwrap();
+    match s.project_out(0, 1) {
+        Ok(p) => assert_eq!(p.points(10).unwrap(), vec![vec![0], vec![1]]),
+        Err(e) => assert!(
+            matches!(
+                e,
+                Error::Unbounded(_) | Error::Overflow | Error::TooComplex(_)
+            ),
+            "{e}"
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------------
