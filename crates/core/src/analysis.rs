@@ -280,7 +280,9 @@ impl<'a> Analysis<'a> {
     /// slice of the activity relation, from
     /// [`tenet_isl::Set::max_suffix_slice_card`]. Longer schedules probe up
     /// to 81 stamps (each time dimension's low, middle and high value) and
-    /// report `max_is_exact: false`.
+    /// report `max_is_exact: false`. Both count stamps through
+    /// [`tenet_isl::Set::max_slice_card`], which stops at the first stamp
+    /// that keeps every used PE busy, since no stamp can keep more.
     pub fn utilization(&self) -> Result<Utilization> {
         if let Some(u) = self.util.get() {
             return Ok(*u);
@@ -298,9 +300,9 @@ impl<'a> Analysis<'a> {
         } else {
             instances as f64 / (pe_count as f64 * n_stamps as f64)
         };
-        let (max, exact) = if n_stamps <= MAX_UTIL_SWEEP_LIMIT {
-            let max_active = act.max_suffix_slice_card(ns, MAX_UTIL_SWEEP_LIMIT as usize)?;
-            (max_active as f64 / pe_count as f64, true)
+        let exact = n_stamps <= MAX_UTIL_SWEEP_LIMIT;
+        let max_active = if exact {
+            act.max_suffix_slice_card(ns, MAX_UTIL_SWEEP_LIMIT as usize)?
         } else {
             // Probe a handful of stamps: per-dimension low/mid/high.
             let mut probes: Vec<Vec<i64>> = vec![Vec::new()];
@@ -321,19 +323,11 @@ impl<'a> Analysis<'a> {
                     probes.truncate(81);
                 }
             }
-            let mut max_active = 0u128;
-            for stamp in &probes {
-                let mut slice = act.clone();
-                for (i, &v) in stamp.iter().enumerate() {
-                    slice = slice.fix(ns + i, v);
-                }
-                max_active = max_active.max(slice.card()?);
-            }
-            (max_active as f64 / pe_count as f64, false)
+            act.max_slice_card(ns, &probes)?
         };
         let u = Utilization {
             average,
-            max,
+            max: max_active as f64 / pe_count as f64,
             max_is_exact: exact,
             pes_used,
             time_stamps: n_stamps,

@@ -27,8 +27,9 @@
 //!   fresh map result or parse result drops its spare capacity before it
 //!   is shared, since it will be held for the table's life.
 //! * **Admission.** One rule (`admits`) decides which operations go
-//!   through the memo: `union`, `reverse` and `fix` on small relations
-//!   skip it, since redoing them costs less than a table round trip.
+//!   through the memo: `union` and `reverse` on small relations skip it,
+//!   since redoing them costs less than a table round trip. The slice
+//!   counts of [`crate::Set::max_slice_card`] skip the memo as well.
 //! * **Exactness.** The cache can only return a value that was computed
 //!   by the very operation being memoized on structurally identical
 //!   operands, so cached and uncached results are *bit-identical* — there
@@ -89,8 +90,6 @@ pub(crate) enum OpKind {
     Card,
     /// [`Map::is_empty`]
     Empty,
-    /// [`Map::fix_in`] / [`Map::fix_out`] (column and value in `extra`)
-    Fix,
     /// [`crate::Set::max_suffix_slice_card`] (split position in `extra`)
     SliceMax,
 }
@@ -377,10 +376,11 @@ thread_local! {
     static COLD_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Runs a missed operation's `compute`, charging its wall time to every
-/// attached handle's cold-time counter. Free (one thread-local check)
-/// when no handle is attached.
-fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
+/// Runs a missed operation's `compute`, or other integer-set work done
+/// outside the memo, charging its wall time to every attached handle's
+/// cold-time counter. Free (one thread-local check) when no handle is
+/// attached.
+pub(crate) fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
     if ATTACHED.with(|a| a.borrow().is_empty()) {
         return compute();
     }
@@ -511,23 +511,19 @@ fn evict_if_full(t: &mut Tables) {
 }
 
 /// Constraint rows, summed over the operands, below which [`admits`]
-/// turns `union`, `reverse` and `fix` away.
+/// turns `union` and `reverse` away.
 const ADMIT_MIN_ROWS: usize = 32;
 
 /// The admission rule: whether `op` on these operands goes through the
-/// memo. `union`, `reverse` and `fix` do only when their operands hold
-/// at least `ADMIT_MIN_ROWS` constraint rows: on smaller relations the
-/// operation (a few vector pushes, a column swap) costs less than
-/// hashing and pooling its operands, while on bulky ones the duplicate
-/// scan and disjunct copies carry real weight, and sweeps that re-pin
-/// the same stamps (max-utilization probing, DSE re-evaluation) get the
-/// stored result back. Every other operation is admitted.
+/// memo. `union` and `reverse` do only when their operands hold at least
+/// `ADMIT_MIN_ROWS` constraint rows: on smaller relations the operation
+/// (a few vector pushes, a column swap) costs less than hashing and
+/// pooling its operands, while on bulky ones the duplicate scan and
+/// disjunct copies carry real weight. Every other operation is admitted.
 fn admits(op: OpKind, a: &Map, b: Option<&Map>) -> bool {
     let rows = |m: &Map| -> usize { m.basics().iter().map(BasicMap::constraint_count).sum() };
     match op {
-        OpKind::Union | OpKind::Reverse | OpKind::Fix => {
-            rows(a) + b.map_or(0, rows) >= ADMIT_MIN_ROWS
-        }
+        OpKind::Union | OpKind::Reverse => rows(a) + b.map_or(0, rows) >= ADMIT_MIN_ROWS,
         _ => true,
     }
 }
@@ -630,7 +626,6 @@ fn op_name(op: OpKind) -> &'static str {
         OpKind::Union => "union",
         OpKind::Card => "card",
         OpKind::Empty => "empty",
-        OpKind::Fix => "fix",
         OpKind::SliceMax => "slice_max",
     }
 }
@@ -639,7 +634,7 @@ fn op_name(op: OpKind) -> &'static str {
 /// written before an operation retired still carry its rows; [`import`]
 /// drops them without counting them as skipped, since an old file is not
 /// damaged by holding them.
-const RETIRED_OPS: [&str; 3] = ["coalesce", "intersect_domain", "intersect_range"];
+const RETIRED_OPS: [&str; 4] = ["coalesce", "intersect_domain", "intersect_range", "fix"];
 
 fn op_from_name(name: &str) -> Option<OpKind> {
     Some(match name {
@@ -651,7 +646,6 @@ fn op_from_name(name: &str) -> Option<OpKind> {
         "union" => OpKind::Union,
         "card" => OpKind::Card,
         "empty" => OpKind::Empty,
-        "fix" => OpKind::Fix,
         "slice_max" => OpKind::SliceMax,
         _ => return None,
     })
@@ -695,7 +689,7 @@ pub struct MemoExport {
     pub lhs: RelExport,
     /// Right operand, absent for unary operations.
     pub rhs: Option<RelExport>,
-    /// The packed extra operand (projection side, fix column/value, …).
+    /// The packed extra operand (projection side and dims, slice-max split, …).
     pub extra: i128,
     /// The memoized result.
     pub value: ValExport,
@@ -1302,8 +1296,10 @@ mod tests {
         };
         for op in RETIRED_OPS {
             clear();
-            // The retired intersections took a set operand; `coalesce` none.
-            let rhs = (op != "coalesce").then(|| rel("{ [i] : 0 <= i < 9 }", true));
+            // The retired intersections took a set operand; `coalesce` and
+            // `fix` none.
+            let rhs =
+                (!matches!(op, "coalesce" | "fix")).then(|| rel("{ [i] : 0 <= i < 9 }", true));
             let snap = CacheExport {
                 parsed_map: Vec::new(),
                 parsed_set: Vec::new(),

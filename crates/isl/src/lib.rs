@@ -70,19 +70,19 @@
 //!
 //! * **A shared operation memo ([`cache`]).** `apply_range`,
 //!   `intersect`, `subtract`, projection, `card`, `is_empty`, parsing,
-//!   and `reverse`, `union` and `fix` of all but small relations consult
-//!   a process-wide, thread-safe memo table keyed by the operand
-//!   relations' *pooled* handles. The pool holds one handle per distinct
-//!   relation and compares with full structural equality (never hash
-//!   alone), so a hit replays exactly the value the uncached computation
-//!   would produce — results are bit-identical by construction, which
-//!   the `tests/fastpath.rs` property suite verifies end to end. A
-//!   memoized map result goes through the same pool, so it shares one
-//!   allocation with its later uses as an operand and with every hit
-//!   that returns it. DSE sweeps, whose candidates share access maps and
-//!   intermediate relations, amortize much of their relational work this
-//!   way (`isl.memo_hit_ratio` is 0.80 on the benchmark's `dse_conv`
-//!   sweep).
+//!   the max-utilization slice sweep, and `reverse` and `union` of all
+//!   but small relations consult a process-wide, thread-safe memo table
+//!   keyed by the operand relations' *pooled* handles. The pool holds one
+//!   handle per distinct relation and compares with full structural
+//!   equality (never hash alone), so a hit replays exactly the value the
+//!   uncached computation would produce — results are bit-identical by
+//!   construction, which the `tests/fastpath.rs` property suite verifies
+//!   end to end. A memoized map result goes through the same pool, so it
+//!   shares one allocation with its later uses as an operand and with
+//!   every hit that returns it. DSE sweeps, whose candidates share access
+//!   maps and intermediate relations, amortize much of their relational
+//!   work this way (`isl.memo_hit_ratio` is 0.75 on the benchmark's
+//!   `dse_conv` sweep).
 //!
 //! * **Composition by substitution.** [`Map::apply_range`] composes each
 //!   disjunct pair whose left side is an affine-function graph (no divs,

@@ -428,27 +428,7 @@ impl Map {
         self.fix_col(self.n_in() + dim, val)
     }
 
-    /// Packs the fix-op memo key: the column in bits 64..126 and the full
-    /// i64 value (as its bit pattern) in bits 0..64. `None` when the
-    /// column would not fit — callers skip the cache then.
-    fn pack_fix_extra(col: usize, val: i64) -> Option<i128> {
-        if col >= (1 << 62) {
-            return None;
-        }
-        Some(((col as i128) << 64) | (val as u64 as i128))
-    }
-
     fn fix_col(&self, col: usize, val: i64) -> Map {
-        match Self::pack_fix_extra(col, val) {
-            Some(extra) => cache::memo(OpKind::Fix, self, None, extra, || {
-                Ok(self.fix_col_uncached(col, val))
-            })
-            .expect("fix cannot fail"),
-            None => self.fix_col_uncached(col, val),
-        }
-    }
-
-    fn fix_col_uncached(&self, col: usize, val: i64) -> Map {
         let basics = self
             .rel
             .basics
@@ -471,7 +451,7 @@ impl Map {
         cache::memo(OpKind::Card, self, None, 0, || self.card_uncached())
     }
 
-    fn card_uncached(&self) -> Result<u128> {
+    pub(crate) fn card_uncached(&self) -> Result<u128> {
         // Disjoint decomposition: b_i minus all earlier disjuncts.
         let mut total: u128 = 0;
         for (i, b) in self.rel.basics.iter().enumerate() {

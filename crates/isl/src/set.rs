@@ -155,11 +155,10 @@ impl Set {
 
     /// Exact maximum, over every value of the suffix dims `[split, n)`, of
     /// the number of points sharing that suffix: `max_t |{x : (x ++ t) ∈
-    /// S}|`. Pins each suffix value and counts its slice (each count
-    /// dispatches to the closed forms), and is memoized, so recomputation
-    /// over the same set is a table hit. The max-utilization metric of
-    /// `tenet_core` is this count over the activity relation, with the
-    /// time-stamp as the suffix.
+    /// S}|`. This is [`Set::max_slice_card`] over every suffix value,
+    /// memoized whole, so recomputation over the same set is a table hit.
+    /// The max-utilization metric of `tenet_core` is this count over the
+    /// activity relation, with the time-stamp as the suffix.
     ///
     /// ```
     /// use tenet_isl::Set;
@@ -171,34 +170,59 @@ impl Set {
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::TooComplex`] when the set has more than
-    /// `enum_limit` distinct suffix values, and propagates counting
+    /// Fails with [`Error::SpaceMismatch`] when `split` exceeds the
+    /// dimensionality, with [`Error::TooComplex`] when the set has more
+    /// than `enum_limit` distinct suffix values, and propagates counting
     /// failures of unbounded sets. The memoized value does not depend on
     /// `enum_limit` (it is exact whenever it exists).
     pub fn max_suffix_slice_card(&self, split: usize, enum_limit: usize) -> Result<u128> {
-        if split > self.n_dim() {
-            return Err(Error::SpaceMismatch(format!(
-                "suffix split {split} exceeds dimensionality {}",
-                self.n_dim()
-            )));
-        }
+        self.suffix_width(split, &[])?;
         crate::cache::memo(
             crate::cache::OpKind::SliceMax,
             self.as_map(),
             None,
             split as i128,
-            || {
-                let mut max = 0u128;
-                for sp in self.project_out(0, split)?.points(enum_limit)? {
-                    let mut slice = self.clone();
-                    for (i, &v) in sp.iter().enumerate() {
-                        slice = slice.fix(split + i, v);
-                    }
-                    max = max.max(slice.card()?);
-                }
-                Ok(max)
-            },
+            || self.max_slice_card(split, &self.project_out(0, split)?.points(enum_limit)?),
         )
+    }
+
+    /// The largest number of points that share one of `suffixes` as their
+    /// values of the dims `[split, n)`. Counts each slice outside the memo
+    /// and stops at the first that holds every point of the prefix
+    /// projection (the suffix dims projected out): no slice holds more.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::SpaceMismatch`] when `split` exceeds the
+    /// dimensionality or a suffix does not have `n - split` values, and
+    /// propagates counting failures of unbounded slices.
+    pub fn max_slice_card(&self, split: usize, suffixes: &[Vec<i64>]) -> Result<u128> {
+        let width = self.suffix_width(split, suffixes)?;
+        crate::cache::timed_compute(|| {
+            let bound = self.project_out(split, width).and_then(|p| p.card()).ok();
+            let mut max = 0u128;
+            for suffix in suffixes {
+                let slice = (split..)
+                    .zip(suffix)
+                    .fold(self.map.clone(), |m, (dim, &v)| m.fix_out(dim, v));
+                max = max.max(slice.card_uncached()?);
+                if Some(max) == bound {
+                    break;
+                }
+            }
+            Ok(max)
+        })
+    }
+
+    /// The number of dims after `split`, which every suffix must have.
+    fn suffix_width(&self, split: usize, suffixes: &[Vec<i64>]) -> Result<usize> {
+        match self.n_dim().checked_sub(split) {
+            Some(w) if suffixes.iter().all(|s| s.len() == w) => Ok(w),
+            _ => Err(Error::SpaceMismatch(format!(
+                "suffixes after dimension {split} do not fit {} dimensions",
+                self.n_dim()
+            ))),
+        }
     }
 
     /// Best-known finite bounds `[lo, hi]` of dimension `dim` across all

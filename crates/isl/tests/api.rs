@@ -81,6 +81,22 @@ fn max_suffix_slice_card_limits_suffix_values() {
 }
 
 #[test]
+fn slice_max_rejects_bad_split_and_suffix_length() {
+    let s = Set::parse("{ A[p, t] : 0 <= t < 5 and 0 <= p <= t }").unwrap();
+    for got in [
+        s.max_suffix_slice_card(3, 10),
+        s.max_slice_card(3, &[]),
+        s.max_slice_card(1, &[vec![0, 1]]),
+        s.max_slice_card(1, &[vec![0], vec![]]),
+        s.max_slice_card(0, &[vec![0]]),
+    ] {
+        assert!(matches!(got, Err(Error::SpaceMismatch(_))), "{got:?}");
+    }
+    assert_eq!(s.max_slice_card(1, &[]).unwrap(), 0);
+    assert_eq!(s.max_slice_card(2, &[vec![]]).unwrap(), 15);
+}
+
+#[test]
 fn negative_coordinates() {
     let s = Set::parse("{ A[i, j] : -5 <= i < 0 and -2 <= j <= 2 }").unwrap();
     assert_eq!(s.card().unwrap(), 25);

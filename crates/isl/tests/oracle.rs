@@ -153,7 +153,7 @@ proptest! {
     }
 
     /// Random `fix` pinnings: pinning a dimension then counting agrees
-    /// with the oracle of the pinned set (exercises the memoized fix).
+    /// with the oracle of the pinned set.
     #[test]
     fn fixed_card_matches_oracle(
         text in slab_stack_strategy(3, 1),
@@ -190,39 +190,91 @@ proptest! {
         prop_assert_eq!(warm, oracle, "warm union card for {} ∪ {}", a_text, b_text);
     }
 
-    /// `max_suffix_slice_card` (the max-utilization primitive)
-    /// agrees with pinning every suffix value and counting separately.
+    /// `max_suffix_slice_card` (the max-utilization primitive) agrees with
+    /// pinning every suffix value and counting separately, and
+    /// `max_slice_card` (the probe path) agrees with the same loop over a
+    /// seeded subset of the suffix values.
     #[test]
     fn suffix_slice_max_matches_fix_loop(
         text in slab_stack_strategy(3, 1),
         split in 1usize..3,
+        pick in 0u64..u64::MAX,
     ) {
-        let (cold, warm) = with_and_without_cache(|| {
-            Set::parse(&text).unwrap().max_suffix_slice_card(split, 1 << 20).unwrap()
-        });
         let s = Set::parse(&text).unwrap();
         let d = s.n_dim();
-        // Reference: enumerate suffix assignments over the oracle window.
+        // Reference: pin every suffix assignment over the oracle window and
+        // count it, then keep each suffix in the subset with probability 1/4.
         let mut expect = 0u128;
-        let mut suffix = vec![-6i64; d - split];
-        'outer: loop {
+        let (mut subset, mut subset_expect) = (Vec::new(), 0u128);
+        let mut rng = Rng(pick);
+        for_each_point(d - split, -6, 9, |suffix| {
             let mut fixed = s.clone();
             for (i, &v) in suffix.iter().enumerate() {
                 fixed = fixed.fix(split + i, v);
             }
-            expect = expect.max(count_by_points(&fixed, -6, 9));
-            for s in suffix.iter_mut() {
-                *s += 1;
-                if *s <= 9 {
-                    continue 'outer;
-                }
-                *s = -6;
+            let n = count_by_points(&fixed, -6, 9);
+            expect = expect.max(n);
+            if rng.below(4) == 0 {
+                subset.push(suffix.to_vec());
+                subset_expect = subset_expect.max(n);
             }
-            break;
-        }
+        });
+        let (cold, warm) = with_and_without_cache(|| {
+            Set::parse(&text).unwrap().max_suffix_slice_card(split, 1 << 20).unwrap()
+        });
         prop_assert_eq!(cold, expect, "cold slice max for {} split {}", text, split);
         prop_assert_eq!(warm, expect, "warm slice max for {} split {}", text, split);
+        let (cold, warm) = with_and_without_cache(|| {
+            Set::parse(&text).unwrap().max_slice_card(split, &subset).unwrap()
+        });
+        prop_assert_eq!(cold, subset_expect, "cold probe max for {} split {}", text, split);
+        prop_assert_eq!(warm, subset_expect, "warm probe max for {} split {}", text, split);
     }
+}
+
+/// The slice sweep stops at the first slice that holds the whole prefix
+/// projection, so a schedule whose first stamp keeps every PE busy costs
+/// two counts (the bound and that slice), not one per stamp. Sets that
+/// never reach the bound, or reach it only at their last stamp, still
+/// give their true max.
+#[test]
+fn slice_max_stops_at_the_prefix_bound() {
+    let max_with_dispatch = |text: &str| {
+        with_dispatch(|| {
+            Set::parse(text)
+                .unwrap()
+                .max_suffix_slice_card(1, 2000)
+                .unwrap()
+        })
+    };
+    let (max, stats) = max_with_dispatch("{ A[p, t] : 0 <= p < 4 and 0 <= t < 1000 }");
+    assert_eq!(max, 4);
+    assert!(stats.total() <= 2, "swept past the bound: {stats:?}");
+    // Bound 5 (p in 0..=4), yet no stamp holds more than 2 points.
+    let (max, _) = max_with_dispatch("{ A[p, t] : 0 <= t < 4 and t <= p <= t + 1 }");
+    assert_eq!(max, 2);
+    // Only the last stamp holds all 5 points of the bound.
+    let (max, _) = max_with_dispatch("{ A[p, t] : 0 <= t < 5 and 0 <= p <= t }");
+    assert_eq!(max, 5);
+}
+
+/// The slice counts bypass the memo but are still integer-set work, so
+/// they are charged to an attached handle's cold time even when every
+/// memo lookup of the sweep (the bound) is a hit.
+#[test]
+fn slice_counts_are_charged_as_cold_time() {
+    let _guard = test_lock();
+    cache::set_enabled(true);
+    let s = Set::parse("{ A[p, t] : 0 <= t < 4 and t <= p <= t + 1 }").unwrap();
+    s.project_out(1, 1).unwrap().card().unwrap();
+    let handle = CounterHandle::new();
+    let max = {
+        let _attached = handle.attach();
+        s.max_slice_card(1, &[vec![0], vec![3]]).unwrap()
+    };
+    assert_eq!(max, 2);
+    assert_eq!(handle.misses(), 0);
+    assert!(handle.cold_ns() > 0, "slice counts not charged");
 }
 
 /// Runs `f` with the cache off while a scoped [`CounterHandle`] is

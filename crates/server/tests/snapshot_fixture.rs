@@ -4,7 +4,7 @@
 //! `fixtures/warm_v1.snap` was captured from a worker that served real
 //! `/v1/analyze` traffic, so its ISL section carries the memo entries a
 //! production shard would actually ship on a ring change (parse texts,
-//! `card`, `empty`, `apply_range`, `fix`, `slice_max`, …). Restore is
+//! `card`, `project`, `apply_range`, `slice_max`, …). Restore is
 //! re-parse + re-intern of canonical relation text — never raw ids — so
 //! counting-engine rewrites behind `card` must not invalidate old files.
 //! If this test fails after an intentional format change, bump
