@@ -60,11 +60,11 @@ pub struct Analysis<'a> {
     theta: Map,
     /// The max-utilization sweep is the one non-relational computation of
     /// the model (a loop over time-stamps); its scalar summary is latched
-    /// here. Every *relational* intermediate (assignment, availability,
-    /// volume counts) is memoized in the process-wide
-    /// [`tenet_isl::cache`] context instead, so it is shared across all
-    /// `Analysis` instances — in a DSE sweep, candidates that agree on an
-    /// access map or an intermediate relation reuse each other's work.
+    /// here. The relational work (assignment, volume counts) is memoized
+    /// in the process-wide [`tenet_isl::cache`] context instead, so it is
+    /// shared across all `Analysis` instances — in a DSE sweep, candidates
+    /// that agree on an access map or an assignment relation reuse each
+    /// other's work.
     util: OnceLock<Utilization>,
     /// Per-tensor volume metrics latch. `latency`, `bandwidth`, `energy`,
     /// and `report` each walk every tensor's volumes; without the latch a
@@ -130,10 +130,11 @@ impl<'a> Analysis<'a> {
     }
 
     /// The data assignment relation `A_{D,F} = Θ⁻¹ . A_{S,F}` for one
-    /// tensor (Definition 2).
+    /// tensor (Definition 2). Both steps go through the shared isl memo,
+    /// so a recomputation is a hit; its result keys the tensor's `card`
+    /// and `reuse_card` entries.
     pub fn assignment(&self, tensor: &str) -> Result<Map> {
         let asf = self.op.access_map(tensor)?;
-        // Both steps hit the shared isl memo on recomputation.
         Ok(self.theta.reverse().apply_range(&asf)?)
     }
 
@@ -232,34 +233,26 @@ impl<'a> Analysis<'a> {
         Ok(self.tmap.get_or_init(|| m).clone())
     }
 
-    fn avail(&self, tensor: &str, spatial: bool) -> Result<Map> {
-        let adf = self.assignment(tensor)?;
-        let m = if spatial {
-            self.spatial_map()?
-        } else {
-            self.temporal_map()?
-        };
-        // M⁻¹ . A_{D,F}: the data visible at a stamp via its predecessors.
-        Ok(m.reverse().apply_range(&adf)?)
-    }
-
     /// Volume metrics for one tensor (Table II and Figure 5).
     ///
+    /// Reuse is counted on the data assignment relation `A_{D,F}` as
+    /// `card(A_{D,F} ∩ M⁻¹ . A_{D,F})` ([`tenet_isl::Map::reuse_card`]):
+    /// temporal reuse with `M = M_temporal` (same PE, an earlier stamp in
+    /// the reuse window), all reuse with `M = M_spatial ∪ M_temporal`.
     /// `reuse = temporal + spatial` by construction: temporal reuse is
     /// counted first (same-PE), and spatial reuse counts the remaining
-    /// accesses satisfiable only from an interconnected neighbor.
+    /// accesses satisfiable only from an interconnected neighbor. Each
+    /// count is one memoized operation; the relations between the
+    /// assignment and the count are not kept.
     pub fn volumes(&self, tensor: &str) -> Result<VolumeMetrics> {
         if let Some(v) = self.vols.lock().expect("volumes latch").get(tensor) {
             return Ok(*v);
         }
         let adf = self.assignment(tensor)?;
         let total = adf.card()?;
-        let avail_t = self.avail(tensor, false)?;
-        let avail_s = self.avail(tensor, true)?;
-        let temporal_set = adf.intersect(&avail_t)?;
-        let temporal = temporal_set.card()?;
-        let reuse_set = adf.intersect(&avail_s.union(&avail_t)?)?;
-        let reuse = reuse_set.card()?;
+        let temporal_map = self.temporal_map()?;
+        let temporal = adf.reuse_card(&temporal_map)?;
+        let reuse = adf.reuse_card(&self.spatial_map()?.union(&temporal_map)?)?;
         let v = VolumeMetrics {
             total,
             reuse,

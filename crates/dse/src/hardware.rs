@@ -100,9 +100,9 @@ fn array_shapes(budget: i64, include_1d: bool) -> Vec<Vec<i64>> {
 ///
 /// # Errors
 ///
-/// Propagates enumeration failures and a panicking search worker. Every
-/// candidate whose analysis fails is skipped, whatever the error (see
-/// [`explore_parallel`]).
+/// Propagates enumeration failures, a panicking search worker and the
+/// integer-set error of a candidate's analysis; candidates that are
+/// invalid for an architecture are skipped (see [`explore_parallel`]).
 ///
 /// ```
 /// use tenet_dse::hardware::{co_explore, HardwareSpace};

@@ -16,7 +16,7 @@ pub use search::{explore, explore_parallel, pareto, DesignPoint};
 
 /// Latency/bandwidth-driven search over a list of candidate dataflows.
 pub mod search {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Instant;
     use tenet_core::json::Json;
     use tenet_core::{
@@ -74,7 +74,8 @@ pub mod search {
     ///
     /// # Errors
     ///
-    /// As [`explore_parallel`]: only a panicking worker.
+    /// As [`explore_parallel`]: the integer-set error of the first
+    /// candidate whose analysis fails with one.
     pub fn explore(
         op: &TensorOp,
         arch: &ArchSpec,
@@ -90,14 +91,19 @@ pub mod search {
     /// order, and how many candidates were tried: all of them unless the
     /// deadline cut the sweep short.
     ///
-    /// Every candidate whose analysis fails is skipped, whatever the
-    /// error: enumeration intentionally over-generates, so most failures
-    /// are validity rejections (out-of-bounds space-stamps, dimension
-    /// mismatches).
+    /// A candidate that is invalid for (`op`, `arch`) ([`Error::Invalid`]:
+    /// out-of-bounds space-stamps, dimension mismatches) is skipped, since
+    /// enumeration intentionally over-generates. An integer-set failure
+    /// ([`Error::Isl`]) is not a rejection: the workers claim no further
+    /// candidate, and the sweep returns the error of the lowest-index
+    /// candidate that failed. Every lower index was claimed before it and
+    /// is evaluated to the end, so which error comes back does not depend
+    /// on thread timing.
     ///
     /// # Errors
     ///
-    /// Only when a worker thread panics.
+    /// The integer-set error of the lowest-index failing candidate, or
+    /// [`Error::Invalid`] when a worker thread panics.
     pub fn explore_parallel(
         op: &TensorOp,
         arch: &ArchSpec,
@@ -109,6 +115,10 @@ pub mod search {
         // The next unclaimed candidate. Relaxed: it hands out indices and
         // publishes no other data.
         let cursor = AtomicUsize::new(0);
+        // Set once a candidate fails with an integer-set error, so no
+        // worker claims another. Relaxed: it publishes no data; the error
+        // itself comes back through the join.
+        let failed = AtomicBool::new(false);
         // Counter handles attached on the caller's thread (a server
         // request's stats scope) must keep observing the work after it
         // fans out, so re-attach them on every worker.
@@ -117,30 +127,48 @@ pub mod search {
             let _attached: Vec<_> = inherited.iter().map(|h| h.attach()).collect();
             let mut points = Vec::new();
             let mut tried = 0;
-            while deadline.is_none_or(|d| Instant::now() < d) {
+            let mut error = None;
+            while !failed.load(Ordering::Relaxed) && deadline.is_none_or(|d| Instant::now() < d) {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(df) = candidates.get(i) else { break };
                 tried += 1;
-                if let Ok(report) = Analysis::new(op, df, arch).and_then(|a| a.report()) {
-                    let dataflow = df.clone();
-                    points.push((i, DesignPoint { dataflow, report }));
+                match Analysis::new(op, df, arch).and_then(|a| a.report()) {
+                    Ok(report) => {
+                        let dataflow = df.clone();
+                        points.push((i, DesignPoint { dataflow, report }));
+                    }
+                    Err(Error::Invalid(_)) => {}
+                    Err(e) => {
+                        failed.store(true, Ordering::Relaxed);
+                        error = Some((i, e));
+                        break;
+                    }
                 }
             }
-            (points, tried)
+            (points, tried, error)
         };
         let mut ranked = Vec::new();
         let mut tried = 0;
+        let mut first_error: Option<(usize, Error)> = None;
         std::thread::scope(|scope| -> Result<()> {
             let handles: Vec<_> = (0..n_threads).map(|_| scope.spawn(worker)).collect();
             for h in handles {
-                let (points, n) = h
+                let (points, n, error) = h
                     .join()
                     .map_err(|_| Error::Invalid("worker panicked".into()))?;
                 ranked.extend(points);
                 tried += n;
+                if let Some((i, e)) = error {
+                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
+                        first_error = Some((i, e));
+                    }
+                }
             }
             Ok(())
         })?;
+        if let Some((_, e)) = first_error {
+            return Err(e);
+        }
         ranked
             .sort_unstable_by(|(i, a), (j, b)| a.latency().total_cmp(&b.latency()).then(i.cmp(j)));
         Ok((ranked.into_iter().map(|(_, p)| p).collect(), tried))
@@ -197,7 +225,7 @@ mod tests {
 mod parallel_tests {
     use super::*;
     use std::time::{Duration, Instant};
-    use tenet_core::{ArchSpec, Interconnect, TensorOp};
+    use tenet_core::{Analysis, ArchSpec, Dataflow, Error, Interconnect, TensorOp};
 
     fn gemm() -> TensorOp {
         TensorOp::builder("gemm")
@@ -227,6 +255,48 @@ mod parallel_tests {
                 assert_eq!(a.dataflow, b.dataflow, "{threads} threads");
                 assert_eq!(a.latency(), b.latency(), "{threads} threads");
                 assert_eq!(a.sbw(), b.sbw(), "{threads} threads");
+            }
+        }
+    }
+
+    /// A candidate whose analysis fails in the integer-set layer is not
+    /// skipped: `explore`, and `explore_parallel` on any thread count,
+    /// return what `Analysis::report` returns for the lowest-index such
+    /// candidate, and still skip invalid ones. The two failing dataflows
+    /// pass validation on an 8x8x8 GEMM over `mesh8x8`, each failing with
+    /// its own error.
+    #[test]
+    fn the_lowest_index_integer_set_error_is_returned() {
+        let op = tenet_workloads::kernels::gemm(8, 8, 8).unwrap();
+        let arch = tenet_core::presets::by_name("mesh8x8").unwrap();
+        let report = |df: &Dataflow| Analysis::new(&op, df, &arch).and_then(|x| x.report());
+        let a = Dataflow::new(["i", "(j + k) % 8"], ["5 * k + j"]);
+        let b = Dataflow::new(
+            ["i % 8", "(j + k) % 8"],
+            ["floor((j + k) / 8)", "3 * (i % 8) + 5 * k + j"],
+        );
+        let valid = Dataflow::new(["i", "j"], ["i + j + k"]);
+        let invalid = Dataflow::new(["i"], ["j", "k"]);
+        assert!(matches!(report(&invalid), Err(Error::Invalid(_))));
+        let dataflows = [valid, invalid, a, b];
+        let orders: [&[usize]; 4] = [&[0, 2], &[2, 0], &[1, 0, 2, 0, 3], &[1, 0, 3, 0, 2]];
+        for order in orders {
+            let candidates: Vec<Dataflow> = order.iter().map(|&i| dataflows[i].clone()).collect();
+            let expect = candidates.iter().find_map(|df| match report(df) {
+                Err(e @ Error::Isl(_)) => Some(e),
+                _ => None,
+            });
+            let n_ok = candidates.iter().filter(|df| report(df).is_ok()).count();
+            for threads in [1, 2, 4] {
+                let explored = match threads {
+                    1 => explore(&op, &arch, &candidates),
+                    n => explore_parallel(&op, &arch, &candidates, n, None).map(|(p, _)| p),
+                };
+                let at = format!("order {order:?}, {threads} threads");
+                match &expect {
+                    Some(e) => assert_eq!(explored.err().as_ref(), Some(e), "{at}"),
+                    None => assert_eq!(explored.map(|p| p.len()), Ok(n_ok), "{at}"),
+                }
             }
         }
     }

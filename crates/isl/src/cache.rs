@@ -28,8 +28,12 @@
 //!   is shared, since it will be held for the table's life.
 //! * **Admission.** One rule (`admits`) decides which operations go
 //!   through the memo: `union` and `reverse` on small relations skip it,
-//!   since redoing them costs less than a table round trip. The slice
-//!   counts of [`crate::Set::max_slice_card`] skip the memo as well.
+//!   since redoing them costs less than a table round trip. Some work
+//!   never reaches it: the slice counts of
+//!   [`crate::Set::max_slice_card`], the image, intersection and count
+//!   inside one [`Map::reuse_card`] (only the final count is stored), and
+//!   the disjunct unions of a parse (only the parse result is pooled,
+//!   under its text), since nothing reads those relations again.
 //! * **Exactness.** The cache can only return a value that was computed
 //!   by the very operation being memoized on structurally identical
 //!   operands, so cached and uncached results are *bit-identical* — there
@@ -71,7 +75,9 @@ const MAX_ENTRIES: usize = 1 << 17;
 ///
 /// Only operations whose repeats outweigh the bytes of their pooled
 /// operands are listed. [`Map::coalesce`] is not: its in-crate callers
-/// are memoized themselves, so its lookups almost always missed.
+/// are memoized themselves, so its lookups almost always missed. A
+/// composite whose intermediate relations no caller reads is one kind
+/// ([`OpKind::ReuseCard`]), so only its count is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum OpKind {
     /// [`Map::reverse`]
@@ -92,6 +98,9 @@ pub(crate) enum OpKind {
     Empty,
     /// [`crate::Set::max_suffix_slice_card`] (split position in `extra`)
     SliceMax,
+    /// [`Map::reuse_card`]: `card(a ∩ b⁻¹ . a)`, the moves map `b` as the
+    /// right operand
+    ReuseCard,
 }
 
 /// A memoized result.
@@ -627,6 +636,7 @@ fn op_name(op: OpKind) -> &'static str {
         OpKind::Card => "card",
         OpKind::Empty => "empty",
         OpKind::SliceMax => "slice_max",
+        OpKind::ReuseCard => "reuse_card",
     }
 }
 
@@ -647,6 +657,7 @@ fn op_from_name(name: &str) -> Option<OpKind> {
         "card" => OpKind::Card,
         "empty" => OpKind::Empty,
         "slice_max" => OpKind::SliceMax,
+        "reuse_card" => OpKind::ReuseCard,
         _ => return None,
     })
 }
@@ -825,10 +836,11 @@ pub fn import(snap: &CacheExport) -> ImportReport {
             };
             // A row must hold the kind of value its operation returns: a
             // mismatch would count as a hit and then be recomputed.
+            use OpKind::{Card, Empty, ReuseCard, SliceMax};
             let val = match (op, &e.value) {
-                (OpKind::Card | OpKind::SliceMax, ValExport::Count(n)) => CachedVal::Count(*n),
-                (OpKind::Empty, ValExport::Bool(b)) => CachedVal::Bool(*b),
-                (OpKind::Card | OpKind::SliceMax | OpKind::Empty, _) => return None,
+                (Card | SliceMax | ReuseCard, ValExport::Count(n)) => CachedVal::Count(*n),
+                (Empty, ValExport::Bool(b)) => CachedVal::Bool(*b),
+                (Card | SliceMax | ReuseCard | Empty, _) => return None,
                 (_, ValExport::Map(r)) => CachedVal::Map(resolve(r)?),
                 (_, ValExport::Count(_) | ValExport::Bool(_)) => return None,
             };
@@ -856,10 +868,14 @@ pub fn import(snap: &CacheExport) -> ImportReport {
 mod tests {
     use super::*;
 
-    /// Serializes tests that toggle the global enabled flag.
+    /// Serializes tests that toggle the global enabled flag. The guard of
+    /// a poisoned lock is taken as it is, so a failing test does not fail
+    /// every later one.
     fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap()
+        LOCK.get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The pooled handle equal to `m`.
@@ -1009,16 +1025,23 @@ mod tests {
         let _guard = test_lock();
         set_enabled(true);
         clear();
-        let m = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
-        let s = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
+        let m_text = "{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }";
+        let s_text = "{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }";
+        let moves_text = "{ S[i, j] -> S[i, j + 1] }";
+        let m = Map::parse(m_text).unwrap();
+        let s = crate::Set::parse(s_text).unwrap();
         assert_eq!(m.card().unwrap(), 63);
         assert!(!s.as_map().is_empty().unwrap());
+        assert_eq!(m.reuse_card(&Map::parse(moves_text).unwrap()).unwrap(), 54);
         let snap = export();
         assert!(
-            snap.parsed_map.len() == 1 && snap.parsed_set.len() == 1,
+            snap.parsed_map.len() == 2 && snap.parsed_set.len() == 1,
             "both parse tables exported: {snap:?}"
         );
-        assert!(snap.memo.len() >= 2, "card + empty memoized: {snap:?}");
+        let ops: Vec<&str> = snap.memo.iter().map(|e| e.op.as_str()).collect();
+        for op in ["card", "empty", "reuse_card"] {
+            assert!(ops.contains(&op), "{op} memoized: {snap:?}");
+        }
         clear();
         let report = import(&snap);
         assert_eq!(report.skipped, 0, "round-trip must not drop entries");
@@ -1029,13 +1052,15 @@ mod tests {
         let handle = CounterHandle::new();
         {
             let _attached = handle.attach();
-            let m2 = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
+            let m2 = Map::parse(m_text).unwrap();
             assert_eq!(m2.card().unwrap(), 63);
-            let s2 = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
+            let s2 = crate::Set::parse(s_text).unwrap();
             assert!(!s2.as_map().is_empty().unwrap());
+            let moves2 = Map::parse(moves_text).unwrap();
+            assert_eq!(m2.reuse_card(&moves2).unwrap(), 54);
         }
         assert_eq!(handle.misses(), 0, "replay after restore must be all-warm");
-        assert_eq!(handle.hits(), 4, "parse x2 + card + empty");
+        assert_eq!(handle.hits(), 6, "parse x3 + card + empty + reuse_card");
     }
 
     #[test]

@@ -70,9 +70,11 @@
 //!
 //! * **A shared operation memo ([`cache`]).** `apply_range`,
 //!   `intersect`, `subtract`, projection, `card`, `is_empty`, parsing,
-//!   the max-utilization slice sweep, and `reverse` and `union` of all
-//!   but small relations consult a process-wide, thread-safe memo table
-//!   keyed by the operand relations' *pooled* handles. The pool holds one
+//!   the max-utilization slice sweep, the reuse count
+//!   ([`Map::reuse_card`], which stores its count and none of the
+//!   relations in between), and `reverse` and `union` of all but small
+//!   relations consult a process-wide, thread-safe memo table keyed by
+//!   the operand relations' *pooled* handles. The pool holds one
 //!   handle per distinct relation and compares with full structural
 //!   equality (never hash alone), so a hit replays exactly the value the
 //!   uncached computation would produce — results are bit-identical by
@@ -81,7 +83,7 @@
 //!   shares one allocation with its later uses as an operand and with
 //!   every hit that returns it. DSE sweeps, whose candidates share access
 //!   maps and intermediate relations, amortize much of their relational
-//!   work this way (`isl.memo_hit_ratio` is 0.75 on the benchmark's
+//!   work this way (`isl.memo_hit_ratio` is 0.79 on the benchmark's
 //!   `dse_conv` sweep).
 //!
 //! * **Composition by substitution.** [`Map::apply_range`] composes each

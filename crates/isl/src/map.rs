@@ -202,16 +202,32 @@ impl Map {
 
     fn union_uncached(&self, other: &Map) -> Result<Map> {
         let mut basics = self.rel.basics.clone();
-        let var_map: Vec<usize> = (0..self.n_in() + self.n_out()).collect();
-        for b in &other.rel.basics {
-            // Renormalize into self's space (names may differ).
-            let mut nb = BasicMap::universe(self.rel.space.clone());
-            nb.import_constraints(b, &var_map)?;
-            if !basics.contains(&nb) {
-                basics.push(nb);
+        push_union(&self.rel.space, &mut basics, &other.rel.basics)?;
+        Ok(Map::from_parts(self.rel.space.clone(), basics))
+    }
+
+    /// The union of `parts`, each a space and its disjuncts, with
+    /// [`Map::union`]'s semantics, folded left to right in one pass and
+    /// outside the memo, which would keep every prefix it admits; `None`
+    /// when there are no parts. The parser builds a relation's disjunct
+    /// list with it.
+    pub(crate) fn union_of_parts(
+        parts: impl IntoIterator<Item = Result<(Arc<Space>, Vec<BasicMap>)>>,
+    ) -> Result<Option<Map>> {
+        let mut acc: Option<(Arc<Space>, Vec<BasicMap>)> = None;
+        for part in parts {
+            let (space, basics) = part?;
+            match &mut acc {
+                None => acc = Some((space, basics)),
+                Some((first, all)) => {
+                    if !first.is_compatible(&space) {
+                        return Err(Error::SpaceMismatch(format!("union: {first} vs {space}")));
+                    }
+                    push_union(first, all, &basics)?;
+                }
             }
         }
-        Ok(Map::from_parts(self.rel.space.clone(), basics))
+        Ok(acc.map(|(space, basics)| Map::from_parts(space, basics)))
     }
 
     /// Intersection of two relations over compatible spaces.
@@ -267,12 +283,16 @@ impl Map {
     /// The reversed relation (`out -> in`).
     pub fn reverse(&self) -> Map {
         cache::memo(OpKind::Reverse, self, None, 0, || {
-            Ok(Map::from_parts(
-                Arc::new(self.rel.space.reversed()),
-                self.rel.basics.iter().map(BasicMap::reverse).collect(),
-            ))
+            Ok(self.reverse_uncached())
         })
         .expect("reverse cannot fail")
+    }
+
+    fn reverse_uncached(&self) -> Map {
+        Map::from_parts(
+            Arc::new(self.rel.space.reversed()),
+            self.rel.basics.iter().map(BasicMap::reverse).collect(),
+        )
     }
 
     /// Relation composition `other ∘ self`: `{ x -> z : ∃y. self(x)=y ∧
@@ -473,6 +493,44 @@ impl Map {
             }
         }
         Ok(total)
+    }
+
+    /// The reuse count of TENET's Section V: the number of pairs of
+    /// `self ∩ moves⁻¹ . self`, the pairs `x -> y` of `self` whose `y` is
+    /// also paired with some `x'` that `moves` takes to `x`. With a data
+    /// assignment relation `A_{D,F}` as `self` and a spacetime map `M` as
+    /// `moves`, it counts the accesses that a predecessor stamp already
+    /// holds.
+    ///
+    /// Memoized as one operation keyed by both operands; the image
+    /// `moves⁻¹ . self`, the intersection and the count in between are
+    /// computed directly, so none of those relations is pooled or stored.
+    ///
+    /// ```
+    /// use tenet_isl::Map;
+    /// // Stamp t reads A[t] and A[t + 1]; one stamp later holds A[t + 1] again.
+    /// let adf = Map::parse("{ ST[t] -> A[a] : 0 <= t < 4 and t <= a <= t + 1 }")?;
+    /// let next = Map::parse("{ ST[t] -> ST[t + 1] }")?;
+    /// assert_eq!(adf.reuse_card(&next)?, 3);
+    /// # Ok::<(), tenet_isl::Error>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::SpaceMismatch`] unless `moves` maps the domain
+    /// of `self` to itself (in dimension counts), and otherwise as
+    /// [`Map::apply_range`], [`Map::intersect`] and [`Map::card`].
+    pub fn reuse_card(&self, moves: &Map) -> Result<u128> {
+        if moves.n_in() != self.n_in() || moves.n_out() != self.n_in() {
+            return Err(Error::SpaceMismatch(format!(
+                "reuse_card: moves {} vs domain {}",
+                moves.rel.space, self.rel.space.input
+            )));
+        }
+        cache::memo(OpKind::ReuseCard, self, Some(moves), 0, || {
+            let image = moves.reverse_uncached().apply_range_uncached(self)?;
+            self.intersect_uncached(&image)?.card_uncached()
+        })
     }
 
     /// Whether the relation contains no pairs.
@@ -710,6 +768,21 @@ impl<'a> AffineGraph<'a> {
         }
         Ok(out)
     }
+}
+
+/// Appends `other`, disjuncts over a space compatible with `space`, to
+/// `basics`, disjuncts over `space`: each renormalized into `space` (dim
+/// names may differ), exact duplicates of an earlier disjunct skipped.
+fn push_union(space: &Arc<Space>, basics: &mut Vec<BasicMap>, other: &[BasicMap]) -> Result<()> {
+    let var_map: Vec<usize> = (0..space.n_in() + space.n_out()).collect();
+    for b in other {
+        let mut nb = BasicMap::universe(space.clone());
+        nb.import_constraints(b, &var_map)?;
+        if !basics.contains(&nb) {
+            basics.push(nb);
+        }
+    }
+    Ok(())
 }
 
 /// Exact difference of two basic maps as a disjoint union of basic maps.

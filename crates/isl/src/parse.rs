@@ -702,36 +702,23 @@ fn build_disjunct(d: &DisjunctAst, is_map: bool) -> Result<(std::sync::Arc<Space
     Ok((space, basics))
 }
 
-pub(crate) fn parse_map(text: &str) -> Result<Map> {
+/// Parses a relation and unites its disjuncts (`;`-separated, each with
+/// its `or` branches) in one pass with [`Map::union`]'s semantics, so no
+/// prefix of the union goes through the memo; the whole parse result is
+/// memoized by its text instead. `None` for no disjuncts.
+fn parse_union(text: &str, is_map: bool) -> Result<Option<Map>> {
     let toks = lex(text)?;
     let mut p = Parser { toks, pos: 0 };
     let disjuncts = p.parse_relation()?;
-    let mut result: Option<Map> = None;
-    for d in &disjuncts {
-        let (space, basics) = build_disjunct(d, true)?;
-        let m = Map::from_parts(space, basics);
-        result = Some(match result {
-            None => m,
-            Some(acc) => acc.union(&m)?,
-        });
-    }
-    result.ok_or_else(|| Error::Parse("empty relation".into()))
+    Map::union_of_parts(disjuncts.iter().map(|d| build_disjunct(d, is_map)))
+}
+
+pub(crate) fn parse_map(text: &str) -> Result<Map> {
+    parse_union(text, true)?.ok_or_else(|| Error::Parse("empty relation".into()))
 }
 
 pub(crate) fn parse_set(text: &str) -> Result<Set> {
-    let toks = lex(text)?;
-    let mut p = Parser { toks, pos: 0 };
-    let disjuncts = p.parse_relation()?;
-    let mut result: Option<Map> = None;
-    for d in &disjuncts {
-        let (space, basics) = build_disjunct(d, false)?;
-        let m = Map::from_parts(space, basics);
-        result = Some(match result {
-            None => m,
-            Some(acc) => acc.union(&m)?,
-        });
-    }
-    let m = result.ok_or_else(|| Error::Parse("empty set".into()))?;
+    let m = parse_union(text, false)?.ok_or_else(|| Error::Parse("empty set".into()))?;
     Set::try_from_map(m)
 }
 

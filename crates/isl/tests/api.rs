@@ -29,6 +29,26 @@ fn apply_range_arity_mismatch() {
 }
 
 #[test]
+fn reuse_card_rejects_moves_off_the_domain() {
+    // A[p] stays on PE p: every stamp after the first reuses it.
+    let f = Map::parse("{ ST[p, t] -> A[p] : 0 <= p < 2 and 0 <= t < 3 }").unwrap();
+    let next = Map::parse("{ ST[p, t] -> ST[p, t + 1] }").unwrap();
+    assert_eq!(f.reuse_card(&next).unwrap(), 4);
+    for moves in [
+        "{ ST[p] -> ST[p + 1] }",
+        "{ ST[p, t] -> ST[p + 1] }",
+        "{ ST[p] -> ST[p, 1] }",
+        "{ ST[p, t] -> ST[p, t, 1] }",
+    ] {
+        let m = Map::parse(moves).unwrap();
+        assert!(
+            matches!(f.reuse_card(&m), Err(Error::SpaceMismatch(_))),
+            "{moves}"
+        );
+    }
+}
+
+#[test]
 fn union_space_mismatch() {
     let a = Set::parse("{ A[i] : 0 <= i < 2 }").unwrap();
     let b = Set::parse("{ A[i, j] : 0 <= i < 2 and 0 <= j < 2 }").unwrap();

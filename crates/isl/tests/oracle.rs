@@ -51,11 +51,16 @@ fn count_by_points(s: &Set, lo: i64, hi: i64) -> u128 {
     scan_points(s, lo, hi).len() as u128
 }
 
-/// Serializes tests that toggle the global cache-enabled flag.
+/// Serializes tests that toggle the global cache-enabled flag. A test
+/// that panics while holding the lock leaves nothing half-done that a
+/// later test depends on (each one sets the flag it needs), so the guard
+/// of a poisoned lock is taken as it is: only the test at fault fails.
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, OnceLock, PoisonError};
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap()
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `f` with the cache disabled, then twice against an enabled cache
@@ -379,7 +384,8 @@ fn multi_slab_fast_path_taken_and_exact() {
 // substitution multiplies two i64-extreme coefficients; there `card` and
 // `points` may also refuse with a structured error, but never return
 // another answer. `TENET_ORACLE_DEEP=1` grows the corpus from 64 to 500
-// cases per class (the CI oracle-deep job).
+// cases per class (the CI oracle-deep job), and so it does for the
+// `compose` and `reuse` classes below.
 // ---------------------------------------------------------------------------
 
 /// splitmix64: tiny, seedable, and identical on every platform.
@@ -1020,6 +1026,177 @@ fn corpus_compose() {
         for (run, (card, points)) in [("cold", cold), ("warm", warm)] {
             assert_eq!(card, expect.len() as u128, "{tag}: {run} card");
             assert_eq!(points, expect, "{tag}: {run} points");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reuse corpus
+//
+// `Map::reuse_card(moves)` counts `f ∩ moves⁻¹ . f`, TENET's reuse relation
+// for a data assignment `f` and a spacetime map `moves`, as one memoized
+// operation. Here `f` is a single-disjunct function graph `ST[x] -> A[y]`
+// over a box, half the time cut by one more inequality, each output affine
+// in `x` and one in three also carrying a `floor(x_i / m)` or `x_i mod m`
+// term, and `moves` a union of one to four distinct nonzero translations
+// of `ST`. Over a bare box an affine `f` counts the same with `moves` and
+// with its reverse (the box is centrally symmetric), so the cut is what
+// tells a predecessor from a successor. The oracle scans the domain with
+// `contains_point` only: the pair `(x, f(x))` is reused when some
+// translation `o` puts `(x - o, f(x))` in `f` as well.
+// ---------------------------------------------------------------------------
+
+/// One output of a generated function graph: `shift + Σ coefs_i·x_i`,
+/// plus `floor(x_i / m)` or, when the flag is set, `x_i mod m`.
+struct ReuseOut {
+    shift: i64,
+    coefs: Vec<i64>,
+    div: Option<(usize, i64, bool)>,
+}
+
+impl ReuseOut {
+    fn gen(rng: &mut Rng, d: usize) -> ReuseOut {
+        // Half the inputs drop out of each output, as loop indices do out
+        // of an access, so translations along them reuse.
+        let coefs = (0..d)
+            .map(|_| if rng.below(2) == 0 { 0 } else { rng.coef(2) })
+            .collect();
+        let div = (rng.below(3) == 0).then(|| {
+            let i = rng.below(d as u64) as usize;
+            (i, rng.range(2, 3), rng.below(2) == 0)
+        });
+        ReuseOut {
+            shift: rng.range(-3, 3),
+            coefs,
+            div,
+        }
+    }
+
+    fn eval(&self, x: &[i64]) -> i64 {
+        let linear: i64 = self.coefs.iter().zip(x).map(|(c, v)| c * v).sum();
+        let div = match self.div {
+            Some((i, m, false)) => x[i].div_euclid(m),
+            Some((i, m, true)) => x[i].rem_euclid(m),
+            None => 0,
+        };
+        self.shift + linear + div
+    }
+
+    fn text(&self) -> String {
+        let mut t = self.shift.to_string();
+        for (i, c) in self.coefs.iter().enumerate().filter(|(_, c)| **c != 0) {
+            t.push_str(&format!(" + {c}*x{i}"));
+        }
+        match self.div {
+            Some((i, m, false)) => t.push_str(&format!(" + floor(x{i} / {m})")),
+            Some((i, m, true)) => t.push_str(&format!(" + (x{i}) mod {m}")),
+            None => {}
+        }
+        t
+    }
+}
+
+#[test]
+fn corpus_reuse() {
+    let class = "reuse";
+    let seed = corpus_seed();
+    let mut h = DefaultHasher::new();
+    class.hash(&mut h);
+    let mut rng = Rng(seed ^ h.finish());
+    // Every box below lies in [-3, 7]^d.
+    let (wlo, whi) = (-3, 7);
+    for case in 0..corpus_cases() {
+        let d = rng.range(1, 3) as usize;
+        let bounds: Vec<(i64, i64)> = (0..d)
+            .map(|_| {
+                let lo = rng.range(wlo, 2);
+                (lo, lo + rng.range(1, 5))
+            })
+            .collect();
+        // A cut `Σ c_i·x_i <= k` through the box's middle.
+        let cut = (rng.below(2) == 0).then(|| {
+            let c: Vec<i64> = (0..d).map(|_| rng.range(-2, 2)).collect();
+            let mid: i64 = c
+                .iter()
+                .zip(&bounds)
+                .map(|(c, (lo, hi))| c * (lo + hi) / 2)
+                .sum();
+            (c, mid + rng.range(-1, 1))
+        });
+        let in_cut = |x: &[i64]| {
+            cut.as_ref()
+                .is_none_or(|(c, k)| c.iter().zip(x).map(|(c, v)| c * v).sum::<i64>() <= *k)
+        };
+        let outs: Vec<ReuseOut> = (0..rng.range(1, 2))
+            .map(|_| ReuseOut::gen(&mut rng, d))
+            .collect();
+        let n_moves = rng.range(1, 4) as usize;
+        let mut offsets: Vec<Vec<i64>> = Vec::new();
+        while offsets.len() < n_moves {
+            let o: Vec<i64> = (0..d)
+                .map(|_| if rng.below(2) == 0 { 0 } else { rng.coef(2) })
+                .collect();
+            // A spacetime map never moves a stamp onto itself.
+            if o.iter().any(|&v| v != 0) && !offsets.contains(&o) {
+                offsets.push(o);
+            }
+        }
+        let xs: Vec<String> = (0..d).map(|i| format!("x{i}")).collect();
+        let ys: Vec<String> = outs.iter().map(ReuseOut::text).collect();
+        let mut cons: Vec<String> = bounds
+            .iter()
+            .enumerate()
+            .map(|(i, (lo, hi))| format!("{lo} <= x{i} and x{i} <= {hi}"))
+            .collect();
+        if let Some((c, k)) = &cut {
+            let terms: Vec<String> = c
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{c}*x{i}"))
+                .collect();
+            cons.push(format!("{} <= {k}", terms.join(" + ")));
+        }
+        let f_text = format!(
+            "{{ ST[{}] -> A[{}] : {} }}",
+            xs.join(", "),
+            ys.join(", "),
+            cons.join(" and ")
+        );
+        let moved: Vec<String> = offsets
+            .iter()
+            .map(|o| {
+                let to: Vec<String> = o
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| format!("x{i} + {v}"))
+                    .collect();
+                format!("ST[{}] -> ST[{}]", xs.join(", "), to.join(", "))
+            })
+            .collect();
+        let moves_text = format!("{{ {} }}", moved.join("; "));
+        let tag = format!("[{class} seed={seed:#x} case={case}] {f_text} with {moves_text}");
+        let f = Map::parse(&f_text).unwrap_or_else(|e| panic!("{tag}: parse: {e}"));
+        let mut expect = 0u128;
+        for_each_point(d, wlo, whi, |x| {
+            if x.iter().zip(&bounds).any(|(v, (lo, hi))| v < lo || v > hi) || !in_cut(x) {
+                return;
+            }
+            let y: Vec<i64> = outs.iter().map(|o| o.eval(x)).collect();
+            let pair = |x: &[i64]| f.contains_point(&[x, &y[..]].concat()).unwrap();
+            assert!(pair(x), "{tag}: the graph misses {x:?} -> {y:?}");
+            let reused = offsets.iter().any(|o| {
+                let from: Vec<i64> = x.iter().zip(o).map(|(v, d)| v - d).collect();
+                pair(&from)
+            });
+            expect += u128::from(reused);
+        });
+        let (cold, warm) = with_and_without_cache(|| {
+            let f = Map::parse(&f_text).unwrap();
+            f.reuse_card(&Map::parse(&moves_text).unwrap())
+        });
+        for (run, count) in [("cold", cold), ("warm", warm)] {
+            let count = count.unwrap_or_else(|e| panic!("{tag}: {run} reuse_card: {e}"));
+            assert_eq!(count, expect, "{tag}: {run} reuse_card");
         }
     }
 }
